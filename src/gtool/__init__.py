@@ -49,18 +49,9 @@ from .fm import (
     compress_hamiltonian,
     compress_semidirect,
     compress_zgroup,
-    cycle_structure_build,
     qpu_space,
 )
-from .special import (
-    CompositeRep,
-    CyclicRep,
-    SimpleRep,
-    build_composite,
-    build_cyclic_rep,
-    build_simple_rep,
-    build_zgroup_rep,
-)
+from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import (
     AbelianBasis,
     abelian_basis,
@@ -81,11 +72,10 @@ __all__ = [
     "NotFittedError", "ParseError", "PreconditionError", "ProbeLedger",
     "Representation", "SemidirectFM", "SemidirectSpec", "SimpleRep",
     "SpaceReport", "ValidationError", "ZGroupFM", "abelian_basis",
-    "as_group", "assert_fits", "build_composite", "build_cyclic_rep",
-    "build_simple_rep", "build_zgroup_rep", "choose_block_length",
+    "as_group", "assert_fits", "choose_block_length",
     "compress_abelian", "compress_abelian_from_orders",
     "compress_hamiltonian", "compress_semidirect", "compress_zgroup",
-    "cycle_structure_build", "find_hamiltonian_decomposition",
+    "find_hamiltonian_decomposition",
     "find_semidirect_decomposition", "find_zgroup_decomposition",
     "greedy_cube_sequence", "is_simple", "is_z_group", "load_cayley_file",
     "load_cayley_table", "make_abelian", "make_alternating", "make_cyclic",

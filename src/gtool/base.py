@@ -63,18 +63,31 @@ def check_cayley_table(X) -> np.ndarray:
 
 
 def check_element_id(x, n: int) -> int:
-    """Validate a 1-based element id against group order ``n``."""
-    x = int(x)
+    """Validate a 1-based element id against group order ``n``.
+
+    Python ints and numpy integer scalars are accepted; bools, floats and
+    anything else non-integral are rejected, never truncated.
+    """
+    if type(x) is not int:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValidationError(f"element id must be an integer, got {x!r}")
+        x = int(x)
     if not 1 <= x <= n:
         raise ValidationError(f"element id {x} out of range [1, {n}]")
     return x
 
 
 def check_pairs(X, n: int) -> np.ndarray:
-    """Coerce ``X`` to a (q, 2) int64 array of element-id pairs."""
-    arr = np.asarray(X, dtype=np.int64)
+    """Coerce ``X`` to a (q, 2) int64 array of element-id pairs.
+
+    Entries must already be integers: float and bool arrays are rejected.
+    """
+    arr = np.asarray(X)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"expected a (q, 2) array of pairs, got {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"pair entries must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size and (arr.min() < 1 or arr.max() > n):
         raise ValidationError(f"pair entries must lie in [1, {n}]")
     return arr
@@ -121,6 +134,9 @@ class Representation(Estimator):
     read-only queries.  ``multiply`` answers one query; ``predict`` maps an
     array of (x, y) pairs to products.  All fitted state is immutable, so
     concurrent queries are safe.
+
+    Each kind defines its query once, as ``_kernel``; ``multiply`` and
+    ``predict`` validate ids and run it on Python ints or on int64 arrays.
     """
 
     rep_kind: str = "?"
@@ -128,16 +144,24 @@ class Representation(Estimator):
     def fit(self, group):
         raise NotImplementedError
 
-    def multiply(self, x: int, y: int, ledger=None) -> int:
+    def _kernel(self, x, y, ledger=None):
+        """x*y for validated ids given as Python ints or int64 arrays.
+
+        Written in indexing and arithmetic that behave the same on both;
+        each array read is counted in ``ledger`` when one is passed.
+        """
         raise NotImplementedError
+
+    def multiply(self, x: int, y: int, ledger=None) -> int:
+        self._require_fitted("n_")
+        x = check_element_id(x, self.n_)
+        y = check_element_id(y, self.n_)
+        return int(self._kernel(x, y, ledger))
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
         pairs = check_pairs(X, self.n_)
-        out = np.empty(len(pairs), dtype=np.int64)
-        for i, (x, y) in enumerate(pairs):
-            out[i] = self.multiply(int(x), int(y))
-        return out
+        return self._kernel(pairs[:, 0], pairs[:, 1]).astype(np.int64)
 
     def space_slots(self) -> dict[str, int]:
         """Exact per-array slot counts of the query-time store."""

@@ -17,19 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .base import (CapacityError, PreconditionError, Representation,
-                   ValidationError, check_element_id, check_pairs)
+                   ValidationError)
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
 
 DEFAULT_MAX_SLOTS = 1 << 29      # 512 Mi slots = 2 GiB at 4 bytes per slot
-
-
-@dataclass(frozen=True)
-class QueryStats:
-    """Array reads of one block query: always (1, m)."""
-
-    word_array_reads: int
-    mult_array_reads: int
 
 
 def parse_delta(delta) -> Fraction:
@@ -140,36 +132,15 @@ class BlockRep(Representation):
 
     # -- queries -----------------------------------------------------------
 
-    def multiply(self, x: int, y: int, ledger=None) -> int:
-        self._require_fitted("mult_arrays_")
-        h = check_element_id(x, self.n_)
-        g = check_element_id(y, self.n_)
-        w = int(self.word_index_[g - 1])
+    def _kernel(self, x, y, ledger=None):
         if ledger is not None:
             ledger.count("word_index")
+            ledger.count("mult_array", self.m_)
+        w = self.word_index_[y - 1]
         mask = (1 << self.l_) - 1
-        cur = h
+        cur = x
         for i in range(self.m_):
-            s = (w >> (i * self.l_)) & mask
-            cur = int(self.mult_arrays_[cur - 1, i, s])
-            if ledger is not None:
-                ledger.count("mult_array")
-        return cur
-
-    def multiply_with_stats(self, x: int, y: int) -> tuple[int, QueryStats]:
-        return (self.multiply(x, y),
-                QueryStats(word_array_reads=1, mult_array_reads=self.m_))
-
-    def predict(self, X) -> np.ndarray:
-        self._require_fitted("mult_arrays_")
-        pairs = check_pairs(X, self.n_)
-        h = pairs[:, 0]
-        w = self.word_index_[pairs[:, 1] - 1]
-        mask = (1 << self.l_) - 1
-        cur = h.astype(np.int64)
-        for i in range(self.m_):
-            s = (w >> (i * self.l_)) & mask
-            cur = self.mult_arrays_[cur - 1, i, s].astype(np.int64)
+            cur = self.mult_arrays_[cur - 1, i, (w >> (i * self.l_)) & mask]
         return cur
 
     # -- ledgers -------------------------------------------------------------
@@ -185,12 +156,6 @@ class BlockRep(Representation):
     def probe_bounds(self) -> tuple[int, int]:
         self._require_fitted("m_")
         return (1 + self.m_, 1 + self.m_)
-
-
-def build_block_rep(group, cube: CubeSequence | None = None,
-                    l: int | None = None, delta=None,
-                    max_slots: int = DEFAULT_MAX_SLOTS) -> BlockRep:
-    return BlockRep(l=l, delta=delta, max_slots=max_slots).fit(group, cube=cube)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ compresses the group and labels its elements, and a query processing unit
 (QPU) that stores only the compressed form and multiplies labels.  Only
 the QPU store counts toward space; scheme ``multiply`` methods are pure
 functions of (store, label, label) so a serialized store reproduces
-queries exactly.
+queries exactly.  They are also the query kernels: label components may be
+Python ints or int64 arrays alike.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -17,10 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   check_element_id, check_pairs)
+                   check_element_id)
 from .groups import as_group, make_quaternion
-from .structure import (AbelianCoordinates, SemidirectDecomposition,
-                        _prime_factors, find_hamiltonian_decomposition,
+from .structure import (AbelianCoordinates, MixedRadix,
+                        SemidirectDecomposition, _prime_factors,
+                        find_hamiltonian_decomposition,
                         find_semidirect_decomposition,
                         find_zgroup_decomposition, is_z_group,
                         sylow_violation)
@@ -28,15 +30,39 @@ from .structure import (AbelianCoordinates, SemidirectDecomposition,
 FMLabel = tuple
 
 
+def _frozen(arr) -> np.ndarray:
+    out = np.array(arr, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+class _Labeler:
+    """Outside-user labeling of a group's elements.
+
+    ``labels`` maps ids to label components and ``elements`` maps label
+    components back to ids; both take Python ints or int64 arrays alike.
+    ``label`` and ``element`` are their checked one-element forms, with
+    Python ints throughout.
+    """
+
+    n: int
+
+    def label(self, x: int) -> FMLabel:
+        return tuple(int(v) for v in self.labels(check_element_id(x, self.n)))
+
+    def element(self, lab: FMLabel) -> int:
+        return int(self.elements(lab))
+
+
 # -- abelian ------------------------------------------------------------------
 
-class AbelianScheme:
+class AbelianScheme(MixedRadix):
     """QPU store for an abelian group: the cyclic factor orders alone.
 
-    A label is one packed word of exponents; multiplication unpacks,
-    adds componentwise mod the factor orders, and repacks.  No array is
-    read, so a query costs zero probes and O(t) word operations on the
-    packed fields.
+    A label is one packed word of exponents, the mixed-radix codec over the
+    factor orders; multiplication adds the fields mod the factor orders.
+    No array is read, so a query costs zero probes and O(t) word
+    operations on the packed fields.
     """
 
     def __init__(self, orders):
@@ -44,70 +70,34 @@ class AbelianScheme:
         for d in orders:
             if d < 2 or len(_prime_factors(d)) != 1:
                 raise ValidationError(f"factor order {d} is not a prime power")
+        super().__init__(orders)
         self.orders = orders
-        self.widths = tuple(max((d - 1).bit_length(), 1) for d in orders)
-        shifts = []
-        acc = 0
-        for w in self.widths:
-            shifts.append(acc)
-            acc += w
-        self.shifts = tuple(shifts)
-        self.packed_bits = acc
-        if acc > 63:
-            raise PreconditionError("packed abelian label exceeds 63 bits")
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        return tuple((int(packed) >> s) & ((1 << w) - 1)
-                     for s, w in zip(self.shifts, self.widths))
-
-    def pack(self, exps) -> int:
-        return sum(int(e) << s for e, s in zip(exps, self.shifts))
-
-    def add_packed(self, p1: int, p2: int) -> int:
-        out = 0
-        for s, w, d in zip(self.shifts, self.widths, self.orders):
-            mask = (1 << w) - 1
-            e = (((p1 >> s) & mask) + ((p2 >> s) & mask)) % d
-            out |= e << s
-        return out
 
     def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        return (self.add_packed(int(l1[0]), int(l2[0])),)
+        return (self.add(l1[0], l2[0]),)
 
     def space_slots(self) -> dict[str, int]:
         return {"orders": len(self.orders), "meta": 1}
 
 
-class AbelianLabeler:
-    """Outside-user labeling for a table-backed abelian group."""
+class AbelianLabeler(_Labeler):
+    """Labeling of a table-backed abelian group: ``packed[x-1]`` is the
+    label of x, and ``element_of_flat`` inverts the flat exponent index."""
 
-    def __init__(self, scheme: AbelianScheme, packed: np.ndarray,
-                 element_of_flat: np.ndarray):
-        self._scheme = scheme
-        self._packed = np.asarray(packed, dtype=np.int64)
-        self._element_of_flat = np.asarray(element_of_flat, dtype=np.int64)
-        self.n = len(self._packed)
+    def __init__(self, scheme: AbelianScheme, packed, element_of_flat):
+        self.scheme = scheme
+        self.packed = _frozen(packed)
+        self.element_of_flat = _frozen(element_of_flat)
+        self.n = len(self.packed)
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        return (int(self._packed[x - 1]),)
+    def labels(self, x):
+        return (self.packed[x - 1],)
 
-    def element(self, lab: FMLabel) -> int:
-        return int(self._element_of_flat[
-            _flat_of_packed(self._scheme, int(lab[0]))])
-
-    def label_array(self) -> np.ndarray:
-        return self._packed
+    def elements(self, lab):
+        return self.element_of_flat[self.scheme.index(lab[0])]
 
 
-class ArithmeticAbelianLabeler:
+class ArithmeticAbelianLabeler(_Labeler):
     """Labeling for a virtual abelian group given only by factor orders.
 
     Elements are numbered by the mixed-radix index of their exponent
@@ -116,31 +106,18 @@ class ArithmeticAbelianLabeler:
     """
 
     def __init__(self, scheme: AbelianScheme):
-        self._scheme = scheme
-        self.n = scheme.n
-        strides = []
-        acc = 1
-        for d in reversed(scheme.orders):
-            strides.append(acc)
-            acc *= d
-        self._strides = tuple(reversed(strides))
+        self.scheme = scheme
+        self.n = scheme.size
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        rem = x - 1
-        exps = []
-        for st in self._strides:
-            exps.append(rem // st)
-            rem %= st
-        return (self._scheme.pack(exps),)
+    def labels(self, x):
+        return (self.scheme.pack(self.scheme.unflat(x - 1)),)
 
-    def element(self, lab: FMLabel) -> int:
-        exps = self._scheme.unpack(int(lab[0]))
-        return 1 + sum(e * st for e, st in zip(exps, self._strides))
+    def elements(self, lab):
+        return 1 + self.scheme.index(lab[0])
 
     def multiply_ids(self, x: int, y: int) -> int:
         """Arithmetic oracle product for the virtual group."""
-        return self.element(self._scheme.multiply(self.label(x), self.label(y)))
+        return self.element(self.scheme.multiply(self.label(x), self.label(y)))
 
 
 def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
@@ -149,11 +126,7 @@ def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
         raise PreconditionError("group is not abelian")
     coords = AbelianCoordinates(G)
     scheme = AbelianScheme(coords.orders)
-    flats = (coords.coords * coords.strides[None, :]).sum(axis=1) \
-        if coords.k else np.zeros(G.n, dtype=np.int64)
-    element_of_flat = np.zeros(G.n, dtype=np.int64)
-    element_of_flat[flats] = np.arange(1, G.n + 1)
-    return scheme, AbelianLabeler(scheme, coords.packed, element_of_flat)
+    return scheme, AbelianLabeler(scheme, coords.packed, coords.element_of_flat)
 
 
 def compress_abelian_from_orders(orders) -> tuple[AbelianScheme, ArithmeticAbelianLabeler]:
@@ -165,8 +138,8 @@ def compress_abelian_from_orders(orders) -> tuple[AbelianScheme, ArithmeticAbeli
 
 class HamiltonianScheme:
     """QPU store for Q8 x C: the fixed 8 x 8 quaternion table plus the
-    abelian store for C.  A label packs the quaternion index (three high
-    bits) with the abelian label of the C part."""
+    abelian store for C.  A label packs the quaternion index minus one
+    (three high bits) above the abelian label of the C part."""
 
     def __init__(self, abelian: AbelianScheme, q8_table: np.ndarray | None = None):
         self.abelian = abelian
@@ -174,20 +147,12 @@ class HamiltonianScheme:
             q8_table = make_quaternion().table
         self.q8_table = np.asarray(q8_table, dtype=np.int64)
 
-    def pack(self, q: int, c_packed: int) -> int:
-        return ((q - 1) << self.abelian.packed_bits) | int(c_packed)
-
-    def unpack(self, packed: int) -> tuple[int, int]:
-        q = (int(packed) >> self.abelian.packed_bits) + 1
-        return q, int(packed) & ((1 << self.abelian.packed_bits) - 1)
-
     def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        q1, c1 = self.unpack(int(l1[0]))
-        q2, c2 = self.unpack(int(l2[0]))
-        q3 = int(self.q8_table[q1 - 1, q2 - 1])
+        bits = self.abelian.bits
+        q3 = self.q8_table[l1[0] >> bits, l2[0] >> bits]
         if ledger is not None:
             ledger.count("table")
-        return (self.pack(q3, self.abelian.add_packed(c1, c2)),)
+        return (((q3 - 1) << bits) | self.abelian.add(l1[0], l2[0]),)
 
     def space_slots(self) -> dict[str, int]:
         slots = {"q8_table": 64}
@@ -196,54 +161,36 @@ class HamiltonianScheme:
         return slots
 
 
-class HamiltonianLabeler:
-    def __init__(self, scheme, q_of, c_of, c_labels, pairing_by_flat):
-        self._scheme = scheme
-        self._q_of = q_of          # global id -> quaternion index 1..8
-        self._c_of = c_of          # global id -> local C id
-        self._c_labels = c_labels  # local C id-1 -> packed abelian label
-        self._by_flat = pairing_by_flat   # (8, |C| flat) -> global id
+class HamiltonianLabeler(_Labeler):
+    """``q_of[x]`` is the quaternion index 1..8 and ``c_of[x]`` the local C
+    id of element x (entry 0 unused); ``c_labels[c-1]`` is the abelian
+    label of local C id c, and ``by_flat[q-1, flat]`` inverts the pairing."""
+
+    def __init__(self, scheme, q_of, c_of, c_labels, by_flat):
+        self.scheme = scheme
+        self.q_of = _frozen(q_of)
+        self.c_of = _frozen(c_of)
+        self.c_labels = _frozen(c_labels)
+        self.by_flat = _frozen(by_flat)
         self.n = len(q_of) - 1
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        q = int(self._q_of[x])
-        c = int(self._c_of[x])
-        return (self._scheme.pack(q, int(self._c_labels[c - 1])),)
+    def labels(self, x):
+        bits = self.scheme.abelian.bits
+        return (((self.q_of[x] - 1) << bits) | self.c_labels[self.c_of[x] - 1],)
 
-    def element(self, lab: FMLabel) -> int:
-        q, cp = self._scheme.unpack(int(lab[0]))
-        ab = self._scheme.abelian
-        flat = _flat_of_packed(ab, cp)
-        return int(self._by_flat[q - 1, flat])
-
-
-def _flat_of_packed(ab: AbelianScheme, packed: int) -> int:
-    flat = 0
-    for e, d in zip(ab.unpack(packed), ab.orders):
-        flat = flat * d + e
-    return flat
+    def elements(self, lab):
+        ab = self.scheme.abelian
+        return self.by_flat[lab[0] >> ab.bits, ab.index(lab[0])]
 
 
 def compress_hamiltonian(group) -> tuple[HamiltonianScheme, HamiltonianLabeler]:
     G = as_group(group)
     dec = find_hamiltonian_decomposition(G)
-    C = dec.c_table
-    if C.n > 1:
-        coords = AbelianCoordinates(C)
-        ab = AbelianScheme(coords.orders)
-        c_labels = coords.packed
-        flat_of_local = np.array(
-            [_flat_of_packed(ab, int(p)) for p in coords.packed])
-    else:
-        ab = AbelianScheme(())
-        c_labels = np.zeros(1, dtype=np.int64)
-        flat_of_local = np.zeros(1, dtype=np.int64)
-    by_flat = np.zeros((8, C.n), dtype=np.int64)
-    for q in range(8):
-        by_flat[q, flat_of_local] = dec.pairing[q]
-    scheme = HamiltonianScheme(ab)
-    labeler = HamiltonianLabeler(scheme, dec.q_of, dec.c_of, c_labels, by_flat)
+    coords = AbelianCoordinates(dec.c_table)
+    scheme = HamiltonianScheme(AbelianScheme(coords.orders))
+    by_flat = dec.pairing[:, coords.element_of_flat - 1]
+    labeler = HamiltonianLabeler(scheme, dec.q_of, dec.c_of, coords.packed,
+                                 by_flat)
     return scheme, labeler
 
 
@@ -266,8 +213,8 @@ class ZGroupScheme:
         self.table_max = int(table_max)
         if self.d <= self.table_max:
             self.sigma_table = np.array(
-                [pow(self.sigma1, j, self.m) if self.m > 1 else 0
-                 for j in range(self.d)], dtype=np.int64)
+                [pow(self.sigma1, j, self.m) for j in range(self.d)],
+                dtype=np.int64)
         else:
             self.sigma_table = None
         # action consistency: applying sigma d times is the identity map
@@ -275,18 +222,24 @@ class ZGroupScheme:
             raise ValidationError(
                 f"multiplier {self.sigma1} does not have order dividing {self.d} mod {self.m}")
 
-    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        i1, s1, j1 = (int(v) for v in l1)
-        i2, s2, j2 = (int(v) for v in l2)
-        i3 = (i1 + s1 * i2) % self.m
-        j3 = (j1 + j2) % self.d
+    def sigma(self, j, ledger=None):
+        """sigma1**j mod m for exponents j in [0, d)."""
         if self.sigma_table is not None:
-            s3 = int(self.sigma_table[j3])
             if ledger is not None:
                 ledger.count("table")
-        else:
-            s3 = pow(self.sigma1, j3, self.m) if self.m > 1 else 0
-        return (i3, s3, j3)
+            return self.sigma_table[j]
+        out, sq = 1 % self.m, self.sigma1 % self.m
+        for k in range((self.d - 1).bit_length()):
+            # multiply by sq exactly when bit k of j is set
+            out = out * (1 + (sq - 1) * ((j >> k) & 1)) % self.m
+            sq = sq * sq % self.m
+        return out
+
+    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
+        i1, s1, j1 = l1
+        i2, _, j2 = l2
+        j3 = (j1 + j2) % self.d
+        return ((i1 + s1 * i2) % self.m, self.sigma(j3, ledger), j3)
 
     def space_slots(self) -> dict[str, int]:
         slots = {"meta": 3}            # m, d, sigma1
@@ -295,27 +248,23 @@ class ZGroupScheme:
         return slots
 
 
-class ZGroupLabeler:
+class ZGroupLabeler(_Labeler):
+    """``i_of[x]`` and ``j_of[x]`` are the exponents of x = a**i * b**j
+    (entry 0 unused); ``pairing[i, j]`` inverts them."""
+
     def __init__(self, scheme, i_of, j_of, pairing):
-        self._scheme = scheme
-        self._i_of = i_of
-        self._j_of = j_of
-        self._pairing = pairing
+        self.scheme = scheme
+        self.i_of = _frozen(i_of)
+        self.j_of = _frozen(j_of)
+        self.pairing = _frozen(pairing)
         self.n = len(i_of) - 1
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        i = int(self._i_of[x])
-        j = int(self._j_of[x])
-        if self._scheme.m > 1:
-            s = pow(self._scheme.sigma1, j, self._scheme.m)
-        else:
-            s = 0
-        return (i, s, j)
+    def labels(self, x):
+        j = self.j_of[x]
+        return (self.i_of[x], self.scheme.sigma(j), j)
 
-    def element(self, lab: FMLabel) -> int:
-        i, _, j = (int(v) for v in lab)
-        return int(self._pairing[i, j])
+    def elements(self, lab):
+        return self.pairing[lab[0], lab[2]]
 
 
 def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLabeler]:
@@ -339,29 +288,26 @@ def compress_zgroup_from_parts(m: int, d: int, multiplier: int,
     return scheme, ArithmeticZGroupLabeler(scheme)
 
 
-class ArithmeticZGroupLabeler:
+class ArithmeticZGroupLabeler(_Labeler):
     """Labels for a virtual C_m x| C_d numbered as (i, j) -> i*d + j + 1."""
 
     def __init__(self, scheme: ZGroupScheme):
-        self._scheme = scheme
+        self.scheme = scheme
         self.n = scheme.m * scheme.d
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        i, j = divmod(x - 1, self._scheme.d)
-        s = pow(self._scheme.sigma1, j, self._scheme.m) if self._scheme.m > 1 else 0
-        return (i, s, j)
+    def labels(self, x):
+        i, j = divmod(x - 1, self.scheme.d)
+        return (i, self.scheme.sigma(j), j)
 
-    def element(self, lab: FMLabel) -> int:
-        i, _, j = (int(v) for v in lab)
-        return i * self._scheme.d + j + 1
+    def elements(self, lab):
+        return lab[0] * self.scheme.d + lab[2] + 1
 
     def multiply_ids(self, x: int, y: int) -> int:
         """Arithmetic oracle product for the virtual group."""
-        i1, j1 = divmod(x - 1, self._scheme.d)
-        i2, j2 = divmod(y - 1, self._scheme.d)
-        m, d = self._scheme.m, self._scheme.d
-        s1 = pow(self._scheme.sigma1, j1, m) if m > 1 else 0
+        i1, j1 = divmod(x - 1, self.scheme.d)
+        i2, j2 = divmod(y - 1, self.scheme.d)
+        m, d = self.scheme.m, self.scheme.d
+        s1 = pow(self.scheme.sigma1, j1, m) if m > 1 else 0
         return ((i1 + s1 * i2) % m) * d + (j1 + j2) % d + 1
 
 
@@ -411,30 +357,27 @@ class CycleStructure:
         if d < 0:
             raise ValidationError("negative powers are rejected; normalize "
                                   "exponents into [0, m) first")
-        packed = int(self.index_[g - 1])
+        return int(self.power(g, d, ledger))
+
+    def power(self, g, d, ledger=None):
+        """Unchecked ``apply_power`` for points and exponents given as
+        Python ints or int64 arrays.
+
+        The reads are the position lookup and the shifted cycle entry; a
+        cycle's offset and length are its handle, as the start and length
+        of a stored list would be.
+        """
         if ledger is not None:
             ledger.count("forward")
-        j, r = divmod(packed, self.n_points)
-        cyc = self.cycles[j]
-        if ledger is not None:
             ledger.count("backward")
-        return int(cyc[(r + d) % len(cyc)])
-
-    def apply_power_batch(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
-        packed = self.index_[g - 1]
-        j, r = np.divmod(packed, self.n_points)
-        L = self.lengths_[j]
-        return self.flat_[self.offsets_[j] + (r + d) % L]
+        j, r = divmod(self.index_[g - 1], self.n_points)
+        return self.flat_[self.offsets_[j] + (r + d) % self.lengths_[j]]
 
     def space_slots(self) -> dict[str, int]:
         # contents + position index + the stored length per cycle + the
         # point count read by the divmod; cycle handles are array lengths
         return {"cycles": self.n_points, "index": self.n_points,
                 "lengths": len(self.cycles), "meta": 1}
-
-
-def cycle_structure_build(pi) -> CycleStructure:
-    return CycleStructure(pi)
 
 
 # -- semidirect A x| C_m with abelian A ---------------------------------------------
@@ -461,18 +404,15 @@ class SemidirectScheme:
         return len(self.labels_of_a)
 
     def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        la1, a1, k1 = (int(v) for v in l1)
-        la2, a2, k2 = (int(v) for v in l2)
-        a3 = self.cycle.apply_power(a2, k1, ledger=ledger)
-        la3 = int(self.labels_of_a[a3 - 1])
+        la1, _, k1 = l1
+        _, a2, k2 = l2
+        a3 = self.cycle.power(a2, k1, ledger)
+        la4 = self.abelian.add(la1, self.labels_of_a[a3 - 1])
+        a4 = self.index_of_label[self.abelian.index(la4)]
         if ledger is not None:
             ledger.count("forward")
-        la4 = self.abelian.add_packed(la1, la3)
-        a4 = int(self.index_of_label[_flat_of_packed(self.abelian, la4)])
-        if ledger is not None:
             ledger.count("backward")
-        k3 = (k1 + k2) % self.m
-        return (la4, a4, k3)
+        return (la4, a4, (k1 + k2) % self.m)
 
     def space_slots(self) -> dict[str, int]:
         slots = {"labels_of_a": self.a_order,
@@ -485,23 +425,24 @@ class SemidirectScheme:
         return slots
 
 
-class SemidirectLabeler:
+class SemidirectLabeler(_Labeler):
+    """``a_of[x]`` is the 0-based local A index and ``j_of[x]`` the
+    C_m exponent of element x (entry 0 unused); ``pairing[a-1, j]``
+    inverts them."""
+
     def __init__(self, scheme, a_of, j_of, pairing):
-        self._scheme = scheme
-        self._a_of = a_of        # global id -> 0-based local A index
-        self._j_of = j_of
-        self._pairing = pairing  # (|A|, m) -> global id
+        self.scheme = scheme
+        self.a_of = _frozen(a_of)
+        self.j_of = _frozen(j_of)
+        self.pairing = _frozen(pairing)
         self.n = len(a_of) - 1
 
-    def label(self, x: int) -> FMLabel:
-        x = check_element_id(x, self.n)
-        a = int(self._a_of[x]) + 1
-        j = int(self._j_of[x])
-        return (int(self._scheme.labels_of_a[a - 1]), a, j)
+    def labels(self, x):
+        a = self.a_of[x]
+        return (self.scheme.labels_of_a[a], a + 1, self.j_of[x])
 
-    def element(self, lab: FMLabel) -> int:
-        _, a, j = (int(v) for v in lab)
-        return int(self._pairing[a - 1, j])
+    def elements(self, lab):
+        return self.pairing[lab[1] - 1, lab[2]]
 
 
 def compress_semidirect(group,
@@ -513,21 +454,11 @@ def compress_semidirect(group,
     A = dec.spec.A
     if not A.is_abelian():
         raise PreconditionError("normal part must be abelian")
-    if A.n > 1:
-        coords = AbelianCoordinates(A)
-        ab = AbelianScheme(coords.orders)
-        labels_of_a = coords.packed.astype(np.int64)
-        flats = np.array([_flat_of_packed(ab, int(p)) for p in labels_of_a])
-    else:
-        ab = AbelianScheme(())
-        labels_of_a = np.zeros(1, dtype=np.int64)
-        flats = np.zeros(1, dtype=np.int64)
-    index_of_label = np.zeros(A.n, dtype=np.int64)
-    index_of_label[flats] = np.arange(1, A.n + 1)
+    coords = AbelianCoordinates(A)
     pi = np.asarray(dec.spec.action, dtype=np.int64)[1 % dec.b_order]
-    cycle = CycleStructure(pi)
-    scheme = SemidirectScheme(dec.b_order, cycle, ab, labels_of_a,
-                              index_of_label)
+    scheme = SemidirectScheme(dec.b_order, CycleStructure(pi),
+                              AbelianScheme(coords.orders), coords.packed,
+                              coords.element_of_flat)
     labeler = SemidirectLabeler(scheme, dec.a_of, dec.j_of, dec.pairing)
     return scheme, labeler
 
@@ -542,16 +473,22 @@ def qpu_space(scheme) -> int:
 class _FMBase(Representation):
     """Adapter exposing a scheme + labeler pair as an id-level estimator.
 
-    ``multiply`` routes ids through the outside-user labeler and the pure
-    QPU scheme; ``space_slots`` reports the QPU store alone, since the
-    labeling cost belongs to the outside user in this model.
+    A query labels both ids, multiplies the labels with the pure QPU
+    scheme and maps the product label back to an id; ``space_slots``
+    reports the QPU store alone, since the labeling cost belongs to the
+    outside user in this model.
     """
 
-    def multiply(self, x: int, y: int, ledger=None) -> int:
-        self._require_fitted("scheme_")
-        lx = self.labeler_.label(check_element_id(x, self.n_))
-        ly = self.labeler_.label(check_element_id(y, self.n_))
-        return self.labeler_.element(self.scheme_.multiply(lx, ly, ledger=ledger))
+    def fit(self, group):
+        G = as_group(group)
+        self.scheme_, self.labeler_ = self._compress(G)
+        self.n_ = G.n
+        return self
+
+    def _kernel(self, x, y, ledger=None):
+        lab = self.labeler_
+        return lab.elements(
+            self.scheme_.multiply(lab.labels(x), lab.labels(y), ledger))
 
     def multiply_labels(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
         self._require_fitted("scheme_")
@@ -565,25 +502,8 @@ class _FMBase(Representation):
 class AbelianFM(_FMBase):
     rep_kind = "fm-abelian"
 
-    def fit(self, group):
-        G = as_group(group)
-        self.scheme_, self.labeler_ = compress_abelian(G)
-        self.n_ = G.n
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._require_fitted("scheme_")
-        pairs = check_pairs(X, self.n_)
-        labels = self.labeler_.label_array()
-        p1 = labels[pairs[:, 0] - 1]
-        p2 = labels[pairs[:, 1] - 1]
-        ab = self.scheme_
-        flat = np.zeros(len(pairs), dtype=np.int64)
-        for s, w, d in zip(ab.shifts, ab.widths, ab.orders):
-            mask = (1 << w) - 1
-            e = (((p1 >> s) & mask) + ((p2 >> s) & mask)) % d
-            flat = flat * d + e
-        return self.labeler_._element_of_flat[flat].astype(np.int64)
+    def _compress(self, G):
+        return compress_abelian(G)
 
     def probe_bounds(self) -> tuple[int, int]:
         return (0, 0)
@@ -592,11 +512,8 @@ class AbelianFM(_FMBase):
 class HamiltonianFM(_FMBase):
     rep_kind = "fm-hamiltonian"
 
-    def fit(self, group):
-        G = as_group(group)
-        self.scheme_, self.labeler_ = compress_hamiltonian(G)
-        self.n_ = G.n
-        return self
+    def _compress(self, G):
+        return compress_hamiltonian(G)
 
     def probe_bounds(self) -> tuple[int, int]:
         return (1, 1)
@@ -608,26 +525,8 @@ class ZGroupFM(_FMBase):
     def __init__(self, table_max: int = 64):
         self.table_max = table_max
 
-    def fit(self, group):
-        G = as_group(group)
-        self.scheme_, self.labeler_ = compress_zgroup(G, table_max=self.table_max)
-        self.n_ = G.n
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._require_fitted("scheme_")
-        pairs = check_pairs(X, self.n_)
-        lab = self.labeler_
-        i1, j1 = lab._i_of[pairs[:, 0]], lab._j_of[pairs[:, 0]]
-        i2, j2 = lab._i_of[pairs[:, 1]], lab._j_of[pairs[:, 1]]
-        m, d = self.scheme_.m, self.scheme_.d
-        if m > 1:
-            s1 = np.array([pow(self.scheme_.sigma1, int(j), m) for j in j1])
-        else:
-            s1 = np.zeros(len(pairs), dtype=np.int64)
-        i3 = (i1 + s1 * i2) % m
-        j3 = (j1 + j2) % d
-        return lab._pairing[i3, j3].astype(np.int64)
+    def _compress(self, G):
+        return compress_zgroup(G, table_max=self.table_max)
 
     def probe_bounds(self) -> tuple[int, int]:
         self._require_fitted("scheme_")
@@ -637,33 +536,8 @@ class ZGroupFM(_FMBase):
 class SemidirectFM(_FMBase):
     rep_kind = "fm-semidirect"
 
-    def fit(self, group):
-        G = as_group(group)
-        self.scheme_, self.labeler_ = compress_semidirect(G)
-        self.n_ = G.n
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._require_fitted("scheme_")
-        pairs = check_pairs(X, self.n_)
-        sch = self.scheme_
-        lab = self.labeler_
-        a1 = lab._a_of[pairs[:, 0]] + 1
-        k1 = lab._j_of[pairs[:, 0]]
-        a2 = lab._a_of[pairs[:, 1]] + 1
-        k2 = lab._j_of[pairs[:, 1]]
-        a3 = sch.cycle.apply_power_batch(a2, k1)
-        la1 = sch.labels_of_a[a1 - 1]
-        la3 = sch.labels_of_a[a3 - 1]
-        ab = sch.abelian
-        flat = np.zeros(len(pairs), dtype=np.int64)
-        for s, w, d in zip(ab.shifts, ab.widths, ab.orders):
-            mask = (1 << w) - 1
-            e = (((la1 >> s) & mask) + ((la3 >> s) & mask)) % d
-            flat = flat * d + e
-        a4 = sch.index_of_label[flat]
-        k3 = (k1 + k2) % sch.m
-        return lab._pairing[a4 - 1, k3].astype(np.int64)
+    def _compress(self, G):
+        return compress_semidirect(G)
 
     def probe_bounds(self) -> tuple[int, int]:
         return (4, 4)

@@ -19,6 +19,7 @@ from . import fm
 from .base import ParseError, ValidationError
 from .blockrep import BlockRep
 from .special import CompositeRep, CyclicRep, SimpleRep
+from .structure import MixedRadix
 
 
 def _id_width(n: int) -> int:
@@ -41,7 +42,7 @@ def _unpack_array(buf: bytes, count: int, width: int) -> np.ndarray:
     raw = np.frombuffer(buf, dtype=np.uint8, count=count * width)
     full = np.zeros((count, 8), dtype=np.uint8)
     full[:, :width] = raw.reshape(count, width)
-    return full.reshape(-1).view("<u8").astype(np.int64)
+    return full.reshape(-1).view("<i8")
 
 
 class _Reader:
@@ -138,7 +139,7 @@ def _decode_cyclic(r: _Reader) -> CyclicRep:
 def _encode_composite(rep: CompositeRep) -> bytes:
     n = rep.n_
     w = _id_width(n)
-    wf = max(-(-sum(rep.widths_) // 8), 1)
+    wf = max(-(-MixedRadix(rep.sizes_).bits // 8), 1)
     wa = _id_width(max(rep.a_order_ - 1, 1))
     out = io.BytesIO()
     out.write(b"CMP1")
@@ -150,30 +151,18 @@ def _encode_composite(rep: CompositeRep) -> bytes:
     return out.getvalue()
 
 
-def _composite_derived(sizes: tuple[int, ...]):
-    widths = tuple(max(int(s - 1).bit_length(), 0) for s in sizes)
-    shifts = np.cumsum([0] + list(widths[:-1])).astype(np.int64)
-    a_sizes = sizes[:-1]
-    a_strides = np.ones(len(a_sizes), dtype=np.int64)
-    for i in range(len(a_sizes) - 2, -1, -1):
-        a_strides[i] = a_strides[i + 1] * a_sizes[i + 1]
-    return widths, shifts, a_strides
-
-
 def _decode_composite(r: _Reader) -> CompositeRep:
     n, d, a_order, ns = r.u32(), r.u32(), r.u32(), r.u32()
     sizes = tuple(int(v) for v in r.array(ns, 4))
-    widths, shifts, a_strides = _composite_derived(sizes)
     w = _id_width(n)
-    wf = max(-(-sum(widths) // 8), 1)
+    wf = max(-(-MixedRadix(sizes).bits // 8), 1)
     wa = _id_width(max(a_order - 1, 1))
     forward = r.array(n, wf)
     backward = r.array(a_order * d, w)
     action = r.array(d * a_order, wa).reshape(d, a_order)
     rep = CompositeRep()
     rep.n_, rep.d_, rep.a_order_ = n, d, a_order
-    rep.sizes_, rep.widths_, rep.shifts_ = sizes, widths, shifts
-    rep.a_strides_ = a_strides
+    rep.sizes_, rep.codec_ = sizes, MixedRadix(sizes[:-1])
     rep.forward_, rep.backward_, rep.action_ = forward, backward, action
     if int(action[0 % d].max(initial=0)) >= a_order:
         raise ValidationError("corrupt composite artifact: action out of range")
@@ -333,22 +322,22 @@ def _encode_fm_labeler(rep) -> bytes:
     n = rep.n_
     out.write(_u32(n))
     if kind == "fm-abelian":
-        out.write(_pack_array(lab._packed, 8))
-        out.write(_pack_array(lab._element_of_flat, 4))
+        out.write(_pack_array(lab.packed, 8))
+        out.write(_pack_array(lab.element_of_flat, 4))
     elif kind == "fm-hamiltonian":
-        out.write(_pack_array(lab._q_of[1:], 1))
-        out.write(_pack_array(lab._c_of[1:], 4))
-        out.write(_u32(len(lab._c_labels)))
-        out.write(_pack_array(lab._c_labels, 8))
-        out.write(_pack_array(lab._by_flat.reshape(-1), 4))
+        out.write(_pack_array(lab.q_of[1:], 1))
+        out.write(_pack_array(lab.c_of[1:], 4))
+        out.write(_u32(len(lab.c_labels)))
+        out.write(_pack_array(lab.c_labels, 8))
+        out.write(_pack_array(lab.by_flat.reshape(-1), 4))
     elif kind == "fm-zgroup":
-        out.write(_pack_array(lab._i_of[1:], 4))
-        out.write(_pack_array(lab._j_of[1:], 4))
-        out.write(_pack_array(lab._pairing.reshape(-1), 4))
+        out.write(_pack_array(lab.i_of[1:], 4))
+        out.write(_pack_array(lab.j_of[1:], 4))
+        out.write(_pack_array(lab.pairing.reshape(-1), 4))
     elif kind == "fm-semidirect":
-        out.write(_pack_array(lab._a_of[1:], 4))
-        out.write(_pack_array(lab._j_of[1:], 4))
-        out.write(_pack_array(lab._pairing.reshape(-1), 4))
+        out.write(_pack_array(lab.a_of[1:], 4))
+        out.write(_pack_array(lab.j_of[1:], 4))
+        out.write(_pack_array(lab.pairing.reshape(-1), 4))
     else:
         raise ValidationError(f"unknown fm kind {kind}")
     return out.getvalue()

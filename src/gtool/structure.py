@@ -8,6 +8,7 @@ searches use fixed iteration orders so results are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,31 +200,78 @@ def abelian_basis(G: GroupTable) -> AbelianBasis:
     return AbelianBasis(tuple(gens), tuple(orders))
 
 
+class MixedRadix:
+    """Codec for tuples in the box prod [0, sizes[i]).
+
+    A packed word gives field i ``widths[i]`` = bits(sizes[i] - 1) bits
+    starting at bit ``shifts[i]``, field 0 in the low bits.  The flat index
+    is row-major, field 0 most significant (``strides``).  Every method
+    takes Python ints or int64 arrays alike.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.widths = tuple((s - 1).bit_length() for s in self.sizes)
+        self.shifts = tuple(sum(self.widths[:i]) for i in range(len(self.sizes)))
+        self.bits = sum(self.widths)
+        if self.bits > 63:
+            raise PreconditionError(
+                f"packed coordinates need {self.bits} bits, max is 63")
+        self.strides = tuple(math.prod(self.sizes[i + 1:])
+                             for i in range(len(self.sizes)))
+        self.size = math.prod(self.sizes)
+        self._fields = tuple(zip(self.shifts,
+                                 [(1 << w) - 1 for w in self.widths],
+                                 self.sizes))
+
+    def pack(self, fields):
+        out = 0
+        for v, s in zip(fields, self.shifts):
+            out = out | (v << s)
+        return out
+
+    def unpack(self, word) -> tuple:
+        return tuple((word >> s) & mask for s, mask, _ in self._fields)
+
+    def flat(self, fields):
+        out = 0
+        for v, st in zip(fields, self.strides):
+            out = out + v * st
+        return out
+
+    def unflat(self, index) -> tuple:
+        return tuple((index // st) % s for s, st in zip(self.sizes, self.strides))
+
+    def index(self, word):
+        """Flat index of a packed word."""
+        out = word & 0              # zero shaped like word, even with no fields
+        for (s, mask, _), st in zip(self._fields, self.strides):
+            out = out + ((word >> s) & mask) * st
+        return out
+
+    def add(self, w1, w2):
+        """Componentwise sum mod sizes of two packed words, packed."""
+        out = w1 & 0                # as in index
+        for s, mask, size in self._fields:
+            out = out | ((((w1 >> s) & mask) + ((w2 >> s) & mask)) % size << s)
+        return out
+
+
 class AbelianCoordinates:
     """Exponent-tuple coordinate system for an abelian group.
 
     ``coords[g-1]`` holds the tuple (t_1, ..., t_k) with
-    g = prod generators[i]**t_i; ``flat`` is its mixed-radix index and
-    ``element_of_flat`` the dense inverse.  ``packed`` concatenates the
-    tuple into one integer using ceil(log2 order) bits per factor,
-    low factor in the low bits.
+    g = prod generators[i]**t_i.  ``codec`` is the mixed-radix codec over
+    the factor orders; ``packed`` holds each element's packed tuple and
+    ``element_of_flat`` is the dense inverse of the flat index.
     """
 
     def __init__(self, G: GroupTable, basis: AbelianBasis | None = None):
         self.basis = basis if basis is not None else abelian_basis(G)
         self.orders = self.basis.orders
-        self.widths = tuple(max(int(d - 1).bit_length(), 0) for d in self.orders)
-        if sum(self.widths) > 63:
-            raise PreconditionError(
-                f"packed coordinates need {sum(self.widths)} bits, max is 63")
+        self.codec = MixedRadix(self.orders)
         k = len(self.orders)
         n = G.n
-        strides = np.ones(k, dtype=np.int64)
-        for i in range(k - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.orders[i + 1]
-        self.strides = strides
-        coords = np.zeros((n, k), dtype=np.int64)
-        element_of_flat = np.zeros(max(n, 1), dtype=np.int64)
         # enumerate all exponent tuples by walking one generator at a time
         elems = {G.identity: np.zeros(k, dtype=np.int64)}
         frontier = [G.identity]
@@ -245,39 +293,14 @@ class AbelianCoordinates:
             raise ValidationError(
                 "generators are not independent: exponent tuples do not "
                 f"cover the group ({len(elems)} of {n})")
+        coords = np.zeros((n, k), dtype=np.int64)
         for x, cx in elems.items():
             coords[x - 1] = cx
-            element_of_flat[int(cx @ strides)] = x
         self.coords = coords
-        self.element_of_flat = element_of_flat
-        shifts = np.zeros(k, dtype=np.int64)
-        acc = 0
-        for i, w in enumerate(self.widths):
-            shifts[i] = acc
-            acc += w
-        self.shifts = shifts
-        self.packed = (coords << shifts[None, :]).sum(axis=1)
-
-    @property
-    def k(self) -> int:
-        return len(self.orders)
-
-    def pack(self, tup) -> int:
-        return int(sum(int(v) << int(s) for v, s in zip(tup, self.shifts)))
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        return tuple(int((packed >> int(s)) & ((1 << w) - 1)) if w else 0
-                     for s, w in zip(self.shifts, self.widths))
-
-    def flat(self, tup) -> int:
-        return int(np.dot(np.asarray(tup, dtype=np.int64), self.strides))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((int(x) + int(y)) % d for x, y, d in zip(a, b, self.orders))
-
-
-def abelian_coordinates(G: GroupTable) -> AbelianCoordinates:
-    return AbelianCoordinates(G)
+        # with no factors (k = 0) pack returns 0, which | broadcasts to n ids
+        self.packed = np.zeros(n, dtype=np.int64) | self.codec.pack(coords.T)
+        self.element_of_flat = np.zeros(n, dtype=np.int64)
+        self.element_of_flat[self.codec.index(self.packed)] = np.arange(1, n + 1)
 
 
 # -- Sylow / Z-group structure ----------------------------------------------

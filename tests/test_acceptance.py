@@ -186,7 +186,7 @@ def test_criterion_08_cycle_power_oracle():
     for _ in range(100):
         N = int(rng.randint(1, 1001))
         pi = rng.permutation(N) + 1
-        cs = fm.cycle_structure_build(pi)
+        cs = fm.CycleStructure(pi)
         # independent oracle: permutation powers by repeated squaring
         # (literal iteration, checked below for small d, is equal by
         # induction on the binary expansion of d)

@@ -1,0 +1,61 @@
+"""Golden artifact bytes: serialized structures must not change.
+
+``tests/data/artifact_sha256.json`` holds the SHA-256 of
+``serialize.to_bytes`` for one fitted structure of every CLI kind, plus
+the block kind at delta = 1/floor(log2 n), 1/2 and 1.  Regenerate it only
+when an artifact format change is intended:
+
+    PYTHONPATH=src python tests/test_artifact_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from gtool import serialize
+from gtool.corpus import CORPUS_BY_NAME
+
+GOLDEN = Path(__file__).parent / "data" / "artifact_sha256.json"
+
+CASES = [
+    ("S4", "block", {"delta": "1/4"}),
+    ("S4", "block", {"delta": "1/2"}),
+    ("S4", "block", {"delta": "1"}),
+    ("C60", "cyclic", {}),
+    ("C7:C3", "zgroup", {}),
+    ("A4", "composite", {}),
+    ("A5", "simple", {}),
+    ("C2xC4xC9", "fm-abelian", {}),
+    ("Q8xC2xC5", "fm-hamiltonian", {}),
+    ("C7:C3", "fm-zgroup", {}),
+    ("A4", "fm-semidirect", {}),
+]
+
+
+def _case_id(name, kind, params):
+    extra = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return f"{name}/{kind}" + (f"[{extra}]" if extra else "")
+
+
+def _digest(name, kind, params):
+    from conftest import build_rep
+    rep = build_rep(CORPUS_BY_NAME[name].build(), kind, **params)
+    return hashlib.sha256(serialize.to_bytes(rep)).hexdigest()
+
+
+@pytest.mark.parametrize("name, kind, params", CASES,
+                         ids=[_case_id(*c) for c in CASES])
+def test_artifact_bytes_match_golden(name, kind, params):
+    golden = json.loads(GOLDEN.read_text())
+    assert _digest(name, kind, params) == golden[_case_id(name, kind, params)]
+
+
+if __name__ == "__main__":
+    import sys
+    sys.path.insert(0, str(Path(__file__).parent))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    digests = {_case_id(*c): _digest(*c) for c in CASES}
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -5,7 +5,10 @@ import gtool as gt
 from gtool import serialize
 from gtool.audit import (SpaceReport, assert_fits, measure,
                          probe_counted_multiply, word_bits)
+from gtool.corpus import applicable_kinds
 from gtool.verify import verify_exhaustive
+
+from conftest import small_entries
 
 
 def test_word_bits():
@@ -97,6 +100,33 @@ def test_probe_contract_per_kind(corpus):
         _, ledger = probe_counted_multiply(rep, 2, 2)
         got = {k: v for k, v in ledger.counts.items() if v}
         assert got == want, (name, kind)
+
+
+def test_scalar_and_batch_queries_agree(corpus):
+    # multiply and predict run one kernel; check they agree with each other,
+    # with the table, and with the probe bounds on every small corpus group
+    rng = np.random.RandomState(11)
+    reps = 0
+    for entry in small_entries(512):
+        G = corpus.table(entry.name)
+        for kind in applicable_kinds(entry):
+            params = ([{"l": l} for l in corpus.block_lengths(entry.name)]
+                      if kind == "block" else [{}])
+            for p in params:
+                rep = corpus.rep(entry.name, kind, **p)
+                lo, hi = rep.probe_bounds()
+                pairs = rng.randint(1, G.n + 1, size=(16, 2))
+                batch = rep.predict(pairs)
+                for (x, y), z in zip(pairs.tolist(), batch.tolist()):
+                    got = rep.multiply(x, y)
+                    assert type(got) is int
+                    assert got == rep.multiply(np.int64(x), np.int64(y)) \
+                        == z == G.mult(x, y), (entry.name, kind, p, x, y)
+                    counted, ledger = probe_counted_multiply(rep, x, y)
+                    assert counted == got
+                    assert lo <= ledger.total() <= hi, (entry.name, kind, p)
+                reps += 1
+    assert reps > 300
 
 
 def test_measure_totals_equal_serialized_store(corpus):

@@ -204,7 +204,7 @@ def test_zgroup_rejects_klein():
 
 def test_cycle_structure_example():
     pi = np.array([2, 3, 1, 5, 4])      # cycles (1 2 3)(4 5)
-    cs = fm.cycle_structure_build(pi)
+    cs = fm.CycleStructure(pi)
     # oracle: iterate the permutation explicitly
     assert cs.apply_power(1, 4) == iterate_permutation(pi, 1, 4) == 2
     assert cs.apply_power(4, 2) == iterate_permutation(pi, 4, 2) == 4
@@ -214,7 +214,7 @@ def test_cycle_structure_example():
 def test_cycle_structure_partition_invariant():
     rng = np.random.RandomState(1)
     pi = rng.permutation(50) + 1
-    cs = fm.cycle_structure_build(pi)
+    cs = fm.CycleStructure(pi)
     assert sum(len(c) for c in cs.cycles) == 50
     for cyc in cs.cycles:
         assert cyc[0] == min(cyc)
@@ -223,7 +223,7 @@ def test_cycle_structure_partition_invariant():
 
 
 def test_cycle_structure_probe_count():
-    cs = fm.cycle_structure_build(np.array([3, 1, 2, 4]))
+    cs = fm.CycleStructure(np.array([3, 1, 2, 4]))
     ledger = ProbeLedger()
     cs.apply_power(2, 9, ledger=ledger)
     assert ledger.total() == 2
@@ -231,8 +231,8 @@ def test_cycle_structure_probe_count():
 
 def test_cycle_structure_rejects():
     with pytest.raises(ValidationError):
-        fm.cycle_structure_build(np.array([1, 1, 3]))
-    cs = fm.cycle_structure_build(np.array([2, 1]))
+        fm.CycleStructure(np.array([1, 1, 3]))
+    cs = fm.CycleStructure(np.array([2, 1]))
     with pytest.raises(ValidationError):
         cs.apply_power(3, 1)
     with pytest.raises(ValidationError):
@@ -245,7 +245,7 @@ def test_cycle_structure_matches_iteration(data):
     n = data.draw(st.integers(1, 30))
     perm = data.draw(st.permutations(list(range(1, n + 1))))
     pi = np.array(perm)
-    cs = fm.cycle_structure_build(pi)
+    cs = fm.CycleStructure(pi)
     g = data.draw(st.integers(1, n))
     d = data.draw(st.integers(0, 500))
     assert cs.apply_power(g, d) == iterate_permutation(pi, g, d)

@@ -173,6 +173,7 @@ def test_make_quaternion_canonical():
 
 def test_mult_and_order_basics():
     G = gt.make_cyclic(6)
+    rep = gt.CyclicRep().fit(G)
     assert G.mult(1, 4) == 4
     assert G.element_order(2) == 6
     assert not gt.make_quaternion().is_abelian()
@@ -180,6 +181,20 @@ def test_mult_and_order_basics():
         G.mult(0, 3)
     with pytest.raises(ValidationError):
         G.mult(1, 7)
+    # ids must be integers in range; floats and bools are never truncated
+    for bad in (0, 7, 2.9, True, np.float64(2.0), np.bool_(True), "2"):
+        for query in (G.mult, rep.multiply):
+            with pytest.raises(ValidationError):
+                query(bad, 3)
+            with pytest.raises(ValidationError):
+                query(1, bad)
+    for bad in ([(0, 3)], [(1, 7)], [(2.9, 3)], np.array([[2.0, 3.0]]),
+                np.array([[True, False]])):
+        with pytest.raises(ValidationError):
+            rep.predict(bad)
+    # numpy integer scalars and arrays of any integer width are accepted
+    assert G.mult(np.int64(1), np.int32(4)) == rep.multiply(np.uint8(1), 4) == 4
+    assert rep.predict(np.array([[1, 4]], dtype=np.int32)).tolist() == [4]
 
 
 @settings(max_examples=40)

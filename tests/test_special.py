@@ -8,22 +8,21 @@ from hypothesis import strategies as st
 import gtool as gt
 from gtool.audit import measure, probe_counted_multiply
 from gtool.base import PreconditionError
-from gtool.special import (CompositeRep, CyclicRep, SimpleRep, build_composite,
-                           build_cyclic_rep, build_simple_rep, build_zgroup_rep)
+from gtool.special import CompositeRep, CyclicRep, SimpleRep
 from gtool.verify import verify_exhaustive, verify_random
 
 
 # -- cyclic ------------------------------------------------------------------
 
 def test_cyclic_identity_neutral():
-    rep = build_cyclic_rep(gt.make_cyclic(9))
+    rep = CyclicRep().fit(gt.make_cyclic(9))
     for x in range(1, 10):
         assert rep.multiply(1, x) == x
 
 
 def test_cyclic_c12_index_arithmetic():
     G = gt.make_cyclic(12)
-    rep = build_cyclic_rep(G, generator=2)
+    rep = CyclicRep(generator=2).fit(G)
     # elements are g^i at id i+1, so F[g^7] = 7 and B[(7+8) % 12] = g^3
     assert rep.F_[8 - 1] == 7
     assert rep.B_[(7 + 8) % 12] == 4
@@ -46,9 +45,9 @@ def test_cyclic_probe_and_slot_ledger(corpus):
 def test_cyclic_rejects_bad_generator():
     G = gt.make_cyclic(12)
     with pytest.raises(PreconditionError):
-        build_cyclic_rep(G, generator=3)     # order 6, not 12
+        CyclicRep(generator=3).fit(G)     # order 6, not 12
     with pytest.raises(PreconditionError):
-        build_cyclic_rep(gt.make_abelian([2, 2]))
+        CyclicRep().fit(gt.make_abelian([2, 2]))
 
 
 @settings(max_examples=30)
@@ -110,12 +109,12 @@ def test_zgroup_slots_linear(corpus):
 
 def test_zgroup_rejects_klein():
     with pytest.raises(PreconditionError, match="Sylow 2-subgroup not cyclic"):
-        build_zgroup_rep(gt.make_abelian([2, 2]))
+        CompositeRep(mode="zgroup").fit(gt.make_abelian([2, 2]))
 
 
 def test_composite_rejects_undecomposable(corpus):
     with pytest.raises(PreconditionError):
-        build_composite(corpus.table("S4"))
+        CompositeRep().fit(corpus.table("S4"))
 
 
 def test_composite_roundtrip_pairing_random(corpus):
@@ -138,24 +137,24 @@ def test_composite_forward_backward_invert(corpus):
         rep = corpus.rep(name, "composite")
         for g in range(1, rep.n_ + 1):
             w = int(rep.forward_[g - 1])
-            a, j = rep._unpack(w)
-            flat = int(np.dot(a, rep.a_strides_)) * rep.d_ + j
+            a, j = rep.codec_.unpack(w), w >> rep.codec_.bits
+            flat = rep.codec_.flat(a) * rep.d_ + j
             assert int(rep.backward_[flat]) == g
 
 
 # -- simple ---------------------------------------------------------------------
 
 def test_simple_prime_delegates_to_cyclic():
-    rep = build_simple_rep(gt.make_cyclic(5))
+    rep = SimpleRep().fit(gt.make_cyclic(5))
     assert rep.cyclic_ is not None
     assert verify_exhaustive(rep, gt.make_cyclic(5)) is None
 
 
 def test_simple_rejects_composite_groups(corpus):
     with pytest.raises(PreconditionError):
-        build_simple_rep(gt.make_cyclic(6))
+        SimpleRep().fit(gt.make_cyclic(6))
     with pytest.raises(PreconditionError):
-        build_simple_rep(corpus.table("S4"))
+        SimpleRep().fit(corpus.table("S4"))
 
 
 def test_simple_a5(corpus):

@@ -35,7 +35,7 @@ def test_abelian_basis_rejects_nonabelian():
                                     [2, 2, 2, 2], [8, 3, 5], [16, 27]])
 def test_abelian_coordinates_bijective_reconstruction(orders):
     G = gt.make_abelian(orders)
-    co = st.abelian_coordinates(G)
+    co = st.AbelianCoordinates(G)
     n = 1
     for d in co.orders:
         n *= d
@@ -55,7 +55,7 @@ def test_abelian_coordinates_bijective_reconstruction(orders):
 
 
 def test_abelian_basis_order_convention():
-    co = st.abelian_coordinates(gt.make_abelian([2, 4, 9]))
+    co = st.AbelianCoordinates(gt.make_abelian([2, 4, 9]))
     # primes ascending, powers descending within a prime
     assert co.orders == (4, 2, 9)
 

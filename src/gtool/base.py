@@ -53,13 +53,13 @@ def check_cayley_table(X) -> np.ndarray:
     n = arr.shape[0]
     if n == 0:
         raise ValidationError("Cayley table must have order >= 1")
-    arr = arr.astype(np.int32, copy=False)
+    # range-check in the input dtype: casting first would wrap wide entries
     if arr.min() < 1 or arr.max() > n:
         bad = np.argwhere((arr < 1) | (arr > n))[0]
         raise ValidationError(
             f"entry at row {bad[0] + 1}, column {bad[1] + 1} is outside [1, {n}]",
             axiom="range", witness=(int(bad[0]) + 1, int(bad[1]) + 1))
-    return arr
+    return arr.astype(np.int32, copy=False)
 
 
 def check_element_id(x, n: int) -> int:

@@ -7,6 +7,7 @@ against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -136,11 +137,15 @@ class GroupTable:
         x = check_element_id(x, self.n)
         if e < 0:
             x, e = int(self.inverse[x - 1]), -e
+        return int(self._power(x, e))
+
+    def _power(self, x, e: int):
+        """x**e for e >= 0 and validated ids given as an int or an array."""
         acc, base = self.identity, x
         while e:
             if e & 1:
-                acc = int(self.table[acc - 1, base - 1])
-            base = int(self.table[base - 1, base - 1])
+                acc = self.table[acc - 1, base - 1]
+            base = self.table[base - 1, base - 1]
             e >>= 1
         return acc
 
@@ -153,10 +158,25 @@ class GroupTable:
         return k
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, index x-1; cached."""
+        """Orders of all elements, index x-1; cached.
+
+        Every order divides n, so for each divisor d of n in ascending
+        order x**d is computed for all x still unresolved at once, by
+        square-and-multiply over the table, and x gets the least d with
+        x**d = e.  That is :meth:`element_order` whenever the table is
+        associative; an element of a non-associative table that no
+        divisor resolves falls back to it.
+        """
         if self._orders is None:
-            orders = np.empty(self.n, dtype=np.int64)
-            for x in self.elements:
+            orders = np.zeros(self.n, dtype=np.int64)
+            todo = np.arange(1, self.n + 1, dtype=np.int64)
+            for d in [k for k in range(1, self.n + 1) if self.n % k == 0]:
+                hit = self._power(todo, d) == self.identity
+                orders[todo[hit] - 1] = d
+                todo = todo[~hit]
+                if not todo.size:
+                    break
+            for x in todo.tolist():
                 orders[x - 1] = self.element_order(x)
             orders.setflags(write=False)
             self._orders = orders
@@ -204,12 +224,19 @@ def _duplicate_positions(vec) -> tuple[int, int]:
 def load_cayley_table(text, *, strict: bool = False) -> GroupTable:
     """Parse the text interchange format.
 
-    Line 1 holds n; lines 2..n+1 hold n space-separated ids in [1, n],
-    where row i column j is the product i*j.  A trailing newline is
-    optional.
+    Line 1 holds n; lines 2..n+1 hold n whitespace-separated ids in
+    [1, n], where row i column j is the product i*j.  A trailing newline
+    is optional; blank interior lines are rejected.  The body is parsed
+    by numpy as int64, so a token must be an optional sign and ASCII
+    digits: a token that Python's ``int()`` accepts but numpy does not
+    (``0_1``, non-ASCII digits) is a :class:`ParseError`, as is one
+    outside the int64 range.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not ASCII: {exc}") from None
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -223,20 +250,35 @@ def load_cayley_table(text, *, strict: bool = False) -> GroupTable:
         raise ParseError(f"order must be >= 1, got {n}")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
+    rows = lines[1:]
+    try:
+        table = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (n, n):
+        # numpy skips blank lines and names no row; find the first bad one
+        raise ParseError(_row_fault(rows, n))
+    return GroupTable(table, strict=strict)
+
+
+_INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _row_fault(rows: list[str], n: int) -> str:
+    for i, line in enumerate(rows, start=1):
         parts = line.split()
         if len(parts) != n:
-            raise ParseError(f"row {i} has {len(parts)} entries, expected {n}")
-        try:
-            rows.append([int(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"row {i} contains a non-integer entry") from None
-    return GroupTable(np.array(rows, dtype=np.int64), strict=strict)
+            return f"row {i} has {len(parts)} entries, expected {n}"
+        for p in parts:
+            if not _INT64_TOKEN.fullmatch(p):
+                return f"row {i} contains a non-integer entry {p!r}"
+            if not -(1 << 63) <= int(p) < (1 << 63):
+                return f"row {i} holds {p}, outside the int64 range"
+    return "table body is not an n x n integer array"
 
 
 def load_cayley_file(path, *, strict: bool = False) -> GroupTable:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return load_cayley_table(fh.read(), strict=strict)
 
 

@@ -16,7 +16,8 @@ from .base import (PreconditionError, Representation, ValidationError,
                    check_element_id, check_pairs)
 from .groups import as_group
 from .structure import (AbelianCoordinates, MixedRadix,
-                        SemidirectDecomposition, find_semidirect_decomposition,
+                        SemidirectDecomposition, conjugacy_classes,
+                        find_semidirect_decomposition,
                         find_zgroup_decomposition, is_simple, is_z_group)
 
 
@@ -44,9 +45,10 @@ class CyclicRep(Representation):
             gen = int(hits[0]) + 1
         else:
             gen = check_element_id(gen, G.n)
-            if G.element_order(gen) != G.n:
+            order = int(G.element_orders()[gen - 1])
+            if order != G.n:
                 raise PreconditionError(
-                    f"element {gen} has order {G.element_order(gen)}, not {G.n}")
+                    f"element {gen} has order {order}, not {G.n}")
         F = np.empty(G.n, dtype=np.int64)
         B = np.empty(G.n, dtype=np.int64)
         cur = G.identity
@@ -220,9 +222,15 @@ class SimpleRep(Representation):
         t = G.table
         n = G.n
         candidates = [x for x in G.elements if x != G.identity]
+        # Conjugating a set maps its Cayley graph isomorphically, so the
+        # first minimum-diameter set starts with the least member of its
+        # conjugacy class: sets that start elsewhere are skipped.
+        leaders = {cls[0] for cls in conjugacy_classes(G)}
         best = None                      # (diameter, gens)
         for s in range(2, int(self.s_max) + 1):
             for gens in combinations(candidates, s):
+                if gens[0] not in leaders:
+                    continue
                 d = _bfs_diameter(t, n, G.identity, gens)
                 if d is None:
                     continue

@@ -167,14 +167,11 @@ def _p_group_basis(H: GroupTable) -> tuple[list[int], list[int]]:
         qorders = Q.element_orders()
         target = int(qorders.max())
         cid = int(np.argmax(qorders == target)) + 1
-        members = sorted(int(x) for x in np.nonzero(coset_of[1:] == cid)[0] + 1)
-        pick = None
-        for x in members:
-            if H.element_order(x) == target:
-                pick = x
-                break
-        if pick is None:
+        members = np.nonzero(coset_of[1:] == cid)[0] + 1
+        matching = members[H.element_orders()[members - 1] == target]
+        if not matching.size:
             raise AssertionError("no coset representative of matching order")
+        pick = int(matching[0])
         basis.append(pick)
         orders.append(target)
         span = subgroup_closure(H, basis)

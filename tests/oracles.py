@@ -9,6 +9,30 @@ from __future__ import annotations
 import numpy as np
 
 
+def parse_table_rows(text: str) -> list[list[int]]:
+    """Per-token parse of the Cayley-table text format with Python ``int``.
+
+    Returns the body rows; raises ``ValueError`` where the format is broken.
+    """
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ValueError("empty input")
+    n = int(lines[0].strip())
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} rows after the header, got {len(lines) - 1}")
+    rows = []
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != n:
+            raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
+        rows.append([int(p) for p in parts])
+    return rows
+
+
 def naive_order(table: np.ndarray, identity: int, x: int) -> int:
     cur, k = x, 1
     while cur != identity:

@@ -194,3 +194,8 @@ def test_mismatched_table_rejected(tmp_path, capsys):
     run(capsys, "build", str(t6), "cyclic", str(art))
     code, _, err = run(capsys, "verify", str(art), str(t8))
     assert code == 2
+    # a table file that is not ASCII text is a parse error, not a crash
+    bad = tmp_path / "bad.table"
+    bad.write_bytes(b"2\n1 \xff\n2 1\n")
+    code, _, err = run(capsys, "build", str(bad), "cyclic", str(art))
+    assert code == 2 and "not ASCII" in err

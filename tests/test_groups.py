@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtool as gt
-from gtool.base import ParseError, ValidationError
+from gtool.base import GtoolError, ParseError, ValidationError
 
-from oracles import find_identity, first_assoc_violation, naive_order, order_multiset
+from oracles import (find_identity, first_assoc_violation, naive_order,
+                     order_multiset, parse_table_rows)
 
 
 def test_load_c2():
@@ -35,6 +36,66 @@ def test_load_parse_errors():
         gt.load_cayley_table("2\n1 2 3\n2 1\n")
     with pytest.raises(ParseError):
         gt.load_cayley_table("")
+    with pytest.raises(ParseError):
+        gt.load_cayley_table("2\n1 99999999999999999999\n2 1\n")   # beyond int64
+    with pytest.raises(ParseError):
+        gt.load_cayley_table("3\n1 2 3\n \t\n2 3 1\n")           # blank interior line
+    with pytest.raises(ParseError):
+        gt.load_cayley_table("2\n1 0_1\n2 1\n")                  # int() accepts, numpy not
+    with pytest.raises(ParseError):
+        gt.load_cayley_table(b"2\n1 \xb2\n2 1\n")                 # not ASCII
+
+
+# separators and token spellings the reference parser and numpy agree on
+_SEP = st.text(alphabet=" \t", min_size=1, max_size=3)
+_PAD = st.text(alphabet=" \t", max_size=2)
+_ODD_TOKENS = ("1.0", "x", "1e3", "-1", "+2", "0x1", "--1", "#1", "2,",
+               "4294967298", "99999999999999999999", "-0")
+
+
+@st.composite
+def _table_texts(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # a relabelled cyclic group, so some drawn texts are valid tables
+        perm = np.array(draw(st.permutations(range(1, n + 1))))
+        rows = np.empty((n, n), dtype=np.int64)
+        rows[np.ix_(perm - 1, perm - 1)] = perm[gt.make_cyclic(n).table - 1]
+        rows = rows.tolist()
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, n + 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    tokens = [["0" * draw(st.integers(0, 2)) + str(v) for v in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = tokens[draw(st.integers(0, n - 1))]
+        action = draw(st.sampled_from(["bad", "drop", "add"])) if row else "add"
+        if action == "bad":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        elif action == "drop":
+            row.pop()
+        else:
+            row.append(str(draw(st.integers(1, n))))
+    lines = [draw(_PAD) + draw(_SEP).join(row) + draw(_PAD) for row in tokens]
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_PAD))
+    header = draw(_PAD) + str(n + draw(st.sampled_from([0, 0, 0, -1, 1]))) + draw(_PAD)
+    tail = draw(st.sampled_from(["", "\n", "\n\n", "\n \t\n"]))
+    return "\n".join([header] + lines) + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_table_texts())
+def test_parser_matches_per_token_reference(text):
+    try:
+        want = gt.GroupTable(np.array(parse_table_rows(text), dtype=np.int64))
+    except (ValueError, OverflowError):
+        with pytest.raises(GtoolError):
+            gt.load_cayley_table(text)
+    else:
+        got = gt.load_cayley_table(text)
+        assert got.table.dtype == want.table.dtype
+        assert np.array_equal(got.table, want.table)
+        assert got.identity == want.identity
 
 
 def test_load_rejects_nonassociative_perturbation():
@@ -47,6 +108,10 @@ def test_load_rejects_nonassociative_perturbation():
     with pytest.raises(ValidationError) as exc:
         gt.load_cayley_table("3\n1 2 3\n3 1 2\n2 3 1\n")
     assert exc.value.axiom is not None
+    # 4294967298 = 2**32 + 2 would read as 2 after a cast to int32
+    with pytest.raises(ValidationError) as exc:
+        gt.load_cayley_table("2\n1 4294967298\n2 1\n")
+    assert exc.value.axiom == "range"
 
 
 def test_strict_catches_nonassociative_loop():
@@ -68,6 +133,9 @@ def test_strict_catches_nonassociative_loop():
     text = "6\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
     loose = gt.load_cayley_table(text)            # passes non-strict checks
     assert loose.identity == 1
+    # no divisor of 6 resolves elements 4 and 5 here; they take the walk
+    assert loose.element_orders().tolist() == [1, 2, 3, 6, 6, 3] == \
+        [loose.element_order(x) for x in loose.elements]
     with pytest.raises(ValidationError) as exc:
         gt.load_cayley_table(text, strict=True)
     assert exc.value.axiom == "associativity"
@@ -78,6 +146,9 @@ def test_latin_violation_witness():
     with pytest.raises(ValidationError) as exc:
         gt.GroupTable(np.array([[1, 1], [2, 2]]))
     assert exc.value.axiom == "latin-row"
+    with pytest.raises(ValidationError) as exc:
+        gt.GroupTable(np.array([[1, 4294967298], [2, 1]], dtype=np.int64))
+    assert exc.value.axiom == "range"
 
 
 def test_make_cyclic():
@@ -203,7 +274,7 @@ def test_cyclic_element_orders_match_gcd_formula(n, j):
     from math import gcd
     G = gt.make_cyclic(n)
     x = (j % n) + 1         # element g^(x-1)
-    assert G.element_order(x) == n // gcd(n, x - 1)
+    assert G.element_orders()[x - 1] == G.element_order(x) == n // gcd(n, x - 1)
 
 
 def test_dihedral_structure():

@@ -198,6 +198,8 @@ def test_simple_psl27_exhaustive(corpus):
     G = corpus.table("PSL(2,7)")
     rep = corpus.rep("PSL(2,7)", "simple")
     assert rep.diameter_ <= 10 * math.log2(168)
+    # the lexicographically first minimum-diameter pair
+    assert rep.generators_ == (4, 11) and rep.diameter_ == 8
     assert verify_exhaustive(rep, G) is None
 
 

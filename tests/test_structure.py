@@ -220,6 +220,9 @@ def test_corpus_flags_match_detectors(corpus):
     for e in small_entries(512):
         G = corpus.table(e.name)
         assert G.is_abelian() == e.flags["abelian"], e.name
+        # the vectorized orders against the scalar walk, element by element
+        assert G.element_orders().tolist() == [G.element_order(x)
+                                               for x in G.elements], e.name
         assert bool((G.element_orders() == G.n).any()) == e.flags["cyclic"], e.name
         assert st.is_z_group(G) == e.flags["z_group"], e.name
         assert st.is_simple(G) == e.flags["simple"], e.name

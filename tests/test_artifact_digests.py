@@ -31,6 +31,11 @@ CASES = [
     ("Q8xC2xC5", "fm-hamiltonian", {}),
     ("C7:C3", "fm-zgroup", {}),
     ("A4", "fm-semidirect", {}),
+    # 2-byte element ids (n = 360) and the simple-delegate layout
+    ("C5", "simple", {}),
+    ("C360", "cyclic", {}),
+    ("C360", "composite", {}),
+    ("C360", "fm-semidirect", {}),
 ]
 
 

@@ -211,6 +211,8 @@ class ZGroupScheme:
         self.d = int(d)
         self.sigma1 = int(sigma1)
         self.table_max = int(table_max)
+        if self.m < 1 or self.d < 1:
+            raise ValidationError(f"orders m={self.m}, d={self.d} must be >= 1")
         if self.d <= self.table_max:
             self.sigma_table = np.array(
                 [pow(self.sigma1, j, self.m) for j in range(self.d)],

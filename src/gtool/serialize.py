@@ -1,438 +1,358 @@
 """Versioned binary containers for every representation kind.
 
-Each artifact starts with a 4- or 5-byte ASCII magic, followed by u32
-header fields and little-endian fixed-width integer arrays.  Element ids
-use ceil(bits(n)/8) bytes; packed fields get their own width.  Files with
-a labeling section append it after the query store behind an 'LBL1'
-marker, so the store alone can be reloaded for isolation tests.  All
-writers are deterministic: identical inputs give identical bytes.
+``_KINDS`` is the format's single definition: per kind, the ASCII magic
+and the layout, which declares each u32 header field (u8 for flags) and
+array section once, in byte order, by the attribute that holds it, with
+its shape, byte width, value range and held dtype.  Element ids use
+ceil(bits(n)/8) bytes.  A label-scheme artifact is its query store, an
+'LBL1' marker, then its labeling, so the store alone can be reloaded.
+One walk writes or reads any layout; reading checks each size against
+the bytes left before it allocates, ranges, trailing bytes and then the
+invariants that are not ranges.  Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
-import io
-import struct
+import math
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fm
-from .base import ParseError, ValidationError
+from .base import ParseError, PreconditionError, ValidationError
 from .blockrep import BlockRep
+from .groups import make_quaternion
 from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import MixedRadix
 
 
-def _id_width(n: int) -> int:
-    return max(-(-int(n).bit_length() // 8), 1)
+class _Array(NamedTuple):
+    """``shape`` unsigned little-endian values of ``width`` bytes in
+    [lo, hi] and below 2**63, held as ``dtype``; shape () is a field.
+    Shape, width and bounds are ints or functions of the names before.
+    ``lead``: the held array has an unused entry 0.  ``of``: the value
+    written when no attribute holds it."""
+    name: str
+    shape: object
+    width: object
+    lo: object = 0
+    hi: object = 1 << 64
+    dtype: type = np.int64          # or tuple, for a tuple of ints
+    lead: bool = False
+    of: Callable | None = None
 
 
-def _pack_array(arr, width: int) -> bytes:
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.int64))
-    if a.size == 0:
-        return b""
-    if a.min() < 0 or (width < 8 and a.max() >= (1 << (8 * width))):
-        raise ValidationError(f"array values do not fit in {width} bytes")
-    full = a.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return full[:, :width].tobytes()
+def _u32(name, lo=0, hi=1 << 64, of=None) -> _Array:
+    return _Array(name, (), 4, lo, hi, of=of)
 
 
-def _unpack_array(buf: bytes, count: int, width: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    raw = np.frombuffer(buf, dtype=np.uint8, count=count * width)
-    full = np.zeros((count, 8), dtype=np.uint8)
-    full[:, :width] = raw.reshape(count, width)
-    return full.reshape(-1).view("<i8")
+def _check(ok: Callable, what: str) -> Callable:
+    """A layout item: a function of the names before it that gives the
+    layout to follow, here none once ``ok`` holds of them."""
+    def item(h) -> tuple:
+        if not ok(h):
+            raise ValidationError(f"corrupt artifact: {what}")
+        return ()
+    return item
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+class _Names(dict):
+    """Names laid out so far.  To the writer, a name not laid out yet is
+    an attribute of the structure or of a part of it (``_PARTS``)."""
 
-    def bytes(self, k: int) -> bytes:
-        if self.pos + k > len(self.data):
-            raise ParseError("truncated artifact")
-        out = self.data[self.pos:self.pos + k]
-        self.pos += k
-        return out
+    def __init__(self, *holders):
+        super().__init__()
+        self.holders = list(holders)
+        for obj in self.holders:
+            self.holders += [getattr(obj, a) for a in _PARTS
+                             if getattr(obj, a, None) is not None]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.bytes(4))[0]
+    __getattr__ = dict.__getitem__
 
-    def u8(self) -> int:
-        return self.bytes(1)[0]
-
-    def array(self, count: int, width: int) -> np.ndarray:
-        return _unpack_array(self.bytes(count * width), count, width)
+    def __missing__(self, name):
+        for obj in reversed(self.holders):      # a store's table_max, not
+            if hasattr(obj, name):              # its estimator's
+                return getattr(obj, name)
+        raise KeyError(name)
 
 
-def _u32(*vals) -> bytes:
-    return struct.pack("<" + "I" * len(vals), *vals)
+_PARTS = ("cyclic_", "scheme_", "labeler_", "abelian", "cycle")
 
 
-# -- block ---------------------------------------------------------------------
-
-def _encode_block(rep: BlockRep) -> bytes:
-    n, k, l, m = rep.n_, rep.k_, rep.l_, rep.m_
-    w = _id_width(n)
-    ww = max(-(-(m * l) // 8), 1)
-    out = io.BytesIO()
-    out.write(b"BREP1")
-    out.write(_u32(n, k, l, m))
-    out.write(_pack_array(np.array(rep.generators_, dtype=np.int64), w))
-    out.write(_pack_array(rep.word_index_, ww))
-    out.write(_pack_array(rep.mult_arrays_.reshape(-1), w))
-    return out.getvalue()
+def _ev(expr, h):
+    return expr(h) if callable(expr) else expr
 
 
-def _decode_block(r: _Reader) -> BlockRep:
-    n, k, l, m = r.u32(), r.u32(), r.u32(), r.u32()
-    w = _id_width(n)
-    ww = max(-(-(m * l) // 8), 1)
-    gens = r.array(k, w)
-    word_index = r.array(n, ww)
-    mult = r.array(n * m * (1 << l), w).reshape(n, m, 1 << l).astype(np.int32)
-    if m and not np.array_equal(mult[:, :, 0],
-                                np.arange(1, n + 1, dtype=np.int64)[:, None]
-                                * np.ones((1, m), dtype=np.int64)):
-        raise ValidationError("corrupt block artifact: empty-product entries "
-                              "must map every element to itself")
-    rep = BlockRep(l=l)
-    rep.n_, rep.k_, rep.l_, rep.m_ = n, k, l, m
-    rep.generators_ = tuple(int(g) for g in gens)
-    rep.word_index_ = word_index
-    rep.mult_arrays_ = mult
-    for arr in (rep.word_index_, rep.mult_arrays_):
-        arr.setflags(write=False)
+def _bytes_for(bits: int) -> int:
+    return max(-(-bits // 8), 1)
+
+
+def _id(h) -> int:
+    return _bytes_for(h.n_.bit_length())
+
+
+_n, _pts = attrgetter("n_"), attrgetter("n_points")
+
+
+def _label_bits(s: int) -> int:
+    return max((s - 1).bit_length(), 1)
+
+
+def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,
+          out: list | None = None) -> int:
+    """Write the names in ``h`` to ``out`` in ``layout`` or, given
+    ``data``, read them from ``data[pos:]`` into ``h``; the end position."""
+    reading = data is not None
+    for item in layout:
+        if callable(item):
+            pos = _walk(item(h), h, data, pos, out)
+            continue
+        if item.of and not reading:
+            h[item.name] = item.of(h)
+        shape, width = _ev(item.shape, h), _ev(item.width, h)
+        shape = shape if isinstance(shape, tuple) else (shape,)
+        if not 1 <= width <= 8:
+            raise ValidationError(f"{item.name} needs {width}-byte values")
+        count, size = math.prod(shape), 1 << (width - 1).bit_length()
+        if not reading:
+            vals = np.ravel(h[item.name])[int(item.lead):]
+        elif count * width > len(data) - pos:
+            raise ParseError(f"truncated artifact: {item.name} needs "
+                             f"{count * width} bytes, {len(data) - pos} left")
+        elif size == width:
+            vals = np.frombuffer(data, f"<u{size}", count, pos)
+        else:       # 3, 5, 6 or 7 bytes: pad each value to a numpy word
+            vals = np.pad(np.frombuffer(data, np.uint8, count * width, pos)
+                          .reshape(count, width), ((0, 0), (0, size - width))
+                          ).view(f"<u{size}")[:, 0]
+        pos += count * width
+        held = np.int64 if item.dtype is tuple else item.dtype
+        lo, hi = _ev(item.lo, h), min(_ev(item.hi, h), (1 << 8 * width) - 1,
+                                      (1 << 63) - 1)
+        seen = vals.tolist() if count < 64 else (vals.min(), vals.max())
+        if count and (min(seen) < lo or max(seen) > hi):
+            raise ValidationError(
+                f"corrupt artifact: {item.name} outside [{lo}, {hi}]")
+        if not reading:
+            raw = vals.astype(f"<u{size}")
+            if size != width:
+                raw = raw.reshape(-1, 1).view(np.uint8)[:, :width]
+            out.append(raw.tobytes())
+        elif not shape:
+            h[item.name] = int(vals[0])
+        else:
+            arr = vals.astype(held).reshape(shape)
+            if item.lead:
+                arr = np.concatenate([[-1], arr])
+            arr.setflags(write=False)
+            h[item.name] = tuple(arr.tolist()) if item.dtype is tuple else arr
+    return pos
+
+
+def _rep(rep, h, **fitted):
+    """``rep`` fitted with the names ending in '_' and ``fitted``."""
+    for name, value in {**h, **fitted}.items():
+        if name.endswith("_"):
+            setattr(rep, name, value)
     return rep
 
 
-# -- cyclic ----------------------------------------------------------------------
+# -- layouts and constructors -------------------------------------------------
 
-def _encode_cyclic(rep: CyclicRep) -> bytes:
-    w = _id_width(rep.n_)
-    out = io.BytesIO()
-    out.write(b"CYC1")
-    out.write(_u32(rep.n_, rep.generator_))
-    out.write(_pack_array(rep.F_, w))
-    out.write(_pack_array(rep.B_, w))
-    return out.getvalue()
-
-
-def _decode_cyclic(r: _Reader) -> CyclicRep:
-    n, gen = r.u32(), r.u32()
-    w = _id_width(n)
-    F = r.array(n, w)
-    B = r.array(n, w)
-    if not np.array_equal(F[B - 1], np.arange(n, dtype=np.int64)):
-        raise ValidationError("corrupt cyclic artifact: maps do not invert")
-    rep = CyclicRep(generator=gen)
-    rep.n_, rep.generator_, rep.F_, rep.B_ = n, gen, F, B
-    for arr in (rep.F_, rep.B_):
-        arr.setflags(write=False)
-    return rep
+_CYCLIC = (    # after its own n_
+    _u32("generator_", 1, _n),
+    _Array("F_", _n, _id, 0, lambda h: h.n_ - 1),
+    _Array("B_", _n, _id, 1, _n),
+    _check(lambda h: np.array_equal(h.F_[h.B_ - 1], np.arange(h.n_)),
+           "cyclic maps do not invert"),
+)
 
 
-# -- composite --------------------------------------------------------------------
-
-def _encode_composite(rep: CompositeRep) -> bytes:
-    n = rep.n_
-    w = _id_width(n)
-    wf = max(-(-MixedRadix(rep.sizes_).bits // 8), 1)
-    wa = _id_width(max(rep.a_order_ - 1, 1))
-    out = io.BytesIO()
-    out.write(b"CMP1")
-    out.write(_u32(n, rep.d_, rep.a_order_, len(rep.sizes_)))
-    out.write(_pack_array(np.array(rep.sizes_, dtype=np.int64), 4))
-    out.write(_pack_array(rep.forward_, wf))
-    out.write(_pack_array(rep.backward_, w))
-    out.write(_pack_array(rep.action_.reshape(-1), wa))
-    return out.getvalue()
+_PATHS = (     # a nonabelian simple group's generators, paths and steps
+    _u32("s", of=lambda h: len(h.generators_)), _u32("diameter_"),
+    _Array("generators_", lambda h: h.s, _id, 1, _n, tuple),
+    _Array("path_", _n,
+           lambda h: _bytes_for(h.diameter_ * _label_bits(h.s))),
+    _Array("path_len_", _n, 2, 0, lambda h: h.diameter_),
+    _Array("M_", lambda h: (h.n_, h.s), _id, 1, _n, np.int32),
+)
 
 
-def _decode_composite(r: _Reader) -> CompositeRep:
-    n, d, a_order, ns = r.u32(), r.u32(), r.u32(), r.u32()
-    sizes = tuple(int(v) for v in r.array(ns, 4))
-    w = _id_width(n)
-    wf = max(-(-MixedRadix(sizes).bits // 8), 1)
-    wa = _id_width(max(a_order - 1, 1))
-    forward = r.array(n, wf)
-    backward = r.array(a_order * d, w)
-    action = r.array(d * a_order, wa).reshape(d, a_order)
-    rep = CompositeRep()
-    rep.n_, rep.d_, rep.a_order_ = n, d, a_order
-    rep.sizes_, rep.codec_ = sizes, MixedRadix(sizes[:-1])
-    rep.forward_, rep.backward_, rep.action_ = forward, backward, action
-    if int(action[0 % d].max(initial=0)) >= a_order:
-        raise ValidationError("corrupt composite artifact: action out of range")
-    for arr in (forward, backward, action):
-        arr.setflags(write=False)
-    return rep
+def _semidirect(h) -> fm.SemidirectScheme:
+    # pi sends each cycle entry to the next; a cycle's last to its first
+    nxt = np.arange(1, h.n_points + 1)
+    nxt[np.cumsum(h.lengths_) - 1] -= h.lengths_
+    pi = np.zeros(h.n_points, dtype=np.int64)
+    pi[h.flat_ - 1] = h.flat_[nxt]
+    cycle = fm.CycleStructure(pi)
+    if not all(np.array_equal(getattr(cycle, name), h[name])
+               for name in ("flat_", "index_", "lengths_")):
+        raise ValidationError("corrupt store: cycles not in canonical order")
+    return fm.SemidirectScheme(h.m, cycle, fm.AbelianScheme(h.orders),
+                               h.labels_of_a, h.index_of_label)
 
 
-# -- simple -----------------------------------------------------------------------
-
-def _encode_simple(rep: SimpleRep) -> bytes:
-    out = io.BytesIO()
-    out.write(b"SMP1")
-    out.write(_u32(rep.n_))
-    if rep.cyclic_ is not None:
-        out.write(bytes([1]))
-        out.write(_encode_cyclic(rep.cyclic_)[4:])
-        return out.getvalue()
-    out.write(bytes([0]))
-    n = rep.n_
-    s = len(rep.generators_)
-    w = _id_width(n)
-    wp = max(-(-(rep.diameter_ * rep.label_bits_) // 8), 1)
-    out.write(_u32(s, rep.diameter_))
-    out.write(_pack_array(np.array(rep.generators_, dtype=np.int64), w))
-    out.write(_pack_array(rep.path_, wp))
-    out.write(_pack_array(rep.path_len_, 2))
-    out.write(_pack_array(rep.M_.reshape(-1), w))
-    return out.getvalue()
+def _zgroup(h) -> fm.ZGroupScheme:
+    return fm.ZGroupScheme(h.m, h.d, h.sigma1, table_max=h.table_max)
 
 
-def _decode_simple(r: _Reader) -> SimpleRep:
-    n = r.u32()
-    delegate = r.u8()
-    rep = SimpleRep()
-    rep.n_ = n
-    if delegate:
-        # embedded cyclic block without its magic
-        sub = _Reader(r.data[r.pos:])
-        cyc = _decode_cyclic(sub)
-        r.pos += sub.pos
-        rep.cyclic_ = cyc
+# at most 63 packed bits, each factor order a prime power >= 2
+_ABELIAN = (_u32("t", 0, 63, of=lambda h: len(h.orders)),
+            _Array("orders", lambda h: h.t, 4, 2, dtype=tuple))
+
+
+class _Kind(NamedTuple):
+    magic: bytes
+    layout: tuple
+    build: Callable                 # names -> structure
+    store: _Kind | None = None      # a label scheme's query store alone
+
+
+def _fm_kind(make, store: _Kind, labeler_cls, labeling: tuple) -> _Kind:
+    """A label scheme, built by ``make`` from its store: the store, 'LBL1',
+    n, then the labeling, whose arrays are the labeler's arguments."""
+    arrays = [item.name for item in labeling if item.shape != ()]
+
+    def build(h):
+        scheme = store.build(h)
+        rep = make(scheme)
+        rep.scheme_, rep.n_ = scheme, h.n_
+        rep.labeler_ = labeler_cls(scheme, *(h[name] for name in arrays))
         return rep
-    rep.cyclic_ = None
-    s, D = r.u32(), r.u32()
-    w = _id_width(n)
-    wl = max(int(s - 1).bit_length(), 1)
-    wp = max(-(-(D * wl) // 8), 1)
-    rep.generators_ = tuple(int(g) for g in r.array(s, w))
-    rep.diameter_ = D
-    rep.label_bits_ = wl
-    rep.path_ = r.array(n, wp)
-    rep.path_len_ = r.array(n, 2)
-    rep.M_ = r.array(n * s, w).reshape(n, s).astype(np.int32)
-    if int(rep.path_len_.max(initial=0)) > D:
-        raise ValidationError("corrupt simple artifact: path longer than diameter")
-    for arr in (rep.path_, rep.path_len_, rep.M_):
-        arr.setflags(write=False)
-    return rep
+
+    lbl1 = int.from_bytes(b"LBL1", "little")
+    marker = _u32("'LBL1' marker", lbl1, lbl1, lambda h: lbl1)
+    return _Kind(store.magic, store.layout + (marker, _u32("n_", 1))
+                 + labeling, build, store)
 
 
-# -- fm stores ----------------------------------------------------------------------
-
-def _encode_fma_body(scheme: fm.AbelianScheme) -> bytes:
-    return _u32(len(scheme.orders)) + _pack_array(
-        np.array(scheme.orders, dtype=np.int64), 4)
-
-
-def _decode_fma_body(r: _Reader) -> fm.AbelianScheme:
-    t = r.u32()
-    orders = tuple(int(v) for v in r.array(t, 4))
-    return fm.AbelianScheme(orders)
-
-
-def _encode_fm_store(scheme) -> bytes:
-    if isinstance(scheme, fm.AbelianScheme):
-        return b"FMA1" + _encode_fma_body(scheme)
-    if isinstance(scheme, fm.HamiltonianScheme):
-        return (b"FMH1" + _pack_array(scheme.q8_table.reshape(-1), 1)
-                + _encode_fma_body(scheme.abelian))
-    if isinstance(scheme, fm.ZGroupScheme):
-        out = b"FMZ1" + _u32(scheme.m, scheme.d, scheme.sigma1,
-                             scheme.table_max)
-        has = scheme.sigma_table is not None
-        out += bytes([1 if has else 0])
-        if has:
-            out += _pack_array(scheme.sigma_table, 4)
-        return out
-    if isinstance(scheme, fm.SemidirectScheme):
-        cyc = scheme.cycle
-        out = io.BytesIO()
-        out.write(b"FMS1")
-        out.write(_u32(scheme.m, cyc.n_points, len(cyc.cycles)))
-        out.write(_pack_array(cyc.lengths_, 4))
-        out.write(_pack_array(cyc.flat_, 4))
-        out.write(_pack_array(cyc.index_, 8))
-        out.write(_pack_array(scheme.labels_of_a, 8))
-        out.write(_pack_array(scheme.index_of_label, 4))
-        out.write(_encode_fma_body(scheme.abelian))
-        return out.getvalue()
-    raise ValidationError(f"unknown scheme type {type(scheme).__name__}")
-
-
-def _decode_fm_store(r: _Reader):
-    magic = r.bytes(4)
-    if magic == b"FMA1":
-        return _decode_fma_body(r)
-    if magic == b"FMH1":
-        q8 = r.array(64, 1).reshape(8, 8)
-        from .groups import make_quaternion
-        if not np.array_equal(q8, make_quaternion().table):
-            raise ValidationError(
-                "corrupt store: quaternion table is not canonical")
-        ab = _decode_fma_body(r)
-        return fm.HamiltonianScheme(ab, q8_table=q8)
-    if magic == b"FMZ1":
-        m, d, sigma1, table_max = r.u32(), r.u32(), r.u32(), r.u32()
-        has = r.u8()
-        scheme = fm.ZGroupScheme(m, d, sigma1, table_max=table_max)
-        if has:
-            table = r.array(d, 4)
-            if scheme.sigma_table is None or \
-                    not np.array_equal(table, scheme.sigma_table):
-                raise ValidationError("corrupt z-group store: sigma table "
-                                      "disagrees with the multiplier")
-        return scheme
-    if magic == b"FMS1":
-        m, npts, ncyc = r.u32(), r.u32(), r.u32()
-        lengths = r.array(ncyc, 4)
-        if int(lengths.sum()) != npts:
-            raise ValidationError(
-                "corrupt store: cycle lengths do not partition the points")
-        flat = r.array(npts, 4)
-        index = r.array(npts, 8)
-        labels_of_a = r.array(npts, 8)
-        index_of_label = r.array(npts, 4)
-        ab = _decode_fma_body(r)
-        cyc = object.__new__(fm.CycleStructure)
-        cyc.n_points = npts
-        offsets = np.concatenate([[0], np.cumsum(lengths[:-1])]) \
-            if ncyc else np.zeros(0, dtype=np.int64)
-        cyc.cycles = [flat[int(o):int(o + L)]
-                      for o, L in zip(offsets, lengths)]
-        cyc.lengths_ = lengths
-        cyc.offsets_ = offsets.astype(np.int64)
-        cyc.flat_ = flat
-        cyc.index_ = index
-        return fm.SemidirectScheme(m, cyc, ab, labels_of_a, index_of_label)
-    raise ParseError(f"unknown store magic {magic!r}")
+_KINDS = {
+    "block": _Kind(b"BREP1", (
+        _u32("n_", 1), _u32("k_"), _u32("l_", 1, lambda h: max(h.k_, 1)),
+        _u32("m_"),
+        _check(lambda h: h.m_ == -(-h.k_ // h.l_), "m is not ceil(k/l)"),
+        _Array("generators_", lambda h: h.k_, _id, 1, _n, tuple),
+        _Array("word_index_", _n, lambda h: _bytes_for(h.m_ * h.l_), 0,
+               lambda h: (1 << h.k_) - 1),
+        _Array("mult_arrays_", lambda h: (h.n_, h.m_, 1 << h.l_), _id, 1, _n,
+               np.int32),
+        _check(lambda h: (h.mult_arrays_[:, :, 0]
+                          == np.arange(1, h.n_ + 1)[:, None]).all(),
+               "empty-product entries must map every element to itself"),
+    ), lambda h: _rep(BlockRep(l=h.l_), h)),
+    "cyclic": _Kind(b"CYC1", (_u32("n_", 1),) + _CYCLIC,
+                    lambda h: _rep(CyclicRep(generator=h.generator_), h)),
+    "composite": _Kind(b"CMP1", (
+        # at most 63 one-bit coordinate fields, then the exponent of b
+        _u32("n_", 1), _u32("d_", 1), _u32("a_order_", 1),
+        _u32("ns", 1, 64, of=lambda h: len(h.sizes_)),
+        _check(lambda h: h.n_ == h.a_order_ * h.d_, "n is not |A| * d"),
+        _Array("sizes_", lambda h: h.ns, 4, 1, _n, tuple),
+        _Array("forward_", _n,
+               lambda h: _bytes_for(MixedRadix(h.sizes_).bits)),
+        _Array("backward_", _n, _id, 1, _n),
+        _Array("action_", lambda h: (h.d_, h.a_order_),
+               lambda h: _bytes_for(max(h.a_order_ - 1, 1).bit_length()), 0,
+               lambda h: h.a_order_ - 1),
+    ), lambda h: _rep(CompositeRep(), h, codec_=MixedRadix(h.sizes_[:-1]))),
+    "simple": _Kind(b"SMP1", (
+        _u32("n_", 1),
+        _Array("delegate", (), 1, 0, 1, of=lambda h: h.cyclic_ is not None),
+        lambda h: ((_u32("cyclic_n", _n, _n, _n),) + _CYCLIC if h.delegate
+                   else _PATHS),
+    ), lambda h: _rep(SimpleRep(), {"n_": h.n_}, cyclic_=_rep(
+        CyclicRep(generator=h.generator_), h)) if h.delegate else _rep(
+            SimpleRep(), h, cyclic_=None, label_bits_=_label_bits(h.s))),
+    "fm-abelian": _fm_kind(
+        lambda s: fm.AbelianFM(), _Kind(b"FMA1", _ABELIAN,
+                            lambda h: fm.AbelianScheme(h.orders)),
+        fm.AbelianLabeler, (
+            _Array("packed", _n, 8),
+            _Array("element_of_flat", _n, 4, 1, _n))),
+    "fm-hamiltonian": _fm_kind(lambda s: fm.HamiltonianFM(), _Kind(b"FMH1", (
+        _Array("q8_table", (8, 8), 1, 1, 8),
+        _check(lambda h: np.array_equal(h.q8_table, make_quaternion().table),
+               "quaternion table is not canonical"),
+    ) + _ABELIAN, lambda h: fm.HamiltonianScheme(fm.AbelianScheme(h.orders),
+                                                 q8_table=h.q8_table)),
+        fm.HamiltonianLabeler, (
+            _Array("q_of", _n, 1, 1, 8, lead=True),
+            _Array("c_of", _n, 4, 1, _n, lead=True),
+            _u32("nc", 1, of=lambda h: len(h.c_labels)),
+            _Array("c_labels", lambda h: h.nc, 8),
+            _Array("by_flat", lambda h: (8, h.nc), 4, 1, _n))),
+    "fm-zgroup": _fm_kind(lambda s: fm.ZGroupFM(s.table_max), _Kind(b"FMZ1", (
+        _u32("m", 1), _u32("d", 1), _u32("sigma1"), _u32("table_max"),
+        _Array("has_table", (), 1, 0, 1,
+               of=lambda h: h.sigma_table is not None),
+        _check(lambda h: h.has_table == (h.d <= h.table_max),
+               "sigma-table flag is not d <= table_max"),
+        _Array("sigma_table", lambda h: h.d * h.has_table, 4, 0,
+               lambda h: h.m - 1,
+               of=lambda h: h.sigma_table if h.has_table else ()),
+        _check(lambda h: not h.has_table or np.array_equal(
+            h.sigma_table, _zgroup(h).sigma_table), "sigma table disagrees "
+            "with the multiplier"),
+    ), _zgroup), fm.ZGroupLabeler, (
+        _Array("i_of", _n, 4, 0, lambda h: h.m - 1, lead=True),
+        _Array("j_of", _n, 4, 0, lambda h: h.d - 1, lead=True),
+        _Array("pairing", lambda h: (h.m, h.d), 4, 1, _n))),
+    "fm-semidirect": _fm_kind(lambda s: fm.SemidirectFM(), _Kind(b"FMS1", (
+        _u32("m", 1), _u32("n_points", 1),
+        _u32("ncyc", 1, _pts, of=lambda h: len(h.lengths_)),
+        _Array("lengths_", lambda h: h.ncyc, 4, 1, _pts),
+        _check(lambda h: h.lengths_.sum() == h.n_points,
+               "cycle lengths do not add up to the points"),
+        _Array("flat_", _pts, 4, 1, _pts),
+        _Array("index_", _pts, 8, 0, lambda h: h.ncyc * h.n_points - 1),
+        _Array("labels_of_a", _pts, 8),
+        _Array("index_of_label", _pts, 4, 1, _pts),
+    ) + _ABELIAN, _semidirect), fm.SemidirectLabeler, (
+        _Array("a_of", _n, 4, 0, lambda h: h.n_points - 1, lead=True),
+        _Array("j_of", _n, 4, 0, lambda h: h.m - 1, lead=True),
+        _Array("pairing", lambda h: (h.n_points, h.m), 4, 1, _n))),
+}
 
 
-def _encode_fm_labeler(rep) -> bytes:
-    out = io.BytesIO()
-    out.write(b"LBL1")
-    lab = rep.labeler_
-    kind = rep.rep_kind
-    n = rep.n_
-    out.write(_u32(n))
-    if kind == "fm-abelian":
-        out.write(_pack_array(lab.packed, 8))
-        out.write(_pack_array(lab.element_of_flat, 4))
-    elif kind == "fm-hamiltonian":
-        out.write(_pack_array(lab.q_of[1:], 1))
-        out.write(_pack_array(lab.c_of[1:], 4))
-        out.write(_u32(len(lab.c_labels)))
-        out.write(_pack_array(lab.c_labels, 8))
-        out.write(_pack_array(lab.by_flat.reshape(-1), 4))
-    elif kind == "fm-zgroup":
-        out.write(_pack_array(lab.i_of[1:], 4))
-        out.write(_pack_array(lab.j_of[1:], 4))
-        out.write(_pack_array(lab.pairing.reshape(-1), 4))
-    elif kind == "fm-semidirect":
-        out.write(_pack_array(lab.a_of[1:], 4))
-        out.write(_pack_array(lab.j_of[1:], 4))
-        out.write(_pack_array(lab.pairing.reshape(-1), 4))
-    else:
-        raise ValidationError(f"unknown fm kind {kind}")
-    return out.getvalue()
-
-
-def _lead(arr: np.ndarray, fill: int = -1) -> np.ndarray:
-    out = np.concatenate([[fill], arr]).astype(np.int64)
-    return out
-
-
-def _decode_fm(magic: bytes, r: _Reader):
-    r.pos -= 4
-    scheme = _decode_fm_store(r)
-    if r.bytes(4) != b"LBL1":
-        raise ParseError("missing labeling section")
-    n = r.u32()
-    if magic == b"FMA1":
-        packed = r.array(n, 8)
-        element_of_flat = r.array(n, 4)
-        labeler = fm.AbelianLabeler(scheme, packed, element_of_flat)
-        rep = fm.AbelianFM()
-    elif magic == b"FMH1":
-        q_of = _lead(r.array(n, 1))
-        c_of = _lead(r.array(n, 4))
-        nc = r.u32()
-        c_labels = r.array(nc, 8)
-        by_flat = r.array(8 * nc, 4).reshape(8, nc)
-        labeler = fm.HamiltonianLabeler(scheme, q_of, c_of, c_labels, by_flat)
-        rep = fm.HamiltonianFM()
-    elif magic == b"FMZ1":
-        i_of = _lead(r.array(n, 4))
-        j_of = _lead(r.array(n, 4))
-        pairing = r.array(scheme.m * scheme.d, 4).reshape(scheme.m, scheme.d)
-        labeler = fm.ZGroupLabeler(scheme, i_of, j_of, pairing)
-        rep = fm.ZGroupFM(table_max=scheme.table_max)
-    elif magic == b"FMS1":
-        a = scheme.a_order
-        a_of = _lead(r.array(n, 4))
-        j_of = _lead(r.array(n, 4))
-        pairing = r.array(a * scheme.m, 4).reshape(a, scheme.m)
-        labeler = fm.SemidirectLabeler(scheme, a_of, j_of, pairing)
-        rep = fm.SemidirectFM()
-    else:
-        raise ParseError(f"unknown fm magic {magic!r}")
-    rep.scheme_ = scheme
-    rep.labeler_ = labeler
-    rep.n_ = n
-    return rep
+def _load(data: bytes, store_only: bool = False):
+    data = bytes(data)
+    kind = next((k.store if store_only else k for k in _KINDS.values()
+                 if data.startswith(k.magic)), None)
+    if kind is None:
+        raise ParseError(f"unknown {'store' if store_only else 'artifact'} "
+                         f"magic {data[:5]!r}")
+    h = _Names()
+    try:
+        end = _walk(kind.layout, h, data, len(kind.magic))
+        if end != len(data) and not store_only:
+            raise ParseError(f"{len(data) - end} trailing bytes after "
+                             "the artifact")
+        return kind.build(h)
+    except PreconditionError as exc:    # sizes that no structure can have
+        raise ValidationError(f"corrupt artifact: {exc}") from exc
 
 
 # -- public API ------------------------------------------------------------------------
 
-_FM_KINDS = ("fm-abelian", "fm-hamiltonian", "fm-zgroup", "fm-semidirect")
-
-
 def to_bytes(rep) -> bytes:
     """Serialize a fitted representation; deterministic for fixed input."""
-    kind = rep.rep_kind
-    if kind == "block":
-        return _encode_block(rep)
-    if kind == "cyclic":
-        return _encode_cyclic(rep)
-    if kind == "composite":
-        return _encode_composite(rep)
-    if kind == "simple":
-        return _encode_simple(rep)
-    if kind in _FM_KINDS:
-        return _encode_fm_store(rep.scheme_) + _encode_fm_labeler(rep)
-    raise ValidationError(f"cannot serialize rep kind {kind!r}")
+    kind = _KINDS.get(rep.rep_kind)
+    if kind is None:
+        raise ValidationError(f"cannot serialize rep kind {rep.rep_kind!r}")
+    out = [kind.magic]
+    _walk(kind.layout, _Names(rep), out=out)
+    return b"".join(out)
 
 
 def from_bytes(data: bytes):
     """Deserialize any representation artifact, revalidating its invariants."""
-    if len(data) < 4:
-        raise ParseError("artifact too short")
-    if data[:5] == b"BREP1":
-        return _decode_block(_Reader(data[5:]))
-    magic = data[:4]
-    r = _Reader(data[4:])
-    if magic == b"CYC1":
-        return _decode_cyclic(r)
-    if magic == b"CMP1":
-        return _decode_composite(r)
-    if magic == b"SMP1":
-        return _decode_simple(r)
-    if magic in (b"FMA1", b"FMH1", b"FMZ1", b"FMS1"):
-        r2 = _Reader(data)
-        r2.pos = 4
-        return _decode_fm(magic, r2)
-    raise ParseError(f"unknown artifact magic {data[:5]!r}")
+    return _load(data)
 
 
 def fm_store_from_bytes(data: bytes):
     """Load only the query-processing-unit store of an fm artifact."""
-    return _decode_fm_store(_Reader(data))
+    return _load(data, store_only=True)
 
 
 def store_slot_sections(data: bytes) -> dict[str, int]:

@@ -101,10 +101,9 @@ def conjugacy_classes(G: GroupTable) -> list[list[int]]:
             continue
         gx = t[all_idx, x - 1]                    # g*x for all g
         conj = t[gx - 1, inv[all_idx] - 1]        # (g*x)*g^-1
-        members = sorted(set(int(v) for v in conj))
-        for m in members:
-            assigned[m] = True
-        classes.append(members)
+        members = np.unique(conj)
+        assigned[members] = True
+        classes.append(members.tolist())
     return classes
 
 

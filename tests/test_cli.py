@@ -199,3 +199,13 @@ def test_mismatched_table_rejected(tmp_path, capsys):
     bad.write_bytes(b"2\n1 \xff\n2 1\n")
     code, _, err = run(capsys, "build", str(bad), "cyclic", str(art))
     assert code == 2 and "not ASCII" in err
+    # so is an artifact whose header is corrupt: a composite with d = 0
+    comp = tmp_path / "c6.cmp"
+    run(capsys, "build", str(t6), "composite", str(comp))
+    data = bytearray(comp.read_bytes())
+    data[8:12] = bytes(4)
+    comp.write_bytes(bytes(data))
+    for argv in (("query", str(comp), "1", "2"),
+                 ("verify", str(comp), str(t6))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "corrupt artifact" in err

@@ -193,6 +193,9 @@ def test_zgroup_virtual_large():
 def test_zgroup_action_consistency_checked():
     with pytest.raises(ValidationError):
         fm.ZGroupScheme(7, 3, 3)     # 3^3 = 27 = 6 mod 7, not an order-3 action
+    for m, d in ((0, 3), (7, 0)):    # orders below 1
+        with pytest.raises(ValidationError):
+            fm.ZGroupScheme(m, d, 1)
 
 
 def test_zgroup_rejects_klein():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,82 @@ def test_roundtrip_re_verifies(corpus, name, kind, params):
     assert back.rep_kind == rep.rep_kind
     assert verify_exhaustive(back, G) is None
     assert ser.to_bytes(back) == data
+    with pytest.raises(ParseError):
+        ser.from_bytes(data + b"junk")
+
+
+U32_PATCHES = (0, 1, 255, 65535, 1 << 31, (1 << 32) - 1)
+
+
+def _mutants(data: bytes, rng, count: int):
+    """Seeded bit flips, byte overwrites, truncations, and u32 overwrites
+    within the first 40 bytes (the headers) with boundary values."""
+    for _ in range(count):
+        b = bytearray(data)
+        op = rng.randint(4)
+        if op == 0:
+            b[rng.randint(len(b))] ^= 1 << rng.randint(8)
+        elif op == 1:
+            b[rng.randint(len(b))] = rng.randint(256)
+        elif op == 2:
+            del b[rng.randint(len(b)):]
+        else:
+            at = rng.randint(min(40, len(b) - 4) + 1)
+            value = U32_PATCHES[rng.randint(len(U32_PATCHES))]
+            b[at:at + 4] = value.to_bytes(4, "little")
+        yield bytes(b)
+
+
+def test_mutated_artifacts_are_rejected_or_reencode_exactly(corpus):
+    # a corrupt artifact either fails to load with a library error, or
+    # loads into a structure whose artifact is exactly the mutant
+    rng = np.random.RandomState(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, kind, params in ALL_KINDS:
+            data = ser.to_bytes(corpus.rep(name, kind, **params))
+            for mutant in _mutants(data, rng, 1000):
+                try:
+                    rep = ser.from_bytes(mutant)
+                except (ParseError, ValidationError):
+                    continue
+                assert ser.to_bytes(rep) == mutant, (name, kind)
+
+
+def _u32(v: int) -> bytes:
+    return v.to_bytes(4, "little")
+
+
+CORRUPT_HEADERS = {
+    # case: (name, kind, params, [(offset, new bytes), ...])
+    "cyclic B holds id n+1": ("C12", "cyclic", {}, [(24, bytes([13]))]),
+    "delegate B holds id n+1": ("C5", "simple", {}, [(22, bytes([6]))]),
+    "composite d=0": ("A4", "composite", {}, [(8, _u32(0))]),
+    "composite n != |A|*d": ("A4", "composite", {}, [(4, _u32(13))]),
+    "block l > k, m=0": ("S4", "block", {"l": 2},
+                         [(13, _u32(1 << 31)), (17, _u32(0))]),
+    "block m != ceil(k/l)": ("S4", "block", {"l": 2}, [(17, _u32(4))]),
+    "block 66-bit words": ("S4", "block", {"l": 2},
+                           [(9, _u32(65)), (17, _u32(33))]),
+    "block 17-bit words": ("S4", "block", {"l": 2},
+                           [(9, _u32(17)), (13, _u32(17)), (17, _u32(1)),
+                            (21, bytes([1] * 17))]),
+    "zgroup m=0": ("C7:C3", "fm-zgroup", {}, [(4, _u32(0))]),
+    "delegate flag 2": ("C5", "simple", {}, [(8, bytes([2]))]),
+    "sigma-table flag 2": ("C7:C3", "fm-zgroup", {}, [(20, bytes([2]))]),
+    "sigma-table flag 0, d <= table_max": ("C7:C3", "fm-zgroup", {},
+                                           [(20, bytes([0]))]),
+}
+
+
+@pytest.mark.parametrize("name, kind, params, patches",
+                         CORRUPT_HEADERS.values(), ids=CORRUPT_HEADERS)
+def test_corrupt_headers_rejected(corpus, name, kind, params, patches):
+    data = bytearray(ser.to_bytes(corpus.rep(name, kind, **params)))
+    for at, raw in patches:
+        data[at:at + len(raw)] = raw
+    with pytest.raises((ParseError, ValidationError)):
+        ser.from_bytes(bytes(data))
 
 
 def test_block_widths_follow_order(corpus):
@@ -38,6 +116,19 @@ def test_block_widths_follow_order(corpus):
     assert small[:5] == b"BREP1" and big[:5] == b"BREP1"
     rep = ser.from_bytes(big)
     assert rep.n_ == 256
+
+
+def test_three_byte_ids_round_trip():
+    # from n = 2**16 on, ids take 3 bytes, which numpy reads padded to 4
+    n = 70000
+    rep = gt.CyclicRep()
+    rep.n_, rep.generator_ = n, 2
+    rep.F_, rep.B_ = np.arange(n), np.arange(1, n + 1)
+    data = ser.to_bytes(rep)
+    assert len(data) == 4 + 8 + 2 * 3 * n
+    back = ser.from_bytes(data)
+    assert np.array_equal(back.F_, rep.F_) and np.array_equal(back.B_, rep.B_)
+    assert ser.to_bytes(back) == data
 
 
 def test_deterministic_bytes(corpus):

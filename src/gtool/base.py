@@ -137,9 +137,27 @@ class Representation(Estimator):
 
     Each kind defines its query once, as ``_kernel``; ``multiply`` and
     ``predict`` validate ids and run it on Python ints or on int64 arrays.
+    ``multiply`` runs it on a view twin (:func:`_view_twin`), so that every
+    read gives a Python int rather than a numpy scalar.  The twin is built
+    by the first scalar query and dropped whenever an attribute is set or
+    deleted, as ``fit``, ``set_params`` and loading do.
     """
 
     rep_kind: str = "?"
+    _twin = None
+
+    def __setattr__(self, name, value):
+        self.__dict__.pop("_twin", None)
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        self.__dict__.pop("_twin", None)
+        super().__delattr__(name)
+
+    def __getstate__(self):         # memoryviews do not pickle
+        state = dict(self.__dict__)
+        state.pop("_twin", None)
+        return state
 
     def fit(self, group):
         raise NotImplementedError
@@ -153,10 +171,16 @@ class Representation(Estimator):
         raise NotImplementedError
 
     def multiply(self, x: int, y: int, ledger=None) -> int:
-        self._require_fitted("n_")
-        x = check_element_id(x, self.n_)
-        y = check_element_id(y, self.n_)
-        return int(self._kernel(x, y, ledger))
+        twin = self._twin
+        if twin is None:
+            self._require_fitted("n_")
+            twin = self.__dict__["_twin"] = _view_twin(self, {})
+        n = self.n_
+        if type(x) is not int or not 1 <= x <= n:
+            x = check_element_id(x, n)
+        if type(y) is not int or not 1 <= y <= n:
+            y = check_element_id(y, n)
+        return twin._kernel(x, y, ledger)
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
@@ -176,3 +200,30 @@ class Representation(Estimator):
             if not hasattr(self, a):
                 raise NotFittedError(
                     f"{type(self).__name__} is not fitted; call fit() first")
+
+
+# the parts of a structure that hold its arrays (a labeler's ``scheme`` is
+# its estimator's ``scheme_``)
+PARTS = ("cyclic_", "scheme_", "labeler_", "scheme", "abelian", "cycle")
+
+
+def _view_twin(obj, memo: dict):
+    """Shallow copy of ``obj`` and of its parts in which every ndarray is a
+    read-only memoryview of the same buffer, so that no data is copied.
+
+    A memoryview read gives a Python int, and the kernel's arithmetic on it
+    then stays in Python ints, which costs less than on numpy scalars.
+    ``memo`` maps ``id`` of a part to its twin, so a shared part has one.
+    """
+    twin = memo.get(id(obj))
+    if twin is None:
+        twin = memo[id(obj)] = object.__new__(type(obj))
+        for name, value in vars(obj).items():
+            if name == "_twin":
+                continue
+            if isinstance(value, np.ndarray):
+                value = memoryview(value).toreadonly()
+            elif name in PARTS and value is not None:
+                value = _view_twin(value, memo)
+            twin.__dict__[name] = value
+    return twin

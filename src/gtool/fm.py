@@ -67,10 +67,10 @@ class AbelianScheme(MixedRadix):
 
     def __init__(self, orders):
         orders = tuple(int(d) for d in orders)
+        super().__init__(orders)    # the 63-bit budget before any factoring
         for d in orders:
             if d < 2 or len(_prime_factors(d)) != 1:
                 raise ValidationError(f"factor order {d} is not a prime power")
-        super().__init__(orders)
         self.orders = orders
 
     def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:

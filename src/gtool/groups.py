@@ -60,15 +60,18 @@ class GroupTable:
                 f"row {i + 1} is not a permutation of 1..{n}: "
                 f"columns {j1 + 1} and {j2 + 1} both hold {t[i, j1]}",
                 axiom="latin-row", witness=(i + 1, j1 + 1, j2 + 1))
-        cols_sorted = np.sort(t, axis=0)
-        bad = np.nonzero((cols_sorted != ids[:, None]).any(axis=0))[0]
-        if bad.size:
-            j = int(bad[0])
-            i1, i2 = _duplicate_positions(t[:, j])
-            raise ValidationError(
-                f"column {j + 1} is not a permutation of 1..{n}: "
-                f"rows {i1 + 1} and {i2 + 1} both hold {t[i1, j]}",
-                axiom="latin-col", witness=(i1 + 1, i2 + 1, j + 1))
+        # columns as rows of transposed 64-column blocks, which sort faster
+        # than np.sort(t, axis=0) sorts the strided columns
+        for j0 in range(0, n, 64):
+            block = np.sort(t[:, j0:j0 + 64].T)
+            bad = np.nonzero((block != ids).any(axis=1))[0]
+            if bad.size:
+                j = j0 + int(bad[0])
+                i1, i2 = _duplicate_positions(t[:, j])
+                raise ValidationError(
+                    f"column {j + 1} is not a permutation of 1..{n}: "
+                    f"rows {i1 + 1} and {i2 + 1} both hold {t[i1, j]}",
+                    axiom="latin-col", witness=(i1 + 1, i2 + 1, j + 1))
 
         left_ids = np.nonzero((t == ids).all(axis=1))[0]
         identity = None

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fm
-from .base import ParseError, PreconditionError, ValidationError
+from .base import PARTS, ParseError, PreconditionError, ValidationError
 from .blockrep import BlockRep
 from .groups import make_quaternion
 from .special import CompositeRep, CyclicRep, SimpleRep
@@ -59,14 +59,15 @@ def _check(ok: Callable, what: str) -> Callable:
 
 class _Names(dict):
     """Names laid out so far.  To the writer, a name not laid out yet is
-    an attribute of the structure or of a part of it (``_PARTS``)."""
+    an attribute of the structure or of a part of it (``PARTS``)."""
 
     def __init__(self, *holders):
         super().__init__()
         self.holders = list(holders)
-        for obj in self.holders:
-            self.holders += [getattr(obj, a) for a in _PARTS
-                             if getattr(obj, a, None) is not None]
+        for obj in self.holders:        # a labeler's scheme is held once
+            self.holders += [part for a in PARTS
+                             if (part := getattr(obj, a, None)) is not None
+                             and part not in self.holders]
 
     __getattr__ = dict.__getitem__
 
@@ -75,9 +76,6 @@ class _Names(dict):
             if hasattr(obj, name):              # its estimator's
                 return getattr(obj, name)
         raise KeyError(name)
-
-
-_PARTS = ("cyclic_", "scheme_", "labeler_", "abelian", "cycle")
 
 
 def _ev(expr, h):
@@ -197,6 +195,20 @@ def _zgroup(h) -> fm.ZGroupScheme:
     return fm.ZGroupScheme(h.m, h.d, h.sigma1, table_max=h.table_max)
 
 
+def _word_bits(h) -> int:
+    return MixedRadix(h.sizes_).bits
+
+
+def _words_invert(h) -> bool:
+    """Every forward field is below its size, and backward inverts forward,
+    so that a query reads only inside the composite arrays."""
+    word = MixedRadix(h.sizes_)
+    fields = word.unpack(h.forward_)
+    return (all((f < s).all() for f, s in zip(fields, h.sizes_))
+            and np.array_equal(h.backward_[word.flat(fields)],
+                               np.arange(1, h.n_ + 1)))
+
+
 # at most 63 packed bits, each factor order a prime power >= 2
 _ABELIAN = (_u32("t", 0, 63, of=lambda h: len(h.orders)),
             _Array("orders", lambda h: h.t, 4, 2, dtype=tuple))
@@ -249,9 +261,13 @@ _KINDS = {
         _u32("ns", 1, 64, of=lambda h: len(h.sizes_)),
         _check(lambda h: h.n_ == h.a_order_ * h.d_, "n is not |A| * d"),
         _Array("sizes_", lambda h: h.ns, 4, 1, _n, tuple),
-        _Array("forward_", _n,
-               lambda h: _bytes_for(MixedRadix(h.sizes_).bits)),
+        _check(lambda h: h.sizes_[-1] == h.d_
+               and math.prod(h.sizes_[:-1]) == h.a_order_,
+               "sizes are not A's factor sizes and d"),
+        _Array("forward_", _n, lambda h: _bytes_for(_word_bits(h)), 0,
+               lambda h: (1 << _word_bits(h)) - 1),
         _Array("backward_", _n, _id, 1, _n),
+        _check(_words_invert, "forward and backward words do not invert"),
         _Array("action_", lambda h: (h.d_, h.a_order_),
                lambda h: _bytes_for(max(h.a_order_ - 1, 1).bit_length()), 0,
                lambda h: h.a_order_ - 1),

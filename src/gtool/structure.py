@@ -20,20 +20,31 @@ from .groups import GroupTable, SemidirectSpec, make_cyclic
 # -- subgroup machinery -----------------------------------------------------
 
 def subgroup_closure(G: GroupTable, gens) -> list[int]:
-    """Elements of <gens>, ascending."""
-    seen = np.zeros(G.n + 1, dtype=bool)
-    seen[G.identity] = True
-    work = [G.identity]
-    gens = [int(g) for g in gens]
-    t = G.table
-    while work:
-        x = work.pop()
-        for g in gens:
-            y = int(t[x - 1, g - 1])
-            if not seen[y]:
-                seen[y] = True
-                work.append(y)
-    return [int(v) for v in np.nonzero(seen)[0]]
+    """Elements of <gens>, ascending.
+
+    A generator already in the closure adds nothing and is skipped; each
+    new one re-walks the closure so far with the generators kept, whose
+    number is at most log2 of the group order.
+    """
+    seen = bytearray(G.n + 1)
+    seen[G.identity] = 1
+    elems = [G.identity]
+    cols = []                       # cols[i][x - 1] = x * (i-th kept gen)
+    for g in gens:
+        g = int(g)
+        if seen[g]:
+            continue
+        cols.append(G.table[:, g - 1].tolist())
+        work = list(elems)
+        while work:
+            x = work.pop()
+            for col in cols:
+                y = col[x - 1]
+                if not seen[y]:
+                    seen[y] = 1
+                    work.append(y)
+                    elems.append(y)
+    return sorted(elems)
 
 
 def cyclic_subgroup(G: GroupTable, x: int) -> list[int]:

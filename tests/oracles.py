@@ -33,6 +33,23 @@ def parse_table_rows(text: str) -> list[list[int]]:
     return rows
 
 
+def subgroup_closure(table: np.ndarray, identity: int, gens) -> list[int]:
+    """Elements of <gens>, ascending, by one walk from the identity that
+    multiplies every element reached by every generator."""
+    seen = np.zeros(table.shape[0] + 1, dtype=bool)
+    seen[identity] = True
+    work = [identity]
+    gens = [int(g) for g in gens]
+    while work:
+        x = work.pop()
+        for g in gens:
+            y = int(table[x - 1, g - 1])
+            if not seen[y]:
+                seen[y] = True
+                work.append(y)
+    return [int(v) for v in np.nonzero(seen)[0]]
+
+
 def naive_order(table: np.ndarray, identity: int, x: int) -> int:
     cur, k = x, 1
     while cur != identity:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import gtool as gt
 from gtool import serialize
 from gtool.audit import (SpaceReport, assert_fits, measure,
                          probe_counted_multiply, word_bits)
+from gtool.base import NotFittedError
 from gtool.corpus import applicable_kinds
 from gtool.verify import verify_exhaustive
 
@@ -119,14 +122,70 @@ def test_scalar_and_batch_queries_agree(corpus):
                 batch = rep.predict(pairs)
                 for (x, y), z in zip(pairs.tolist(), batch.tolist()):
                     got = rep.multiply(x, y)
-                    assert type(got) is int
-                    assert got == rep.multiply(np.int64(x), np.int64(y)) \
-                        == z == G.mult(x, y), (entry.name, kind, p, x, y)
+                    wide = rep.multiply(np.int64(x), np.int64(y))
+                    assert type(got) is type(wide) is int
+                    assert got == wide == z == G.mult(x, y), \
+                        (entry.name, kind, p, x, y)
                     counted, ledger = probe_counted_multiply(rep, x, y)
-                    assert counted == got
+                    assert type(counted) is int and counted == got
                     assert lo <= ledger.total() <= hi, (entry.name, kind, p)
                 reps += 1
     assert reps > 300
+
+
+def _assert_answers(rep, G):
+    for x in G.elements:
+        for y in G.elements:
+            got = rep.multiply(x, y)
+            assert type(got) is int and got == G.mult(x, y), (x, y)
+
+
+REFITS = [      # estimator, groups fitted in turn, then set_params and a refit
+    (gt.CyclicRep(), ("C12", "C60"), {}),
+    (gt.BlockRep(l=1), ("S4", "C7:C3"), {"l": 2}),
+    (gt.CompositeRep(), ("A4", "S3"), {"mode": "zgroup"}),
+    (gt.SimpleRep(), ("C5", "A5", "C7"), {"s_max": 3}),
+    (gt.AbelianFM(), ("C2xC4xC9", "C12"), {}),
+    (gt.ZGroupFM(), ("C7:C3", "S3"), {"table_max": 1}),
+    (gt.SemidirectFM(), ("A4", "S3"), {}),
+    (gt.HamiltonianFM(), ("Q8xC3", "Q8"), {}),
+]
+
+
+@pytest.mark.parametrize("rep, names, params", REFITS,
+                         ids=[type(case[0]).__name__ for case in REFITS])
+def test_scalar_queries_follow_refit(corpus, rep, names, params):
+    # multiply reads a view twin of the fitted arrays, built by the first
+    # query; fit, set_params and del must drop it, or it answers stale
+    for name in names:
+        G = corpus.table(name)
+        rep.fit(G)
+        _assert_answers(rep, G)
+    rep.set_params(**params).fit(G)
+    _assert_answers(rep, G)
+    _assert_answers(pickle.loads(pickle.dumps(rep)), G)
+    del rep.n_
+    with pytest.raises(NotFittedError):
+        rep.multiply(1, 1)
+
+
+def test_scalar_queries_copy_no_arrays(corpus):
+    # the twin holds views of the same buffers: the ledger and the measured
+    # widths are those of the arrays, before and after a scalar query
+    for name, kind, params in (("S4", "block", {"l": 2}), ("C60", "cyclic", {}),
+                               ("A4", "composite", {}), ("A5", "simple", {}),
+                               ("C2xC4xC9", "fm-abelian", {}),
+                               ("A4", "fm-semidirect", {})):
+        fitted = corpus.rep(name, kind, **params)
+        for rep in (fitted, serialize.from_bytes(serialize.to_bytes(fitted))):
+            before = measure(rep)
+            rep.multiply(2, 3)
+            assert measure(rep) == before, (name, kind)
+            for attr, value in vars(rep).items():
+                if isinstance(value, np.ndarray):
+                    view = getattr(rep._twin, attr)
+                    assert isinstance(view, memoryview) and view.readonly
+                    assert np.shares_memory(np.asarray(view), value)
 
 
 def test_measure_totals_equal_serialized_store(corpus):

@@ -83,6 +83,17 @@ def test_abelian_from_orders_rejects_composite_factor():
         fm.AbelianScheme((6,))
 
 
+def test_abelian_bit_budget_checked_before_factoring(monkeypatch):
+    # 63 copies of the prime 2**32 - 5 need 2016 bits; rejecting them must
+    # not wait for 63 trial divisions up to 2**16
+    def no_factoring(n):
+        raise AssertionError("factored before the bit budget was checked")
+
+    monkeypatch.setattr(fm, "_prime_factors", no_factoring)
+    with pytest.raises(PreconditionError, match="2016 bits"):
+        fm.AbelianScheme([4294967291] * 63)
+
+
 # -- hamiltonian -----------------------------------------------------------------
 
 def test_hamiltonian_aa_gives_a_squared():

@@ -151,6 +151,32 @@ def test_latin_violation_witness():
     assert exc.value.axiom == "range"
 
 
+def test_latin_column_witness_past_first_block():
+    # swapping two entries of one row keeps the row a permutation and breaks
+    # both columns; the witness is the first bad column's first repeat, as
+    # a sort of the whole table along axis 0 finds it
+    def reference(t):
+        ids = np.arange(1, len(t) + 1)
+        j = int(np.nonzero((np.sort(t, axis=0) != ids[:, None]).any(axis=0))[0][0])
+        col = t[:, j].tolist()
+        i2 = next(i for i, v in enumerate(col) if v in col[:i])
+        return (col.index(col[i2]) + 1, i2 + 1, j + 1)
+
+    rng = np.random.RandomState(5)
+    for G in (gt.make_cyclic(100), gt.make_symmetric(5)):
+        for a, b in ((63, 64), (64, 65), (70, G.n - 1), (G.n - 2, G.n - 1),
+                     tuple(rng.choice(np.arange(65, G.n - 1), 2, replace=False))):
+            t = G.table.copy()
+            row = int(rng.randint(G.n))
+            t[row, [a, b]] = t[row, [b, a]]
+            t[(row + 7) % G.n, [a + 1, b]] = t[(row + 7) % G.n, [b, a + 1]]
+            with pytest.raises(ValidationError) as exc:
+                gt.GroupTable(t)
+            assert exc.value.axiom == "latin-col"
+            assert exc.value.witness == reference(t), (G.n, a, b)
+            assert exc.value.witness[2] == min(a, b) + 1 >= 64
+
+
 def test_make_cyclic():
     G1 = gt.make_cyclic(1)
     assert G1.n == 1 and G1.identity == 1

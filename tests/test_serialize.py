@@ -65,12 +65,19 @@ def test_mutated_artifacts_are_rejected_or_reencode_exactly(corpus):
         warnings.simplefilter("error")
         for name, kind, params in ALL_KINDS:
             data = ser.to_bytes(corpus.rep(name, kind, **params))
+            G = corpus.table(name)
             for mutant in _mutants(data, rng, 1000):
                 try:
                     rep = ser.from_bytes(mutant)
                 except (ParseError, ValidationError):
                     continue
                 assert ser.to_bytes(rep) == mutant, (name, kind)
+                if kind in ("composite", "zgroup"):
+                    # answers may be wrong, but reads stay inside the arrays
+                    verify_exhaustive(rep, G)
+                    for x in G.elements:
+                        for y in G.elements:
+                            rep.multiply(x, y)
 
 
 def _u32(v: int) -> bytes:
@@ -96,6 +103,21 @@ CORRUPT_HEADERS = {
     "sigma-table flag 2": ("C7:C3", "fm-zgroup", {}, [(20, bytes([2]))]),
     "sigma-table flag 0, d <= table_max": ("C7:C3", "fm-zgroup", {},
                                            [(20, bytes([0]))]),
+    # the 260-byte store 'FMA1', t = 63, then 63 copies of the prime 2**32 - 5
+    "abelian 2016-bit words": ("C2xC4xC9", "fm-abelian", {},
+                               [(4, _u32(63)), (8, _u32(4294967291) * 63)]),
+    # A4 as A x| C3: sizes (2, 2, 3) at 20, forward words at 32 with the
+    # exponent of b in bits 2-3, backward ids at 44
+    "composite d is not the last size": ("A4", "composite", {},
+                                         [(28, _u32(4))]),
+    "composite |A| is not the A sizes": ("A4", "composite", {},
+                                         [(20, _u32(4))]),
+    "composite forward field past its size": ("A4", "composite", {},
+                                              [(32, bytes([0x0C]))]),
+    "composite forward word past its fields": ("A4", "composite", {},
+                                               [(32, bytes([0x10]))]),
+    "composite backward permuted": ("A4", "composite", {},
+                                    [(44, bytes([2, 1]))]),
 }
 
 
@@ -107,6 +129,9 @@ def test_corrupt_headers_rejected(corpus, name, kind, params, patches):
         data[at:at + len(raw)] = raw
     with pytest.raises((ParseError, ValidationError)):
         ser.from_bytes(bytes(data))
+    if kind.startswith("fm-"):          # every case here is in the store
+        with pytest.raises((ParseError, ValidationError)):
+            ser.fm_store_from_bytes(bytes(data))
 
 
 def test_block_widths_follow_order(corpus):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import gtool as gt
 from gtool import structure as st
 from gtool.base import PreconditionError
 
-from oracles import brute_sylow_cyclic, naive_order, order_multiset
+from conftest import _CACHE, small_entries
+from oracles import (brute_sylow_cyclic, naive_order, order_multiset,
+                     subgroup_closure)
 
 
 def test_abelian_basis_c6():
@@ -235,3 +239,22 @@ def test_corpus_flags_match_detectors(corpus):
         except PreconditionError:
             can_split = False
         assert can_split == e.flags["semidirect"], e.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_subgroup_closure_matches_single_walk(data):
+    # generator lists with repeats, the identity and members of the span
+    # of earlier ones: skipping them must not change the subgroup
+    entry = data.draw(hst.sampled_from(small_entries(512)))
+    G = _CACHE.table(entry.name)
+    ids = hst.integers(1, G.n)
+    gens = data.draw(hst.lists(ids, max_size=6))
+    for _ in range(data.draw(hst.integers(0, 3))):
+        span = subgroup_closure(G.table, G.identity, gens)
+        extra = data.draw(hst.sampled_from(span + [G.identity]))
+        gens.insert(data.draw(hst.integers(0, len(gens))), extra)
+    if gens and data.draw(hst.booleans()):
+        gens.append(data.draw(hst.sampled_from(gens)))
+    assert st.subgroup_closure(G, gens) == \
+        subgroup_closure(G.table, G.identity, gens), (entry.name, gens)

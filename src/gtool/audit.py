@@ -1,9 +1,10 @@
 """Uniform word/slot accounting and per-query probe counting.
 
 Space is counted in slots: stored integers, each conceptually one
-machine word of ceil(log2(n+1)) bits.  Structures physically hold 32- or
-64-bit cells; reports carry both widths.  Probes are array reads grouped
-by family so each structure's query contract is directly assertable.
+machine word of ceil(log2(n+1)) bits.  Structures physically hold 8- to
+64-bit cells; reports carry the conceptual width and the widest cell.
+Probes are array reads grouped by family so each structure's query
+contract is directly assertable.
 """
 
 from __future__ import annotations

@@ -62,6 +62,19 @@ def check_cayley_table(X) -> np.ndarray:
     return arr.astype(np.int32, copy=False)
 
 
+def id_dtype(n: int) -> np.dtype:
+    """The unsigned word that holds values in [0, n]: uint8, uint16 or
+    uint32, the numpy word of an artifact's ceil(bits(n)/8)-byte ids.
+
+    Arrays whose values are ids, and which queries only index with or
+    return, are held at this width; arrays that queries add, multiply or
+    shift stay int64, because unsigned numpy arithmetic wraps silently.
+    """
+    bits = int(n).bit_length()
+    return np.dtype(np.uint8 if bits <= 8 else
+                    np.uint16 if bits <= 16 else np.uint32)
+
+
 def check_element_id(x, n: int) -> int:
     """Validate a 1-based element id against group order ``n``.
 

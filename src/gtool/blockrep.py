@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .base import (CapacityError, PreconditionError, Representation,
-                   ValidationError)
+                   ValidationError, id_dtype)
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
 
-DEFAULT_MAX_SLOTS = 1 << 29      # 512 Mi slots = 2 GiB at 4 bytes per slot
+DEFAULT_MAX_SLOTS = 1 << 29      # 512 Mi slots = 2 GiB at 4-byte ids
 
 
 def parse_delta(delta) -> Fraction:
@@ -70,7 +70,8 @@ class BlockRep(Representation):
     ``generators_``, ``word_index_`` (n packed values), ``mult_arrays_``
     of shape (n, m, 2^l) with ``mult_arrays_[g-1, i, j]`` = g times the
     j-th subset product of block i.  Entry j = 0 is the empty product, so
-    ``mult_arrays_[g-1, i, 0] == g`` always.
+    ``mult_arrays_[g-1, i, 0] == g`` always.  ``mult_arrays_`` is held at
+    the id width ``id_dtype(n)``.
     """
 
     rep_kind = "block"
@@ -113,7 +114,7 @@ class BlockRep(Representation):
         self.word_index_.setflags(write=False)
 
         two_l = 1 << l
-        mult = np.empty((G.n, m, two_l), dtype=np.int32)
+        mult = np.empty((G.n, m, two_l), dtype=id_dtype(G.n))
         for i in range(m):
             gens = cube.elements[i * l:(i + 1) * l]
             prods = np.empty(two_l, dtype=np.int64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   check_element_id)
+                   check_element_id, id_dtype)
 from .groups import as_group, make_quaternion
 from .structure import (AbelianCoordinates, MixedRadix,
                         SemidirectDecomposition, _prime_factors,
@@ -30,10 +30,14 @@ from .structure import (AbelianCoordinates, MixedRadix,
 FMLabel = tuple
 
 
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.int64)
+def _frozen(arr, dtype=np.int64) -> np.ndarray:
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+# the canonical quaternion table, built and validated once
+Q8_TABLE = _frozen(make_quaternion().table)
 
 
 class _Labeler:
@@ -42,7 +46,8 @@ class _Labeler:
     ``labels`` maps ids to label components and ``elements`` maps label
     components back to ids; both take Python ints or int64 arrays alike.
     ``label`` and ``element`` are their checked one-element forms, with
-    Python ints throughout.
+    Python ints throughout.  The arrays that ``elements`` reads hold ids,
+    at the id width ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
@@ -87,8 +92,8 @@ class AbelianLabeler(_Labeler):
     def __init__(self, scheme: AbelianScheme, packed, element_of_flat):
         self.scheme = scheme
         self.packed = _frozen(packed)
-        self.element_of_flat = _frozen(element_of_flat)
         self.n = len(self.packed)
+        self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
 
     def labels(self, x):
         return (self.packed[x - 1],)
@@ -141,11 +146,9 @@ class HamiltonianScheme:
     abelian store for C.  A label packs the quaternion index minus one
     (three high bits) above the abelian label of the C part."""
 
-    def __init__(self, abelian: AbelianScheme, q8_table: np.ndarray | None = None):
+    def __init__(self, abelian: AbelianScheme):
         self.abelian = abelian
-        if q8_table is None:
-            q8_table = make_quaternion().table
-        self.q8_table = np.asarray(q8_table, dtype=np.int64)
+        self.q8_table = Q8_TABLE
 
     def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
         bits = self.abelian.bits
@@ -171,8 +174,8 @@ class HamiltonianLabeler(_Labeler):
         self.q_of = _frozen(q_of)
         self.c_of = _frozen(c_of)
         self.c_labels = _frozen(c_labels)
-        self.by_flat = _frozen(by_flat)
         self.n = len(q_of) - 1
+        self.by_flat = _frozen(by_flat, id_dtype(self.n))
 
     def labels(self, x):
         bits = self.scheme.abelian.bits
@@ -258,8 +261,8 @@ class ZGroupLabeler(_Labeler):
         self.scheme = scheme
         self.i_of = _frozen(i_of)
         self.j_of = _frozen(j_of)
-        self.pairing = _frozen(pairing)
         self.n = len(i_of) - 1
+        self.pairing = _frozen(pairing, id_dtype(self.n))
 
     def labels(self, x):
         j = self.j_of[x]
@@ -330,28 +333,30 @@ class CycleStructure:
         if n == 0 or not np.array_equal(np.sort(pi), np.arange(1, n + 1)):
             raise ValidationError("input is not a permutation of 1..n")
         self.n_points = n
-        seen = np.zeros(n + 1, dtype=bool)
-        cycles: list[np.ndarray] = []
-        index = np.zeros(n, dtype=np.int64)
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            cur = int(pi[start - 1])
-            while cur != start:
-                cyc.append(cur)
-                seen[cur] = True
-                cur = int(pi[cur - 1])
-            j = len(cycles)
-            for r, g in enumerate(cyc):
-                index[g - 1] = j * n + r
-            cycles.append(np.array(cyc, dtype=np.int64))
-        self.cycles = cycles
-        self.index_ = index
-        self.lengths_ = np.array([len(c) for c in cycles], dtype=np.int64)
+        # by pointer doubling, low[g] is the least point of g's cycle, and
+        # then rank[g] the number of steps from g to the cycle's last point
+        # (the one pi sends back to the least)
+        succ, pts = pi - 1, np.arange(n)
+        low, jump = pts, succ
+        for _ in range((n - 1).bit_length()):
+            low, jump = np.minimum(low, low[jump]), jump[jump]
+        # cycles are numbered in the order of their least points
+        j = (np.cumsum(low == pts) - 1)[low]
+        self.lengths_ = np.bincount(j)
+        last = succ == low
+        rank, jump = (~last).astype(np.int64), np.where(last, pts, succ)
+        for _ in range(int(self.lengths_.max() - 1).bit_length()):
+            rank, jump = rank + rank[jump], jump[jump]
         self.offsets_ = np.concatenate([[0], np.cumsum(self.lengths_[:-1])])
-        self.flat_ = np.concatenate(cycles)
+        r = self.lengths_[j] - 1 - rank
+        self.index_ = j * n + r
+        self.flat_ = np.empty(n, dtype=np.int64)
+        self.flat_[self.offsets_[j] + r] = pts + 1
+
+    @property
+    def cycles(self) -> list[np.ndarray]:
+        """Each cycle's points in order, starting at its least point."""
+        return np.split(self.flat_, self.offsets_[1:])
 
     def apply_power(self, g: int, d: int, ledger=None) -> int:
         """pi**d applied to g; exactly two array reads plus one modulo."""
@@ -379,7 +384,7 @@ class CycleStructure:
         # contents + position index + the stored length per cycle + the
         # point count read by the divmod; cycle handles are array lengths
         return {"cycles": self.n_points, "index": self.n_points,
-                "lengths": len(self.cycles), "meta": 1}
+                "lengths": len(self.lengths_), "meta": 1}
 
 
 # -- semidirect A x| C_m with abelian A ---------------------------------------------
@@ -436,8 +441,8 @@ class SemidirectLabeler(_Labeler):
         self.scheme = scheme
         self.a_of = _frozen(a_of)
         self.j_of = _frozen(j_of)
-        self.pairing = _frozen(pairing)
         self.n = len(a_of) - 1
+        self.pairing = _frozen(pairing, id_dtype(self.n))
 
     def labels(self, x):
         a = self.a_of[x]

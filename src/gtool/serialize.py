@@ -4,8 +4,12 @@
 and the layout, which declares each u32 header field (u8 for flags) and
 array section once, in byte order, by the attribute that holds it, with
 its shape, byte width, value range and held dtype.  Element ids use
-ceil(bits(n)/8) bytes.  A label-scheme artifact is its query store, an
-'LBL1' marker, then its labeling, so the store alone can be reloaded.
+ceil(bits(n)/8) bytes, and an array of ids that queries only index with
+or return is held in the numpy word of that width, ``id_dtype(n)``
+(uint8, uint16 or uint32), as ``fit`` holds it; arrays that queries add,
+multiply or shift are held as int64.  A label-scheme artifact is its
+query store, an 'LBL1' marker, then its labeling, so the store alone can
+be reloaded.
 One walk writes or reads any layout; reading checks each size against
 the bytes left before it allocates, ranges, trailing bytes and then the
 invariants that are not ranges.  Identical inputs give identical bytes.
@@ -20,9 +24,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fm
-from .base import PARTS, ParseError, PreconditionError, ValidationError
+from .base import (PARTS, ParseError, PreconditionError, ValidationError,
+                   id_dtype)
 from .blockrep import BlockRep
-from .groups import make_quaternion
 from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import MixedRadix
 
@@ -30,7 +34,8 @@ from .structure import MixedRadix
 class _Array(NamedTuple):
     """``shape`` unsigned little-endian values of ``width`` bytes in
     [lo, hi] and below 2**63, held as ``dtype``; shape () is a field.
-    Shape, width and bounds are ints or functions of the names before.
+    Shape, width and bounds are ints, and dtype a type, or functions of
+    the names before.
     ``lead``: the held array has an unused entry 0.  ``of``: the value
     written when no attribute holds it."""
     name: str
@@ -38,7 +43,7 @@ class _Array(NamedTuple):
     width: object
     lo: object = 0
     hi: object = 1 << 64
-    dtype: type = np.int64          # or tuple, for a tuple of ints
+    dtype: object = np.int64        # or tuple, for a tuple of ints
     lead: bool = False
     of: Callable | None = None
 
@@ -90,6 +95,10 @@ def _id(h) -> int:
     return _bytes_for(h.n_.bit_length())
 
 
+def _ids(h) -> np.dtype:
+    return id_dtype(h.n_)
+
+
 _n, _pts = attrgetter("n_"), attrgetter("n_points")
 
 
@@ -125,7 +134,6 @@ def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,
                           .reshape(count, width), ((0, 0), (0, size - width))
                           ).view(f"<u{size}")[:, 0]
         pos += count * width
-        held = np.int64 if item.dtype is tuple else item.dtype
         lo, hi = _ev(item.lo, h), min(_ev(item.hi, h), (1 << 8 * width) - 1,
                                       (1 << 63) - 1)
         seen = vals.tolist() if count < 64 else (vals.min(), vals.max())
@@ -140,11 +148,14 @@ def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,
         elif not shape:
             h[item.name] = int(vals[0])
         else:
-            arr = vals.astype(held).reshape(shape)
+            dtype = item.dtype if isinstance(item.dtype, type) else \
+                item.dtype(h)
+            arr = vals.astype(np.int64 if dtype is tuple else dtype
+                              ).reshape(shape)
             if item.lead:
                 arr = np.concatenate([[-1], arr])
             arr.setflags(write=False)
-            h[item.name] = tuple(arr.tolist()) if item.dtype is tuple else arr
+            h[item.name] = tuple(arr.tolist()) if dtype is tuple else arr
     return pos
 
 
@@ -161,7 +172,7 @@ def _rep(rep, h, **fitted):
 _CYCLIC = (    # after its own n_
     _u32("generator_", 1, _n),
     _Array("F_", _n, _id, 0, lambda h: h.n_ - 1),
-    _Array("B_", _n, _id, 1, _n),
+    _Array("B_", _n, _id, 1, _n, _ids),
     _check(lambda h: np.array_equal(h.F_[h.B_ - 1], np.arange(h.n_)),
            "cyclic maps do not invert"),
 )
@@ -172,8 +183,9 @@ _PATHS = (     # a nonabelian simple group's generators, paths and steps
     _Array("generators_", lambda h: h.s, _id, 1, _n, tuple),
     _Array("path_", _n,
            lambda h: _bytes_for(h.diameter_ * _label_bits(h.s))),
-    _Array("path_len_", _n, 2, 0, lambda h: h.diameter_),
-    _Array("M_", lambda h: (h.n_, h.s), _id, 1, _n, np.int32),
+    _Array("path_len_", _n, 2, 0, lambda h: h.diameter_,
+           lambda h: id_dtype(h.diameter_)),
+    _Array("M_", lambda h: (h.n_, h.s), _id, 1, _n, _ids),
 )
 
 
@@ -200,18 +212,26 @@ def _word_bits(h) -> int:
 
 
 def _words_invert(h) -> bool:
-    """Every forward field is below its size, and backward inverts forward,
-    so that a query reads only inside the composite arrays."""
+    """Every forward word packs a tuple of the box, and backward inverts
+    forward, so that a query reads only inside the composite arrays."""
     word = MixedRadix(h.sizes_)
-    fields = word.unpack(h.forward_)
-    return (all((f < s).all() for f, s in zip(fields, h.sizes_))
-            and np.array_equal(h.backward_[word.flat(fields)],
-                               np.arange(1, h.n_ + 1)))
+    return word.holds(h.forward_) and np.array_equal(
+        h.backward_[word.index(h.forward_)], np.arange(1, h.n_ + 1))
 
 
 # at most 63 packed bits, each factor order a prime power >= 2
 _ABELIAN = (_u32("t", 0, 63, of=lambda h: len(h.orders)),
             _Array("orders", lambda h: h.t, 4, 2, dtype=tuple))
+
+
+def _labels(name: str, count: Callable) -> Callable:
+    """Check that the words ``name`` are labels over the factor orders,
+    whose flat indices are exactly 0 .. ``count`` - 1, so that the flat
+    index of any product of labels is inside the arrays it reads."""
+    def ok(h) -> bool:
+        box = MixedRadix(h.orders)
+        return box.size == count(h) and box.holds(h[name])
+    return _check(ok, f"{name} are not labels over the factor orders")
 
 
 class _Kind(NamedTuple):
@@ -224,7 +244,8 @@ class _Kind(NamedTuple):
 def _fm_kind(make, store: _Kind, labeler_cls, labeling: tuple) -> _Kind:
     """A label scheme, built by ``make`` from its store: the store, 'LBL1',
     n, then the labeling, whose arrays are the labeler's arguments."""
-    arrays = [item.name for item in labeling if item.shape != ()]
+    arrays = [item.name for item in labeling
+              if isinstance(item, _Array) and item.shape != ()]
 
     def build(h):
         scheme = store.build(h)
@@ -248,7 +269,7 @@ _KINDS = {
         _Array("word_index_", _n, lambda h: _bytes_for(h.m_ * h.l_), 0,
                lambda h: (1 << h.k_) - 1),
         _Array("mult_arrays_", lambda h: (h.n_, h.m_, 1 << h.l_), _id, 1, _n,
-               np.int32),
+               _ids),
         _check(lambda h: (h.mult_arrays_[:, :, 0]
                           == np.arange(1, h.n_ + 1)[:, None]).all(),
                "empty-product entries must map every element to itself"),
@@ -266,7 +287,7 @@ _KINDS = {
                "sizes are not A's factor sizes and d"),
         _Array("forward_", _n, lambda h: _bytes_for(_word_bits(h)), 0,
                lambda h: (1 << _word_bits(h)) - 1),
-        _Array("backward_", _n, _id, 1, _n),
+        _Array("backward_", _n, _id, 1, _n, _ids),
         _check(_words_invert, "forward and backward words do not invert"),
         _Array("action_", lambda h: (h.d_, h.a_order_),
                lambda h: _bytes_for(max(h.a_order_ - 1, 1).bit_length()), 0,
@@ -284,20 +305,21 @@ _KINDS = {
         lambda s: fm.AbelianFM(), _Kind(b"FMA1", _ABELIAN,
                             lambda h: fm.AbelianScheme(h.orders)),
         fm.AbelianLabeler, (
-            _Array("packed", _n, 8),
-            _Array("element_of_flat", _n, 4, 1, _n))),
+            _Array("packed", _n, 8), _labels("packed", _n),
+            _Array("element_of_flat", _n, 4, 1, _n, _ids))),
     "fm-hamiltonian": _fm_kind(lambda s: fm.HamiltonianFM(), _Kind(b"FMH1", (
         _Array("q8_table", (8, 8), 1, 1, 8),
-        _check(lambda h: np.array_equal(h.q8_table, make_quaternion().table),
+        _check(lambda h: np.array_equal(h.q8_table, fm.Q8_TABLE),
                "quaternion table is not canonical"),
-    ) + _ABELIAN, lambda h: fm.HamiltonianScheme(fm.AbelianScheme(h.orders),
-                                                 q8_table=h.q8_table)),
+    ) + _ABELIAN, lambda h: fm.HamiltonianScheme(fm.AbelianScheme(h.orders))),
         fm.HamiltonianLabeler, (
             _Array("q_of", _n, 1, 1, 8, lead=True),
             _Array("c_of", _n, 4, 1, _n, lead=True),
             _u32("nc", 1, of=lambda h: len(h.c_labels)),
+            _check(lambda h: h.c_of.max() <= h.nc, "c_of past the C ids"),
             _Array("c_labels", lambda h: h.nc, 8),
-            _Array("by_flat", lambda h: (8, h.nc), 4, 1, _n))),
+            _labels("c_labels", attrgetter("nc")),
+            _Array("by_flat", lambda h: (8, h.nc), 4, 1, _n, _ids))),
     "fm-zgroup": _fm_kind(lambda s: fm.ZGroupFM(s.table_max), _Kind(b"FMZ1", (
         _u32("m", 1), _u32("d", 1), _u32("sigma1"), _u32("table_max"),
         _Array("has_table", (), 1, 0, 1,
@@ -313,7 +335,7 @@ _KINDS = {
     ), _zgroup), fm.ZGroupLabeler, (
         _Array("i_of", _n, 4, 0, lambda h: h.m - 1, lead=True),
         _Array("j_of", _n, 4, 0, lambda h: h.d - 1, lead=True),
-        _Array("pairing", lambda h: (h.m, h.d), 4, 1, _n))),
+        _Array("pairing", lambda h: (h.m, h.d), 4, 1, _n, _ids))),
     "fm-semidirect": _fm_kind(lambda s: fm.SemidirectFM(), _Kind(b"FMS1", (
         _u32("m", 1), _u32("n_points", 1),
         _u32("ncyc", 1, _pts, of=lambda h: len(h.lengths_)),
@@ -324,10 +346,11 @@ _KINDS = {
         _Array("index_", _pts, 8, 0, lambda h: h.ncyc * h.n_points - 1),
         _Array("labels_of_a", _pts, 8),
         _Array("index_of_label", _pts, 4, 1, _pts),
-    ) + _ABELIAN, _semidirect), fm.SemidirectLabeler, (
+    ) + _ABELIAN + (_labels("labels_of_a", _pts),), _semidirect),
+        fm.SemidirectLabeler, (
         _Array("a_of", _n, 4, 0, lambda h: h.n_points - 1, lead=True),
         _Array("j_of", _n, 4, 0, lambda h: h.m - 1, lead=True),
-        _Array("pairing", lambda h: (h.n_points, h.m), 4, 1, _n))),
+        _Array("pairing", lambda h: (h.n_points, h.m), 4, 1, _n, _ids))),
 }
 
 

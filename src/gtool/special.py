@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   check_element_id, check_pairs)
+                   check_element_id, check_pairs, id_dtype)
 from .groups import as_group
 from .structure import (AbelianCoordinates, MixedRadix,
                         SemidirectDecomposition, conjugacy_classes,
@@ -25,8 +25,8 @@ class CyclicRep(Representation):
     """Exponent table for a cyclic group: x*y = B[(F[x] + F[y]) % n].
 
     ``F_[x-1]`` holds the exponent of x over the chosen generator and
-    ``B_[i]`` the element with exponent i.  2n + 2 slots, three array
-    reads per query.
+    ``B_[i]`` the element with exponent i, held at the id width.  2n + 2
+    slots, three array reads per query.
     """
 
     rep_kind = "cyclic"
@@ -50,7 +50,7 @@ class CyclicRep(Representation):
                 raise PreconditionError(
                     f"element {gen} has order {order}, not {G.n}")
         F = np.empty(G.n, dtype=np.int64)
-        B = np.empty(G.n, dtype=np.int64)
+        B = np.empty(G.n, dtype=id_dtype(G.n))
         cur = G.identity
         for i in range(G.n):
             F[cur - 1] = i
@@ -84,12 +84,12 @@ class CompositeRep(Representation):
     Elements are encoded as packed coordinate tuples: the factors of A
     (one per prime-power basis order, or a single factor when A is taken
     in cyclic power order) followed by the exponent of b.  The forward
-    array maps ids to packed tuples; the backward array is the dense
-    inverse over the mixed-radix coordinate box; the action array maps
-    (b-exponent, flat A-coordinate) to the image flat A-coordinate.  One
-    query costs two forward reads, one action read, and one backward
-    read; the in-coordinate products of the abelian parts are pure
-    modular arithmetic.
+    array maps ids to packed tuples; the backward array, held at the id
+    width, is the dense inverse over the mixed-radix coordinate box; the
+    action array maps (b-exponent, flat A-coordinate) to the image flat
+    A-coordinate.  One query costs two forward reads, one action read,
+    and one backward read; the in-coordinate products of the abelian
+    parts are pure modular arithmetic.
     """
 
     rep_kind = "composite"
@@ -141,7 +141,7 @@ class CompositeRep(Representation):
         n = G.n
         fields = tuple(a_coords[dec.a_of[1:]].T) + (dec.j_of[1:],)
         forward = word.pack(fields)
-        backward = np.zeros(m_a * d, dtype=np.int64)
+        backward = np.zeros(m_a * d, dtype=id_dtype(n))
         backward[word.flat(fields)] = np.arange(1, n + 1)
 
         action = np.empty((d, m_a), dtype=np.int64)
@@ -198,8 +198,9 @@ class SimpleRep(Representation):
     the smallest diameter (ties to the lexicographically first set), and
     stores each element's shortest path from the identity as packed edge
     labels.  A query folds the left operand through the n x |S| step
-    table along the right operand's path.  Abelian simple groups (prime
-    order) delegate to :class:`CyclicRep`.
+    table, held at the id width, along the right operand's path, whose
+    length is held at the width of the diameter.  Abelian simple groups
+    (prime order) delegate to :class:`CyclicRep`.
     """
 
     rep_kind = "simple"
@@ -246,7 +247,7 @@ class SimpleRep(Representation):
         dist, parent, label = _bfs_paths(t, n, G.identity, gens)
         wl = max(int(len(gens) - 1).bit_length(), 1)
         path = np.zeros(n, dtype=np.int64)
-        plen = dist.astype(np.int64)
+        plen = dist.astype(id_dtype(diameter))
         for g in range(1, n + 1):
             labels = []
             cur = g
@@ -257,7 +258,8 @@ class SimpleRep(Representation):
             for pos, lab in enumerate(reversed(labels)):
                 packed |= lab << (pos * wl)
             path[g - 1] = packed
-        M = t[:, np.array(gens, dtype=np.int64) - 1].astype(np.int32)
+        M = np.ascontiguousarray(t[:, np.array(gens, dtype=np.int64) - 1],
+                                 dtype=id_dtype(n))
         for arr in (path, plen, M):
             arr.setflags(write=False)
         self.n_ = n

@@ -78,26 +78,19 @@ def quotient_table(G: GroupTable, normal_elements) -> tuple[GroupTable, list[int
     """Quotient by a normal subgroup given as an element list.
 
     Returns (quotient group, coset representatives, coset id per element).
-    Coset ids are assigned by scanning representatives in ascending order.
+    Each coset is represented by its least member, and coset ids follow
+    the representatives in ascending order.
     """
-    nset = np.zeros(G.n + 1, dtype=bool)
-    for e in normal_elements:
-        nset[int(e)] = True
+    nelems = np.unique(np.asarray(normal_elements, dtype=np.int64)) - 1
+    # N is normal, so the coset of y is Ny: its least member is a column
+    # minimum over N's rows
+    reps, ids = np.unique(G.table[nelems].min(axis=0), return_inverse=True)
     coset_of = np.zeros(G.n + 1, dtype=np.int64)
-    reps: list[int] = []
-    nelems = np.array(sorted(int(e) for e in normal_elements)) - 1
-    for x in G.elements:
-        if coset_of[x]:
-            continue
-        reps.append(x)
-        cid = len(reps)
-        members = G.table[x - 1, nelems]
-        coset_of[members] = cid
-    q = len(reps)
-    qt = np.empty((q, q), dtype=np.int64)
-    for i, r in enumerate(reps):
-        qt[i] = coset_of[G.table[r - 1, np.array(reps) - 1]]
-    return GroupTable(qt), reps, coset_of
+    coset_of[1:] = ids + 1
+    r = reps.astype(np.int64) - 1
+    # a quotient of a group by a normal subgroup is a group
+    return (GroupTable(coset_of[G.table[np.ix_(r, r)]], validate=False),
+            reps.tolist(), coset_of)
 
 
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
@@ -255,6 +248,15 @@ class MixedRadix:
         for (s, mask, _), st in zip(self._fields, self.strides):
             out = out + ((word >> s) & mask) * st
         return out
+
+    def holds(self, words) -> bool:
+        """True iff every word of the nonempty array ``words`` (>= 0) packs
+        a tuple of the box: each field is below its size, and no bit is
+        set above the fields."""
+        *low, (top, _, top_size) = self._fields or ((0, 0, 1),)
+        # the top field is read with every bit above it
+        return bool((words >> top).max() < top_size) and all(
+            ((words >> s) & mask).max() < size for s, mask, size in low)
 
     def add(self, w1, w2):
         """Componentwise sum mod sizes of two packed words, packed."""

@@ -151,3 +151,47 @@ def _is_p_power(v: int, p: int) -> bool:
     while v % p == 0:
         v //= p
     return v == 1
+
+
+def cycle_walk(pi) -> tuple[list[list[int]], np.ndarray]:
+    """Cycles of the permutation ``pi`` of 1..n, each starting at its least
+    point and listed in the order of those points, by walking every cycle
+    from its least point; and ``index[g-1] = cycle * n + position``."""
+    n = len(pi)
+    seen = np.zeros(n + 1, dtype=bool)
+    cycles: list[list[int]] = []
+    index = np.zeros(n, dtype=np.int64)
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = int(pi[start - 1])
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = int(pi[cur - 1])
+        for r, g in enumerate(cyc):
+            index[g - 1] = len(cycles) * n + r
+        cycles.append(cyc)
+    return cycles, index
+
+
+def quotient_table(table: np.ndarray, normal_elements):
+    """(quotient table, coset representatives, coset id per element) of
+    the group ``table`` by a normal subgroup, by scanning the elements in
+    ascending order and giving each one not yet placed a new coset."""
+    n = table.shape[0]
+    coset_of = np.zeros(n + 1, dtype=np.int64)
+    reps: list[int] = []
+    nelems = np.array(sorted(int(e) for e in normal_elements)) - 1
+    for x in range(1, n + 1):
+        if coset_of[x]:
+            continue
+        reps.append(x)
+        coset_of[table[x - 1, nelems]] = len(reps)
+    q = len(reps)
+    qt = np.empty((q, q), dtype=np.int64)
+    for i, r in enumerate(reps):
+        qt[i] = coset_of[table[r - 1, np.array(reps) - 1]]
+    return qt, reps, coset_of

@@ -9,7 +9,7 @@ from gtool.audit import ProbeLedger, probe_counted_multiply
 from gtool.base import PreconditionError, ValidationError
 from gtool.verify import verify_exhaustive
 
-from oracles import iterate_permutation
+from oracles import cycle_walk, iterate_permutation
 
 
 # -- abelian scheme ------------------------------------------------------------
@@ -263,6 +263,40 @@ def test_cycle_structure_matches_iteration(data):
     g = data.draw(st.integers(1, n))
     d = data.draw(st.integers(0, 500))
     assert cs.apply_power(g, d) == iterate_permutation(pi, g, d)
+
+
+def _assert_cycles_match_walk(pi):
+    cs = fm.CycleStructure(pi)
+    cycles, index = cycle_walk(pi)
+    assert [c.tolist() for c in cs.cycles] == cycles
+    assert cs.index_.tolist() == index.tolist()
+    assert cs.lengths_.tolist() == [len(c) for c in cycles]
+    assert cs.flat_.tolist() == [g for c in cycles for g in c]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cycle_structure_matches_cycle_walk(data):
+    # random permutations, with many fixed points, and one long cycle
+    n = data.draw(st.integers(1, 200))
+    order = np.array(data.draw(st.permutations(range(1, n + 1))))
+    shape = data.draw(st.sampled_from(["random", "fixed points", "one cycle"]))
+    pi = order
+    if shape == "fixed points":
+        moved = order[:data.draw(st.integers(0, n))]
+        pi = np.arange(1, n + 1)
+        pi[moved - 1] = data.draw(st.permutations(moved.tolist()))
+    elif shape == "one cycle":
+        pi = np.empty(n, dtype=np.int64)
+        pi[order - 1] = np.roll(order, -1)
+    _assert_cycles_match_walk(pi)
+
+
+def test_cycle_structure_edge_cases():
+    _assert_cycles_match_walk(np.array([1]))
+    _assert_cycles_match_walk(np.arange(1, 10))
+    _assert_cycles_match_walk(np.roll(np.arange(1, 1001), 1))
+    _assert_cycles_match_walk(np.random.RandomState(3).permutation(1000) + 1)
 
 
 # -- semidirect -------------------------------------------------------------------

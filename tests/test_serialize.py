@@ -5,8 +5,10 @@ import pytest
 
 import gtool as gt
 from gtool import serialize as ser
-from gtool.base import ParseError, ValidationError
+from gtool.base import ParseError, ValidationError, id_dtype
 from gtool.verify import verify_exhaustive
+
+from conftest import build_rep
 
 ALL_KINDS = [
     ("C12", "cyclic", {}),
@@ -72,7 +74,7 @@ def test_mutated_artifacts_are_rejected_or_reencode_exactly(corpus):
                 except (ParseError, ValidationError):
                     continue
                 assert ser.to_bytes(rep) == mutant, (name, kind)
-                if kind in ("composite", "zgroup"):
+                if kind in ("composite", "zgroup") or kind.startswith("fm-"):
                     # answers may be wrong, but reads stay inside the arrays
                     verify_exhaustive(rep, G)
                     for x in G.elements:
@@ -118,6 +120,12 @@ CORRUPT_HEADERS = {
                                                [(32, bytes([0x10]))]),
     "composite backward permuted": ("A4", "composite", {},
                                     [(44, bytes([2, 1]))]),
+    # A4 as C2xC2 x| C3: labels_of_a at 72 with fields at bits 0 and 1,
+    # the factor orders (2, 2) at 124
+    "semidirect labels_of_a word past its fields": ("A4", "fm-semidirect", {},
+                                                    [(72, bytes([4]))]),
+    "semidirect orders do not multiply to the points": (
+        "A4", "fm-semidirect", {}, [(128, _u32(4))]),
 }
 
 
@@ -134,6 +142,39 @@ def test_corrupt_headers_rejected(corpus, name, kind, params, patches):
             ser.fm_store_from_bytes(bytes(data))
 
 
+CORRUPT_LABELINGS = {
+    # case: (name, kind, [(offset, new bytes), ...]), past the store
+    # C2xC4xC9: factor orders (4, 2, 9) at 8, packed words at 28 with
+    # fields at bits 0-1, 2 and 3-6
+    "abelian orders do not multiply to n": ("C2xC4xC9", "fm-abelian",
+                                            [(16, _u32(27))]),
+    "abelian packed field past its order": ("C2xC4xC9", "fm-abelian",
+                                            [(28, bytes([10 << 3]))]),
+    "abelian packed word past its fields": ("C2xC4xC9", "fm-abelian",
+                                            [(28, bytes([1 << 7]))]),
+    # Q8xC3: C order (3,); c_of from element 1 at 108, nc = 3 at 204 and
+    # c_labels at 208, with the C field at bits 0-1
+    "hamiltonian c_of past the C ids": ("Q8xC3", "fm-hamiltonian",
+                                        [(108, _u32(4))]),
+    "hamiltonian c_labels field past its order": ("Q8xC3", "fm-hamiltonian",
+                                                  [(208, bytes([3]))]),
+    "hamiltonian c_labels word past its fields": ("Q8xC3", "fm-hamiltonian",
+                                                  [(208, bytes([4]))]),
+}
+
+
+@pytest.mark.parametrize("name, kind, patches", CORRUPT_LABELINGS.values(),
+                         ids=CORRUPT_LABELINGS)
+def test_corrupt_labelings_rejected(corpus, name, kind, patches):
+    # labels that would send a query outside the arrays it reads
+    data = bytearray(ser.to_bytes(corpus.rep(name, kind)))
+    for at, raw in patches:
+        data[at:at + len(raw)] = raw
+    with pytest.raises(ValidationError):
+        ser.from_bytes(bytes(data))
+    ser.fm_store_from_bytes(bytes(data))        # the store alone loads
+
+
 def test_block_widths_follow_order(corpus):
     # id width is ceil(bits(n)/8): one byte through n = 255, two at 256
     small = ser.to_bytes(corpus.rep("S4", "block", l=1))
@@ -141,6 +182,85 @@ def test_block_widths_follow_order(corpus):
     assert small[:5] == b"BREP1" and big[:5] == b"BREP1"
     rep = ser.from_bytes(big)
     assert rep.n_ == 256
+
+
+NARROWED = {     # kind: its arrays of ids, as (part, attribute)
+    "block": (("", "mult_arrays_"),),
+    "cyclic": (("", "B_"),),
+    "composite": (("", "backward_"),),
+    "zgroup": (("", "backward_"),),
+    "simple": (("", "M_"), ("", "path_len_"), ("cyclic_", "B_")),
+    "fm-abelian": (("labeler_", "element_of_flat"),),
+    "fm-hamiltonian": (("labeler_", "by_flat"),),
+    "fm-zgroup": (("labeler_", "pairing"),),
+    "fm-semidirect": (("labeler_", "pairing"),),
+}
+
+
+def _assert_narrowed(rep, G, kind):
+    # each array of ids is held native, aligned, contiguous and read-only
+    # at the id width (path lengths at the diameter's); queries answer
+    # Python ints and int64 arrays
+    held = 0
+    for part, attr in NARROWED[kind]:
+        owner = getattr(rep, part) if part else rep
+        arr = getattr(owner, attr, None) if owner is not None else None
+        if arr is None:
+            continue
+        want = id_dtype(rep.diameter_ if attr == "path_len_" else rep.n_)
+        assert arr.dtype == want, (kind, attr, arr.dtype)
+        assert arr.dtype.isnative and arr.flags.aligned, (kind, attr)
+        assert arr.flags.c_contiguous and not arr.flags.writeable, (kind, attr)
+        held += 1
+    assert held, kind
+    pairs = np.random.RandomState(5).randint(1, G.n + 1, size=(64, 2))
+    got = rep.predict(pairs)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
+    for x, y in pairs[:8].tolist():
+        z = rep.multiply(x, y)
+        assert type(z) is int and z == G.mult(x, y), (kind, x, y)
+
+
+_SPLITS = ("composite", "zgroup", "fm-zgroup", "fm-semidirect")  # A x| C
+WIDTH_CASES = [     # either side of the 1-byte / 2-byte id boundary at 256
+    ("C255", lambda: gt.make_cyclic(255),
+     ("block", "cyclic", "fm-abelian") + _SPLITS),
+    ("C256", lambda: gt.make_cyclic(256),
+     ("block", "cyclic", "fm-abelian") + _SPLITS),
+    ("D127", lambda: gt.make_dihedral(127), _SPLITS),         # n = 254
+    ("D129", lambda: gt.make_dihedral(129), _SPLITS),         # n = 258
+    ("Q8xC31", lambda: gt.make_direct(gt.make_quaternion(),  # n = 248
+                                      gt.make_cyclic(31)), ("fm-hamiltonian",)),
+    ("Q8xC2^5", lambda: gt.make_direct(gt.make_quaternion(),  # n = 256
+                                       gt.make_abelian([2] * 5)),
+     ("fm-hamiltonian",)),
+    ("C251", lambda: gt.make_cyclic(251), ("simple",)),      # delegates
+    ("C257", lambda: gt.make_cyclic(257), ("simple",)),
+    ("A5", lambda: gt.make_alternating(5), ("simple",)),     # n = 60
+    ("A6", lambda: gt.make_alternating(6), ("simple",)),     # n = 360
+]
+
+
+@pytest.mark.parametrize("name, make, kinds", WIDTH_CASES,
+                         ids=[case[0] for case in WIDTH_CASES])
+def test_id_arrays_held_at_id_width(name, make, kinds):
+    G = make()
+    for kind in kinds:
+        fitted = build_rep(G, kind, **({"l": 1} if kind == "block" else {}))
+        loaded = ser.from_bytes(ser.to_bytes(fitted))
+        for rep in (fitted, loaded):
+            _assert_narrowed(rep, G, kind)
+
+
+def test_id_dtype_follows_artifact_id_width():
+    # the numpy word of ceil(bits(n)/8)-byte ids: 3-byte ids take 4 bytes
+    for n, want in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                    (65535, np.uint16), (65536, np.uint32),
+                    ((1 << 24) - 1, np.uint32), ((1 << 32) - 1, np.uint32)):
+        width = ser._bytes_for(n.bit_length())
+        assert id_dtype(n) == want, n
+        assert id_dtype(n).itemsize == {1: 1, 2: 2, 3: 4, 4: 4}[width], n
 
 
 def test_three_byte_ids_round_trip():
@@ -154,6 +274,14 @@ def test_three_byte_ids_round_trip():
     back = ser.from_bytes(data)
     assert np.array_equal(back.F_, rep.F_) and np.array_equal(back.B_, rep.B_)
     assert ser.to_bytes(back) == data
+    # ids of a cyclic group numbered by exponent: x*y = (x+y-2) mod n + 1
+    assert back.B_.dtype == np.uint32 and back.B_.flags.aligned
+    assert not back.B_.flags.writeable and back.B_.flags.c_contiguous
+    for x, y in ((n, 2), (n - 1, n), (1, 1), (35000, 35001)):
+        z = back.multiply(x, y)
+        assert type(z) is int and z == (x + y - 2) % n + 1
+    got = back.predict([[n, 2], [n - 1, n]])
+    assert got.dtype == np.int64 and got.tolist() == [1, n - 2]
 
 
 def test_deterministic_bytes(corpus):

@@ -9,7 +9,7 @@ from gtool.base import PreconditionError
 
 from conftest import _CACHE, small_entries
 from oracles import (brute_sylow_cyclic, naive_order, order_multiset,
-                     subgroup_closure)
+                     quotient_table, subgroup_closure)
 
 
 def test_abelian_basis_c6():
@@ -258,3 +258,22 @@ def test_subgroup_closure_matches_single_walk(data):
         gens.append(data.draw(hst.sampled_from(gens)))
     assert st.subgroup_closure(G, gens) == \
         subgroup_closure(G.table, G.identity, gens), (entry.name, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_quotient_table_matches_coset_scan(data):
+    # normal subgroups spanned by a few elements, the trivial one and the
+    # whole group: same representatives, coset ids and table as the scan
+    entry = data.draw(hst.sampled_from(small_entries(512)))
+    G = _CACHE.table(entry.name)
+    gens = data.draw(hst.lists(hst.integers(1, G.n), max_size=3))
+    N = st.subgroup_closure(G, gens)
+    if st._is_normal(G, N) is not None:
+        N = data.draw(hst.sampled_from([[G.identity], list(G.elements)]))
+    Q, reps, coset_of = st.quotient_table(G, N)
+    want_table, want_reps, want_coset_of = quotient_table(G.table, N)
+    assert reps == want_reps, (entry.name, gens)
+    assert np.array_equal(coset_of, want_coset_of), (entry.name, gens)
+    assert np.array_equal(Q.table, want_table), (entry.name, gens)
+    assert Q.identity == 1

@@ -2,8 +2,10 @@
 
 ``tests/data/artifact_sha256.json`` holds the SHA-256 of
 ``serialize.to_bytes`` for one fitted structure of every CLI kind, plus
-the block kind at delta = 1/floor(log2 n), 1/2 and 1.  Regenerate it only
-when an artifact format change is intended:
+the block kind at delta = 1/floor(log2 n), 1/2 and 1; and, per non-block
+kind, one SHA-256 over the artifacts of every corpus group of order at
+most 512 that the kind applies to, which pins each decomposition choice.
+Regenerate it only when an artifact format change is intended:
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from gtool import serialize
-from gtool.corpus import CORPUS_BY_NAME
+from gtool.corpus import CORPUS_BY_NAME, applicable_kinds
 
 GOLDEN = Path(__file__).parent / "data" / "artifact_sha256.json"
 
@@ -65,10 +67,33 @@ def test_artifact_bytes_match_golden(name, kind, params):
     assert _digest(rep) == golden
 
 
+CORPUS_KINDS = ("cyclic", "composite", "zgroup", "simple", "fm-abelian",
+                "fm-hamiltonian", "fm-zgroup", "fm-semidirect")
+
+
+def _corpus_digest(kind, rep_of):
+    from conftest import small_entries
+    h = hashlib.sha256()
+    for e in small_entries(512):
+        if kind in applicable_kinds(e):
+            h.update(e.name.encode() + b"\0")
+            h.update(serialize.to_bytes(rep_of(e.name, kind)))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_corpus_artifacts_match_golden(kind, corpus):
+    golden = json.loads(GOLDEN.read_text())[f"corpus/{kind}"]
+    assert _corpus_digest(kind, corpus.rep) == golden
+
+
 if __name__ == "__main__":
     import sys
     sys.path.insert(0, str(Path(__file__).parent))
     GOLDEN.parent.mkdir(exist_ok=True)
     digests = {_case_id(*c): _digest(_build(*c)) for c in CASES}
+    for kind in CORPUS_KINDS:
+        digests[f"corpus/{kind}"] = _corpus_digest(
+            kind, lambda name, k: _build(name, k, {}))
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -8,20 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-
-import numpy as np
 
 from . import serialize
 from .audit import SpaceReport, measure, probe_counted_multiply
 from .base import GtoolError, ParseError, PreconditionError, ValidationError
 from .blockrep import BlockRep, parse_delta, tradeoff_table
 from .corpus import build_family
-from .cubegen import greedy_cube_sequence
 from .fm import AbelianFM, HamiltonianFM, SemidirectFM, ZGroupFM, _FMBase
 from .groups import GroupTable, load_cayley_file
 from .special import CompositeRep, CyclicRep, SimpleRep
-from .structure import is_z_group
+from .structure import is_simple, is_z_group
 from .verify import verify_exhaustive, verify_random
 
 REP_KINDS = ("block", "cyclic", "zgroup", "simple", "composite",
@@ -56,8 +52,6 @@ def _build_parser() -> _Parser:
     b.add_argument("out", help="output artifact path")
     b.add_argument("--delta", help="exact rational p/q for the block length")
     b.add_argument("--l", type=int, help="block length directly")
-    b.add_argument("--s-max", type=int, default=4,
-                   help="largest generating-set size for simple groups")
     b.add_argument("--table-max", type=int, default=64,
                    help="largest stored automorphism-image table for fm-zgroup")
     b.add_argument("--max-slots", type=int, default=1 << 29)
@@ -77,13 +71,11 @@ def _build_parser() -> _Parser:
                    help="exhaustive or random:N")
     v.add_argument("--seed", type=int, default=0)
 
-    e = sub.add_parser("bench", help="space/probe/time sweep to CSV")
+    e = sub.add_parser("bench", help="space/probe sweep to CSV")
     e.add_argument("table")
     e.add_argument("out", help="output CSV path")
     e.add_argument("--deltas", default="1/8,1/4,1/2,1",
                    help="comma-separated rationals")
-    e.add_argument("--samples", type=int, default=2000)
-    e.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -129,7 +121,7 @@ def _make_rep(kind: str, args):
     if kind == "composite":
         return CompositeRep()
     if kind == "simple":
-        return SimpleRep(s_max=args.s_max)
+        return SimpleRep()
     if kind == "fm-abelian":
         return AbelianFM()
     if kind == "fm-hamiltonian":
@@ -199,44 +191,26 @@ def _cmd_verify(args) -> int:
     return 3
 
 
-def _time_queries(rep, G, samples: int, seed: int) -> float:
-    rng = np.random.RandomState(seed)
-    pairs = rng.randint(1, G.n + 1, size=(max(samples, 1), 2))
-    t0 = time.perf_counter_ns()
-    for x, y in pairs:
-        rep.multiply(int(x), int(y))
-    return (time.perf_counter_ns() - t0) / len(pairs)
-
-
 def _cmd_bench(args) -> int:
     G = load_cayley_file(args.table)
     deltas = [parse_delta(tok) for tok in args.deltas.split(",") if tok]
-    cube, _ = greedy_cube_sequence(G)
-    lines = ["delta,l,m,slots,probes,avg_query_ns"]
-    rows = tradeoff_table(G, deltas, cube=cube)
-    for row in rows:
+    lines = ["delta,l,m,slots,probes"]
+    for row in tradeoff_table(G, deltas):
         if row.error:
-            lines.append(f"{row.delta},,,,,error: {row.error}")
+            lines.append(f"{row.delta},,,,error: {row.error}")
             continue
-        rep = BlockRep(l=row.l).fit(G, cube=cube)
-        ns = _time_queries(rep, G, args.samples, args.seed)
-        lines.append(f"{row.delta},{row.l},{row.m},{row.slots},"
-                     f"{row.probes},{ns:.0f}")
-    extras: list[tuple[str, object]] = []
-    orders = G.element_orders()
-    if (orders == G.n).any():
+        lines.append(f"{row.delta},{row.l},{row.m},{row.slots},{row.probes}")
+    extras = []
+    if (G.element_orders() == G.n).any():
         extras.append(("cyclic", CyclicRep()))
     if is_z_group(G):
         extras.append(("zgroup", CompositeRep(mode="zgroup")))
-    from .structure import is_simple
     if is_simple(G):
         extras.append(("simple", SimpleRep()))
     for name, rep in extras:
-        rep = rep.fit(G)
-        slots = sum(rep.space_slots().values())
-        lo, hi = rep.probe_bounds()
-        ns = _time_queries(rep, G, args.samples, args.seed)
-        lines.append(f"{name},,,{slots},{hi},{ns:.0f}")
+        rep.fit(G)
+        lines.append(f"{name},,,{sum(rep.space_slots().values())},"
+                     f"{rep.probe_bounds()[1]}")
     text = "\n".join(lines) + "\n"
     with open(args.out, "w") as fh:
         fh.write(text)

@@ -10,7 +10,6 @@ appear in its product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +60,6 @@ class CubeSequence:
         """Decomposition as a k-character 0/1 string, first generator first."""
         e = self.decompose(g)
         return "".join("1" if (e >> i) & 1 else "0" for i in range(self.k))
-
-    def product_of(self, G: GroupTable, mask: int) -> int:
-        """Evaluate the subset product selected by ``mask`` left to right."""
-        acc = G.identity
-        for i, gi in enumerate(self.elements):
-            if (mask >> i) & 1:
-                acc = int(G.table[acc - 1, gi - 1])
-        return acc
-
-    def max_length(self) -> int:
-        """Upper bound on k from the doubling analysis; exact for n >= 2."""
-        if self.n < 2:
-            return 0
-        return math.ceil(math.log2(self.n * math.log(self.n))) + 2
 
 
 def greedy_cube_sequence(G: GroupTable) -> tuple[CubeSequence, GreedyTrace]:

@@ -19,13 +19,12 @@ import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
                    check_element_id, id_dtype)
-from .groups import as_group, make_quaternion
+from .groups import Q8_TABLE, as_group
 from .structure import (AbelianCoordinates, MixedRadix,
                         SemidirectDecomposition, _prime_factors,
                         find_hamiltonian_decomposition,
                         find_semidirect_decomposition,
-                        find_zgroup_decomposition, is_z_group,
-                        sylow_violation)
+                        find_zgroup_decomposition)
 
 FMLabel = tuple
 
@@ -34,10 +33,6 @@ def _frozen(arr, dtype=np.int64) -> np.ndarray:
     out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
-
-
-# the canonical quaternion table, built and validated once
-Q8_TABLE = _frozen(make_quaternion().table)
 
 
 class _Labeler:
@@ -273,12 +268,7 @@ class ZGroupLabeler(_Labeler):
 
 
 def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLabeler]:
-    G = as_group(group)
-    if not is_z_group(G):
-        p, pk = sylow_violation(G)
-        raise PreconditionError(
-            f"Sylow {p}-subgroup not cyclic: no element of order {pk}")
-    dec = find_zgroup_decomposition(G)
+    dec = find_zgroup_decomposition(as_group(group))
     scheme = ZGroupScheme(dec.a_order, dec.b_order, dec.multiplier or 0,
                           table_max=table_max)
     labeler = ZGroupLabeler(scheme, dec.a_of, dec.j_of, dec.pairing)
@@ -496,10 +486,6 @@ class _FMBase(Representation):
         lab = self.labeler_
         return lab.elements(
             self.scheme_.multiply(lab.labels(x), lab.labels(y), ledger))
-
-    def multiply_labels(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        self._require_fitted("scheme_")
-        return self.scheme_.multiply(l1, l2, ledger=ledger)
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("scheme_")

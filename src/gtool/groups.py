@@ -185,6 +185,21 @@ class GroupTable:
             self._orders = orders
         return self._orders
 
+    def powers(self, x: int) -> np.ndarray:
+        """x**0, ..., x**(o-1) as int64, for the order o of x.
+
+        Each step doubles the known powers: x**k, ..., x**(2k-1) is one
+        gather of the first k times x**k.
+        """
+        x = check_element_id(x, self.n)
+        o = int(self.element_orders()[x - 1])
+        out = np.array([self.identity], dtype=np.int64)
+        step = x                                    # x ** out.size
+        while out.size < o:
+            out = np.concatenate([out, self.table[out - 1, step - 1]])
+            step = int(self.table[step - 1, step - 1])
+        return out[:o]
+
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
@@ -415,6 +430,12 @@ def make_quaternion() -> GroupTable:
     index = {p: 1 + t for t, p in enumerate(elems)}
     table = [[index[mul(p, q)] for q in elems] for p in elems]
     return GroupTable(np.array(table, dtype=np.int64))
+
+
+# the canonical quaternion table, built and validated once; int64, as
+# the Hamiltonian kernel shifts its entries
+Q8_TABLE = make_quaternion().table.astype(np.int64)
+Q8_TABLE.setflags(write=False)
 
 
 def make_dihedral(m: int) -> GroupTable:

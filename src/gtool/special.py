@@ -49,13 +49,10 @@ class CyclicRep(Representation):
             if order != G.n:
                 raise PreconditionError(
                     f"element {gen} has order {order}, not {G.n}")
+        powers = G.powers(gen)
         F = np.empty(G.n, dtype=np.int64)
-        B = np.empty(G.n, dtype=id_dtype(G.n))
-        cur = G.identity
-        for i in range(G.n):
-            F[cur - 1] = i
-            B[i] = cur
-            cur = int(G.table[cur - 1, gen - 1])
+        F[powers - 1] = np.arange(G.n)
+        B = powers.astype(id_dtype(G.n))
         F.setflags(write=False)
         B.setflags(write=False)
         self.n_ = G.n
@@ -144,12 +141,9 @@ class CompositeRep(Representation):
         backward = np.zeros(m_a * d, dtype=id_dtype(n))
         backward[word.flat(fields)] = np.arange(1, n + 1)
 
-        action = np.empty((d, m_a), dtype=np.int64)
+        # action[j, flat] is the flat index of the image local id
         act = np.asarray(dec.spec.action, dtype=np.int64)
-        flat_a = codec.flat(a_coords.T)
-        for j in range(d):
-            img_local = act[j][local_of_flat - 1]       # flat -> image local id
-            action[j] = flat_a[img_local - 1]
+        action = codec.flat(a_coords.T)[act[:, local_of_flat - 1] - 1]
 
         for arr in (forward, backward, action):
             arr.setflags(write=False)
@@ -193,9 +187,9 @@ class CompositeRep(Representation):
 class SimpleRep(Representation):
     """Shortest-path representation over a small generating set.
 
-    For a nonabelian simple group the builder scans generating sets in
-    increasing size (pairs first), keeps the one whose Cayley graph has
-    the smallest diameter (ties to the lexicographically first set), and
+    For a nonabelian simple group, which is 2-generated, the builder scans
+    generating pairs, keeps the one whose Cayley graph has the smallest
+    diameter (ties to the lexicographically first pair), and
     stores each element's shortest path from the identity as packed edge
     labels.  A query folds the left operand through the n x |S| step
     table, held at the id width, along the right operand's path, whose
@@ -205,13 +199,8 @@ class SimpleRep(Representation):
 
     rep_kind = "simple"
 
-    def __init__(self, s_max: int = 4):
-        self.s_max = s_max
-
     def fit(self, group):
         G = as_group(group)
-        if not 1 <= int(self.s_max) <= 14:
-            raise ValidationError(f"s_max={self.s_max} out of range [1, 14]")
         if not is_simple(G):
             raise PreconditionError("group is not simple")
         if G.is_abelian():
@@ -223,25 +212,19 @@ class SimpleRep(Representation):
         t = G.table
         n = G.n
         candidates = [x for x in G.elements if x != G.identity]
-        # Conjugating a set maps its Cayley graph isomorphically, so the
-        # first minimum-diameter set starts with the least member of its
-        # conjugacy class: sets that start elsewhere are skipped.
+        # Conjugating a pair maps its Cayley graph isomorphically, so the
+        # first minimum-diameter pair starts with the least member of its
+        # conjugacy class: pairs that start elsewhere are skipped.
         leaders = {cls[0] for cls in conjugacy_classes(G)}
         best = None                      # (diameter, gens)
-        for s in range(2, int(self.s_max) + 1):
-            for gens in combinations(candidates, s):
-                if gens[0] not in leaders:
-                    continue
-                d = _bfs_diameter(t, n, G.identity, gens)
-                if d is None:
-                    continue
-                if best is None or d < best[0]:
-                    best = (d, gens)
-            if best is not None:
-                break
+        for gens in combinations(candidates, 2):
+            if gens[0] not in leaders:
+                continue
+            d = _bfs_diameter(t, n, G.identity, gens)
+            if d is not None and (best is None or d < best[0]):
+                best = (d, gens)
         if best is None:
-            raise PreconditionError(
-                f"no generating set of size <= {self.s_max} found")
+            raise PreconditionError("no generating pair found")
         diameter, gens = best
 
         dist, parent, label = _bfs_paths(t, n, G.identity, gens)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import PreconditionError, ValidationError
-from .groups import GroupTable, SemidirectSpec, make_cyclic
+from .groups import Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic
 
 
 # -- subgroup machinery -----------------------------------------------------
@@ -47,16 +47,6 @@ def subgroup_closure(G: GroupTable, gens) -> list[int]:
     return sorted(elems)
 
 
-def cyclic_subgroup(G: GroupTable, x: int) -> list[int]:
-    """Elements of <x>, ascending."""
-    elems = [G.identity]
-    cur = int(x)
-    while cur != G.identity:
-        elems.append(cur)
-        cur = int(G.table[cur - 1, x - 1])
-    return sorted(elems)
-
-
 def subtable(G: GroupTable, elements) -> tuple[GroupTable, list[int]]:
     """Reindex a multiplicatively closed subset as its own group.
 
@@ -64,14 +54,14 @@ def subtable(G: GroupTable, elements) -> tuple[GroupTable, list[int]]:
     corresponds to ``elements[i]``).
     """
     elements = [int(e) for e in elements]
+    idx = np.array(elements, dtype=np.int64)
     local = np.zeros(G.n + 1, dtype=np.int64)
-    for i, e in enumerate(elements):
-        local[e] = i + 1
-    idx = np.array(elements, dtype=np.int64) - 1
-    sub = G.table[np.ix_(idx, idx)]
-    if local[sub].min() == 0:
+    local[idx] = np.arange(1, idx.size + 1)
+    sub = local[G.table[np.ix_(idx - 1, idx - 1)]]
+    if sub.min() == 0:
         raise ValidationError("subset is not closed under multiplication")
-    return GroupTable(local[sub]), elements
+    # a closed subset of a finite group is a subgroup
+    return GroupTable(sub, validate=False), elements
 
 
 def quotient_table(G: GroupTable, normal_elements) -> tuple[GroupTable, list[int], np.ndarray]:
@@ -111,17 +101,50 @@ def conjugacy_classes(G: GroupTable) -> list[list[int]]:
     return classes
 
 
-def _is_normal(G: GroupTable, members: list[int]) -> int | None:
-    """None if <members> is normal, else a conjugating witness element."""
+def _is_normal(G: GroupTable, members, gens=None) -> int | None:
+    """None if the subgroup ``members`` is normal, else the least g that
+    conjugates it off itself.
+
+    ``gens`` generate the subgroup (by default all its members): g<S>g^-1
+    lies in H exactly when g s g^-1 does for every s in S.
+    """
     inset = np.zeros(G.n + 1, dtype=bool)
-    for e in members:
-        inset[e] = True
-    arr = np.array(members, dtype=np.int64) - 1
-    for g in G.elements:
-        conj = G.table[G.table[g - 1, arr] - 1, G.inverse[g - 1] - 1]
-        if not inset[conj].all():
-            return g
-    return None
+    inset[np.asarray(members, dtype=np.int64)] = True
+    s = np.asarray(members if gens is None else gens, dtype=np.int64) - 1
+    # row g holds g s g^-1 for every s
+    conj = G.table[G.table[:, s] - 1, G.inverse[:, None] - 1]
+    bad = np.flatnonzero(~inset[conj].all(axis=1))
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def _complement(G: GroupTable, members, d: int) -> int | None:
+    """Least b of order d with <b> meeting the subgroup ``members`` only
+    at the identity; all candidates walk their powers at once."""
+    inset = np.zeros(G.n + 1, dtype=bool)
+    inset[np.asarray(members, dtype=np.int64)] = True
+    cand = np.flatnonzero(G.element_orders() == d) + 1
+    cur, ok = cand, np.ones(cand.size, dtype=bool)
+    for _ in range(d - 1):                  # b**1, ..., b**(d-1)
+        ok &= ~inset[cur]
+        cur = G.table[cur - 1, cand - 1]
+    hit = np.flatnonzero(ok)
+    return int(cand[hit[0]]) if hit.size else None
+
+
+def _pairing(G: GroupTable, left, right):
+    """(pairing, i_of, j_of) with ``pairing[i, j]`` = left[i] * right[j],
+    and ``i_of`` / ``j_of`` mapping each product back to i and j (entry 0
+    unused, -1); None when the products are not the group, each once."""
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    pairing = G.table[np.ix_(left - 1, right - 1)].astype(np.int64)
+    i_of = np.full(G.n + 1, -1, dtype=np.int64)
+    j_of = i_of.copy()
+    i_of[pairing] = np.arange(left.size)[:, None]
+    j_of[pairing] = np.arange(right.size)
+    if pairing.size != G.n or i_of[1:].min() < 0:
+        return None
+    return pairing, i_of, j_of
 
 
 # -- abelian structure ------------------------------------------------------
@@ -279,54 +302,39 @@ class AbelianCoordinates:
         self.basis = basis if basis is not None else abelian_basis(G)
         self.orders = self.basis.orders
         self.codec = MixedRadix(self.orders)
-        k = len(self.orders)
         n = G.n
-        # enumerate all exponent tuples by walking one generator at a time
-        elems = {G.identity: np.zeros(k, dtype=np.int64)}
-        frontier = [G.identity]
-        t = G.table
-        while frontier:
-            x = frontier.pop()
-            cx = elems[x]
-            for i, g in enumerate(self.basis.generators):
-                if cx[i] + 1 >= self.orders[i]:
-                    continue
-                y = int(t[x - 1, g - 1])
-                if y in elems:
-                    continue
-                cy = cx.copy()
-                cy[i] += 1
-                elems[y] = cy
-                frontier.append(y)
-        if len(elems) != n:
+        # the products over the box in flat order (field 0 most
+        # significant): each generator's powers times every product so far
+        flat = np.array([G.identity], dtype=np.int64)
+        for g, d in zip(self.basis.generators, self.orders):
+            flat = G.table[np.ix_(flat - 1, G.powers(g)[:d] - 1)].ravel()
+        if flat.size != n or np.unique(flat).size != n:
             raise ValidationError(
-                "generators are not independent: exponent tuples do not "
-                f"cover the group ({len(elems)} of {n})")
-        coords = np.zeros((n, k), dtype=np.int64)
-        for x, cx in elems.items():
-            coords[x - 1] = cx
-        self.coords = coords
+                "generators are not independent: the products over the "
+                "exponent box are not the group")
+        self.element_of_flat = flat.astype(np.int64)
+        flat_of = np.empty(n, dtype=np.int64)
+        flat_of[flat - 1] = np.arange(n)
+        fields = self.codec.unflat(flat_of)
+        self.coords = np.array(fields, dtype=np.int64).reshape(-1, n).T.copy()
         # with no factors (k = 0) pack returns 0, which | broadcasts to n ids
-        self.packed = np.zeros(n, dtype=np.int64) | self.codec.pack(coords.T)
-        self.element_of_flat = np.zeros(n, dtype=np.int64)
-        self.element_of_flat[self.codec.index(self.packed)] = np.arange(1, n + 1)
+        self.packed = np.zeros(n, dtype=np.int64) | self.codec.pack(fields)
 
 
 # -- Sylow / Z-group structure ----------------------------------------------
 
 def is_z_group(G: GroupTable) -> bool:
-    """True iff every Sylow subgroup is cyclic.
-
-    Equivalent check: for each maximal prime power p^k dividing n there is
-    an element of order p^k (its span is a full Sylow p-subgroup, and all
-    Sylow p-subgroups are conjugate).
-    """
-    orders = set(int(v) for v in G.element_orders())
-    return all(p ** k in orders for p, k in _prime_factors(G.n))
+    """True iff every Sylow subgroup is cyclic."""
+    return sylow_violation(G) is None
 
 
 def sylow_violation(G: GroupTable) -> tuple[int, int] | None:
-    """(p, p^k) for the first prime whose Sylow subgroup is not cyclic."""
+    """(p, p^k) for the first prime whose Sylow subgroup is not cyclic.
+
+    A Sylow p-subgroup is cyclic iff some element has order p^k, the
+    largest power of p dividing n: its span is a full Sylow p-subgroup,
+    and all Sylow p-subgroups are conjugate.
+    """
     orders = set(int(v) for v in G.element_orders())
     for p, k in _prime_factors(G.n):
         if p ** k not in orders:
@@ -364,82 +372,35 @@ class SemidirectDecomposition:
         return len(self.b_powers)
 
 
-def _build_decomposition(G: GroupTable, a_members: list[int], b: int,
+def _build_decomposition(G: GroupTable, a_elements, b: int,
                          cyclic_a: int | None) -> SemidirectDecomposition:
-    """Assemble the spec/pairing bundle for a verified (A, <b>) split."""
-    t = G.table
-    inv = G.inverse
-    d = G.element_order(b)
-    b_powers = [G.identity]
-    cur = b
-    for _ in range(d - 1):
-        b_powers.append(cur)
-        cur = int(t[cur - 1, b - 1])
-    if cyclic_a is not None:
-        m = len(a_members)
-        a_elements = [G.identity]
-        cur = cyclic_a
-        for _ in range(m - 1):
-            a_elements.append(cur)
-            cur = int(t[cur - 1, cyclic_a - 1])
-        A_t = make_cyclic(m)
-    else:
-        a_elements = sorted(a_members)
-        A_t, _ = subtable(G, a_elements)
-    m = len(a_elements)
+    """Assemble the spec/pairing bundle for a verified (A, <b>) split;
+    ``a_elements`` lists A in local id order (powers of ``cyclic_a``
+    when that is set)."""
+    a_elements = np.asarray(a_elements, dtype=np.int64)
+    b_powers = G.powers(b)
+    m, d = a_elements.size, b_powers.size
+    A_t = make_cyclic(m) if cyclic_a is not None else subtable(G, a_elements)[0]
     local_a = np.zeros(G.n + 1, dtype=np.int64)
-    for i, e in enumerate(a_elements):
-        local_a[e] = i + 1
-    arr_a = np.array(a_elements, dtype=np.int64)
-    action = np.empty((d, m), dtype=np.int64)
-    for j, bj in enumerate(b_powers):
-        conj = t[t[bj - 1, arr_a - 1] - 1, inv[bj - 1] - 1]
-        imgs = local_a[conj]
-        if imgs.min() == 0:
-            raise ValidationError("A is not normalized by b")
-        action[j] = imgs
-    B_t = make_cyclic(d)
-    spec = SemidirectSpec(A_t, B_t, action)
-    pairing = np.empty((m, d), dtype=np.int64)
-    a_of = np.full(G.n + 1, -1, dtype=np.int64)
-    j_of = np.full(G.n + 1, -1, dtype=np.int64)
-    for i, a in enumerate(a_elements):
-        row = t[a - 1, np.array(b_powers, dtype=np.int64) - 1]
-        pairing[i] = row
-        a_of[row] = i
-        j_of[row] = np.arange(d)
-    if (a_of[1:] < 0).any():
+    local_a[a_elements] = np.arange(1, m + 1)
+    # action[j, i] is the local id of b**j * a_i * b**-j
+    ba = G.table[np.ix_(b_powers - 1, a_elements - 1)]
+    action = local_a[G.table[ba - 1, G.inverse[b_powers - 1, None] - 1]]
+    if action.min() == 0:
+        raise ValidationError("A is not normalized by b")
+    paired = _pairing(G, a_elements, b_powers)
+    if paired is None:
         raise ValidationError("pairing A x <b> does not cover the group")
+    pairing, a_of, j_of = paired
     multiplier = None
-    if cyclic_a is not None and m > 1:
+    if cyclic_a is not None:
         # image of the A generator (local id 2 = a**1) under conjugation by b
-        multiplier = int(action[1 % d, 1]) - 1 if d > 1 else 1
-    elif cyclic_a is not None:
-        multiplier = 0
+        multiplier = int(action[1 % d, 1]) - 1 if m > 1 else 0
     return SemidirectDecomposition(
-        spec=spec, a_elements=tuple(a_elements), b_element=b,
-        b_powers=tuple(b_powers), pairing=pairing, a_of=a_of, j_of=j_of,
-        cyclic_a_generator=cyclic_a, multiplier=multiplier)
-
-
-def _complement_generators(G: GroupTable, a_set: np.ndarray, d: int) -> list[int]:
-    """Elements b of order d with <b> meeting the subgroup flagged by a_set
-    only at the identity, ascending."""
-    out = []
-    orders = G.element_orders()
-    for b in G.elements:
-        if orders[b - 1] != d:
-            continue
-        ok = True
-        cur = b
-        while cur != G.identity:
-            if a_set[cur]:
-                ok = False
-                break
-            cur = int(G.table[cur - 1, b - 1])
-        if ok:
-            out.append(b)
-    return out
+        spec=SemidirectSpec(A_t, make_cyclic(d), action),
+        a_elements=tuple(a_elements.tolist()), b_element=b,
+        b_powers=tuple(b_powers.tolist()), pairing=pairing, a_of=a_of,
+        j_of=j_of, cyclic_a_generator=cyclic_a, multiplier=multiplier)
 
 
 def find_zgroup_decomposition(G: GroupTable) -> SemidirectDecomposition:
@@ -449,23 +410,19 @@ def find_zgroup_decomposition(G: GroupTable) -> SemidirectDecomposition:
     generator id, keeps normal ones, and pairs them with the first
     complement generator of matching order.
     """
-    if not is_z_group(G):
-        p, pk = sylow_violation(G)
+    violation = sylow_violation(G)
+    if violation is not None:
+        p, pk = violation
         raise PreconditionError(
             f"Sylow {p}-subgroup not cyclic: no element of order {pk}")
     orders = G.element_orders()
-    for m in sorted(set(int(v) for v in orders), reverse=True):
-        d = G.n // m
-        for a in G.elements:
-            if orders[a - 1] != m:
+    for m in sorted(set(orders.tolist()), reverse=True):
+        for a in (np.flatnonzero(orders == m) + 1).tolist():
+            members = G.powers(a)
+            if _is_normal(G, members, [a]) is not None:
                 continue
-            members = cyclic_subgroup(G, a)
-            if _is_normal(G, members) is not None:
-                continue
-            a_set = np.zeros(G.n + 1, dtype=bool)
-            for e in members:
-                a_set[e] = True
-            for b in _complement_generators(G, a_set, d):
+            b = _complement(G, members, G.n // m)
+            if b is not None:
                 return _build_decomposition(G, members, b, cyclic_a=a)
     raise PreconditionError(
         "no cyclic-by-cyclic decomposition found despite cyclic Sylow "
@@ -496,18 +453,19 @@ def find_semidirect_decomposition(G: GroupTable) -> SemidirectDecomposition:
             continue
         candidates.append((-len(members), cls[0], members))
     candidates.sort()
+    orders = G.element_orders()
     for _, _, members in candidates:
         m = len(members)
-        d = G.n // m
-        a_set = np.zeros(G.n + 1, dtype=bool)
-        for e in members:
-            a_set[e] = True
-        for b in _complement_generators(G, a_set, d):
-            orders = G.element_orders()
-            cyc = None
-            if max(int(orders[e - 1]) for e in members) == m:
-                cyc = min(e for e in members if orders[e - 1] == m)
-            return _build_decomposition(G, list(members), b, cyclic_a=cyc)
+        b = _complement(G, members, G.n // m)
+        if b is None:
+            continue
+        # A is cyclic when it holds an element of order m: take the least
+        members = np.array(members, dtype=np.int64)
+        full = members[orders[members - 1] == m]
+        if full.size:
+            cyc = int(full[0])
+            return _build_decomposition(G, G.powers(cyc), b, cyclic_a=cyc)
+        return _build_decomposition(G, members, b, cyclic_a=None)
     raise PreconditionError(
         "no abelian-normal-by-cyclic decomposition exists for this group")
 
@@ -536,17 +494,32 @@ def dedekind_violation(G: GroupTable) -> tuple[int, int] | None:
     """(x, g) with g<x>g^-1 not in <x>, or None when all cyclic subgroups
     are normal (which makes every subgroup normal)."""
     for x in G.elements:
-        members = cyclic_subgroup(G, x)
-        g = _is_normal(G, members)
+        g = _is_normal(G, G.powers(x), [x])
         if g is not None:
             return x, g
     return None
 
 
+def _q8_embedding(G: GroupTable) -> list[int] | None:
+    """The first (x, y), ascending, with x and y of order 4, y outside <x>,
+    y^2 = x^2 and y x = x^3 y whose products realize ``Q8_TABLE``, as the
+    images of the canonical numbering e, x, x^2, x^3, y, xy, x^2y, x^3y."""
+    t = G.table
+    ys = np.flatnonzero(G.element_orders() == 4) + 1
+    for x in ys.tolist():
+        px = G.powers(x)                        # e, x, x^2, x^3
+        ok = ((t[ys - 1, ys - 1] == px[2]) & ~np.isin(ys, px)
+              & (t[ys - 1, x - 1] == t[px[3] - 1, ys - 1]))
+        for y in ys[ok].tolist():
+            emb = np.concatenate([px, t[px - 1, y - 1]])
+            if np.unique(emb).size == 8 and np.array_equal(
+                    t[np.ix_(emb - 1, emb - 1)], emb[Q8_TABLE - 1]):
+                return emb.tolist()
+    return None
+
+
 def find_hamiltonian_decomposition(G: GroupTable) -> HamiltonianDecomposition:
     """Split a nonabelian Dedekind group as quaternion times abelian."""
-    from .groups import make_quaternion
-
     if G.is_abelian():
         raise PreconditionError("group is abelian, not Hamiltonian")
     witness = dedekind_violation(G)
@@ -556,42 +529,16 @@ def find_hamiltonian_decomposition(G: GroupTable) -> HamiltonianDecomposition:
             f"subgroup <{x}> is not normal: conjugation by {g} leaves it")
     if G.n % 8:
         raise PreconditionError("order not divisible by 8")
-    t = G.table
-    inv = G.inverse
-    orders = G.element_orders()
-    q8 = make_quaternion()
-    emb = None
-    for x in G.elements:
-        if orders[x - 1] != 4:
-            continue
-        x2 = int(t[x - 1, x - 1])
-        xs = set(cyclic_subgroup(G, x))
-        x3 = int(t[x2 - 1, x - 1])
-        for y in G.elements:
-            if orders[y - 1] != 4 or y in xs:
-                continue
-            if int(t[y - 1, y - 1]) != x2:
-                continue
-            if int(t[y - 1, x - 1]) != int(t[x3 - 1, y - 1]):
-                continue    # need y*x = x^3*y
-            cand = [G.identity, x, x2, x3]
-            cand += [int(t[xi - 1, y - 1]) for xi in cand[:4]]
-            ok = len(set(cand)) == 8 and all(
-                int(t[cand[p] - 1, cand[q] - 1]) == cand[int(q8.table[p, q]) - 1]
-                for p in range(8) for q in range(8))
-            if ok:
-                emb = cand
-                break
-        if emb:
-            break
+    emb = _q8_embedding(G)
     if emb is None:
         raise PreconditionError("no quaternion subgroup found")
 
+    t = G.table
     x, y = emb[1], emb[4]
     idx = np.arange(G.n)
     cent = np.nonzero((t[idx, x - 1] == t[x - 1, idx]) &
                       (t[idx, y - 1] == t[y - 1, idx]))[0] + 1
-    Z, z_globals = subtable(G, [int(v) for v in cent])
+    Z, z_globals = subtable(G, cent)
     if not Z.is_abelian() or Z.n * 4 != G.n:
         raise PreconditionError("centralizer of the quaternion part is malformed")
     coords = AbelianCoordinates(Z)
@@ -610,16 +557,12 @@ def find_hamiltonian_decomposition(G: GroupTable) -> HamiltonianDecomposition:
     c_local = subgroup_closure(Z, gens)
     c_globals = sorted(z_globals[v - 1] for v in c_local)
     C, _ = subtable(G, c_globals)
-    pairing = np.empty((8, C.n), dtype=np.int64)
-    q_of = np.full(G.n + 1, -1, dtype=np.int64)
-    c_of = np.full(G.n + 1, -1, dtype=np.int64)
-    for q in range(8):
-        row = t[emb[q] - 1, np.array(c_globals, dtype=np.int64) - 1]
-        pairing[q] = row
-        q_of[row] = q + 1
-        c_of[row] = np.arange(1, C.n + 1)
-    if (q_of[1:] < 0).any():
+    paired = _pairing(G, emb, c_globals)
+    if paired is None:
         raise PreconditionError("quaternion and complement do not cover the group")
+    pairing, q_of, c_of = paired
+    q_of[1:] += 1                               # 1-based ids
+    c_of[1:] += 1
     return HamiltonianDecomposition(
         q8_embedding=tuple(emb), c_table=C, c_elements=tuple(c_globals),
         pairing=pairing, q_of=q_of, c_of=c_of)

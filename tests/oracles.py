@@ -195,3 +195,27 @@ def quotient_table(table: np.ndarray, normal_elements):
     for i, r in enumerate(reps):
         qt[i] = coset_of[table[r - 1, np.array(reps) - 1]]
     return qt, reps, coset_of
+
+
+def power_walk(table: np.ndarray, identity: int, x: int) -> list[int]:
+    """x**0, x**1, ... up to the last power before the identity returns."""
+    out = [identity]
+    cur = x
+    while cur != identity:
+        out.append(cur)
+        cur = int(table[cur - 1, x - 1])
+    return out
+
+
+def normality_witness(table: np.ndarray, inverse: np.ndarray,
+                      members) -> int | None:
+    """None if the subgroup ``members`` is normal, else the least g with
+    g H g^-1 outside H, by conjugating every member by each g in turn."""
+    inset = np.zeros(table.shape[0] + 1, dtype=bool)
+    inset[list(members)] = True
+    arr = np.array(list(members), dtype=np.int64) - 1
+    for g in range(1, table.shape[0] + 1):
+        conj = table[table[g - 1, arr] - 1, inverse[g - 1] - 1]
+        if not inset[conj].all():
+            return g
+    return None

@@ -144,7 +144,7 @@ REFITS = [      # estimator, groups fitted in turn, then set_params and a refit
     (gt.CyclicRep(), ("C12", "C60"), {}),
     (gt.BlockRep(l=1), ("S4", "C7:C3"), {"l": 2}),
     (gt.CompositeRep(), ("A4", "S3"), {"mode": "zgroup"}),
-    (gt.SimpleRep(), ("C5", "A5", "C7"), {"s_max": 3}),
+    (gt.SimpleRep(), ("C5", "A5", "C7"), {}),
     (gt.AbelianFM(), ("C2xC4xC9", "C12"), {}),
     (gt.ZGroupFM(), ("C7:C3", "S3"), {"table_max": 1}),
     (gt.SemidirectFM(), ("A4", "S3"), {}),

@@ -220,24 +220,13 @@ def test_simple_deterministic_choice(corpus):
     assert np.array_equal(r1.path_, r2.path_)
 
 
-def test_simple_s_max_is_configurable_up_to_14():
-    rep = SimpleRep(s_max=14)
-    assert rep.get_params()["s_max"] == 14
-    with pytest.raises(gt.ValidationError):
-        SimpleRep(s_max=15).fit(gt.make_cyclic(5))
-    # size 1 never generates a nonabelian simple group; the search reports
-    # the best size tried instead of looping forever
-    with pytest.raises(PreconditionError, match="size <= 1"):
-        SimpleRep(s_max=1).fit(gt.make_alternating(5))
-
-
 # -- estimator conventions ---------------------------------------------------------
 
 def test_get_set_params():
-    rep = SimpleRep(s_max=6)
-    assert rep.get_params() == {"s_max": 6}
-    rep.set_params(s_max=3)
-    assert rep.s_max == 3
+    rep = CompositeRep(mode="zgroup")
+    assert rep.get_params() == {"mode": "zgroup", "decomposition": None}
+    rep.set_params(mode="auto")
+    assert rep.mode == "auto"
     with pytest.raises(ValueError):
         rep.set_params(bogus=1)
 

@@ -8,8 +8,9 @@ from gtool import structure as st
 from gtool.base import PreconditionError
 
 from conftest import _CACHE, small_entries
-from oracles import (brute_sylow_cyclic, naive_order, order_multiset,
-                     quotient_table, subgroup_closure)
+from oracles import (brute_sylow_cyclic, naive_order, normality_witness,
+                     order_multiset, power_walk, quotient_table,
+                     subgroup_closure)
 
 
 def test_abelian_basis_c6():
@@ -227,6 +228,9 @@ def test_corpus_flags_match_detectors(corpus):
         # the vectorized orders against the scalar walk, element by element
         assert G.element_orders().tolist() == [G.element_order(x)
                                                for x in G.elements], e.name
+        # and the powers by doubling against the scalar walk
+        assert all(G.powers(x).tolist() == power_walk(G.table, G.identity, x)
+                   for x in G.elements), e.name
         assert bool((G.element_orders() == G.n).any()) == e.flags["cyclic"], e.name
         assert st.is_z_group(G) == e.flags["z_group"], e.name
         assert st.is_simple(G) == e.flags["simple"], e.name
@@ -277,3 +281,16 @@ def test_quotient_table_matches_coset_scan(data):
     assert np.array_equal(coset_of, want_coset_of), (entry.name, gens)
     assert np.array_equal(Q.table, want_table), (entry.name, gens)
     assert Q.identity == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_is_normal_matches_member_scan(data):
+    # subgroups spanned by one to three elements, tested through their
+    # generators alone: the same least witness as conjugating every member
+    entry = data.draw(hst.sampled_from(small_entries(512)))
+    G = _CACHE.table(entry.name)
+    gens = data.draw(hst.lists(hst.integers(1, G.n), min_size=1, max_size=3))
+    H = st.subgroup_closure(G, gens)
+    assert st._is_normal(G, H, gens) == \
+        normality_witness(G.table, G.inverse, H), (entry.name, gens)

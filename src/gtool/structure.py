@@ -316,8 +316,9 @@ class AbelianCoordinates:
         flat_of = np.empty(n, dtype=np.int64)
         flat_of[flat - 1] = np.arange(n)
         fields = self.codec.unflat(flat_of)
+        # with no factors (k = 0) fields is empty: coords has no columns,
+        # and pack returns 0, which | broadcasts to n ids
         self.coords = np.array(fields, dtype=np.int64).reshape(-1, n).T.copy()
-        # with no factors (k = 0) pack returns 0, which | broadcasts to n ids
         self.packed = np.zeros(n, dtype=np.int64) | self.codec.pack(fields)
 
 

@@ -9,11 +9,28 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import gtool as gt
 from gtool.blockrep import BlockRep
 from gtool.corpus import CORPUS_BY_NAME, STANDARD_CORPUS, applicable_kinds
 from gtool.cubegen import greedy_cube_sequence
 from gtool.fm import AbelianFM, HamiltonianFM, SemidirectFM, ZGroupFM
 from gtool.special import CompositeRep, CyclicRep, SimpleRep
+
+
+# nonabelian simple groups past A5 and PSL(2,7), kept out of STANDARD_CORPUS
+# so that the perfbench job lists drawn from it do not change
+LARGE_SIMPLE = {
+    "A6": lambda: gt.make_alternating(6),                # n = 360
+    "PSL(2,11)": lambda: gt.make_psl2(11),               # n = 660
+    "PSL(2,13)": lambda: gt.make_psl2(13),               # n = 1092
+}
+
+
+def build_table(name: str):
+    """The table of a corpus or ``LARGE_SIMPLE`` group, built afresh."""
+    if name in LARGE_SIMPLE:
+        return LARGE_SIMPLE[name]()
+    return CORPUS_BY_NAME[name].build()
 
 
 def build_rep(G, kind: str, **params):
@@ -49,7 +66,7 @@ class CorpusCache:
 
     def table(self, name):
         if name not in self._tables:
-            self._tables[name] = CORPUS_BY_NAME[name].build()
+            self._tables[name] = build_table(name)
         return self._tables[name]
 
     def cube(self, name):

@@ -2,7 +2,8 @@
 
 ``tests/data/artifact_sha256.json`` holds the SHA-256 of
 ``serialize.to_bytes`` for one fitted structure of every CLI kind, plus
-the block kind at delta = 1/floor(log2 n), 1/2 and 1; and, per non-block
+the block kind at delta = 1/floor(log2 n), 1/2 and 1, and the simple kind
+on A6 and PSL(2,11) (built outside the corpus); and, per non-block
 kind, one SHA-256 over the artifacts of every corpus group of order at
 most 512 that the kind applies to, which pins each decomposition choice.
 Regenerate it only when an artifact format change is intended:
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from gtool import serialize
-from gtool.corpus import CORPUS_BY_NAME, applicable_kinds
+from gtool.corpus import applicable_kinds
 
 GOLDEN = Path(__file__).parent / "data" / "artifact_sha256.json"
 
@@ -38,6 +39,9 @@ CASES = [
     ("C360", "cyclic", {}),
     ("C360", "composite", {}),
     ("C360", "fm-semidirect", {}),
+    # 2-byte element ids in the nonabelian simple layout (n = 360, 660)
+    ("A6", "simple", {}),
+    ("PSL(2,11)", "simple", {}),
 ]
 
 
@@ -47,8 +51,8 @@ def _case_id(name, kind, params):
 
 
 def _build(name, kind, params):
-    from conftest import build_rep
-    return build_rep(CORPUS_BY_NAME[name].build(), kind, **params)
+    from conftest import build_rep, build_table
+    return build_rep(build_table(name), kind, **params)
 
 
 def _digest(rep):

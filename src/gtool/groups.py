@@ -460,15 +460,20 @@ def make_abelian(orders) -> GroupTable:
     return G
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> GroupTable:
-    k = len(perms[0])
-    index = {p: 1 + t for t, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[t]] for t in range(k))]
-    return GroupTable(table)
+def _perm_table(perms: np.ndarray) -> GroupTable:
+    """Table of the permutations ``perms`` (rows, in lexicographic order).
+
+    Row i of ``P[:, P[:, t]]`` holds (p_i * p_j)(t) for every j; each
+    permutation is coded as a base-k integer, and ``ids`` maps codes back.
+    """
+    n, k = perms.shape
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int32)
+    ids = np.zeros(k ** k, dtype=np.int32)
+    ids[perms @ weights] = np.arange(1, n + 1)
+    prods = np.zeros((n, n), dtype=np.int32)
+    for t in range(k):
+        prods += perms[:, perms[:, t]] * weights[t]
+    return GroupTable(ids[prods])
 
 
 def make_symmetric(k: int) -> GroupTable:
@@ -478,21 +483,17 @@ def make_symmetric(k: int) -> GroupTable:
     """
     if not 1 <= k <= 7:
         raise ValidationError(f"symmetric degree must be in [1, 7], got {k}")
-    return _perm_table(list(permutations(range(k))))
+    return _perm_table(np.array(list(permutations(range(k))), dtype=np.int32))
 
 
 def make_alternating(k: int) -> GroupTable:
     """Alternating group A_k (even permutations, lexicographic order)."""
     if not 1 <= k <= 7:
         raise ValidationError(f"alternating degree must be in [1, 7], got {k}")
-    evens = [p for p in permutations(range(k)) if _parity(p) == 0]
-    return _perm_table(evens)
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
-              if p[i] > p[j])
-    return inv & 1
+    perms = np.array(list(permutations(range(k))), dtype=np.int32)
+    i, j = np.triu_indices(k, 1)
+    inversions = np.count_nonzero(perms[:, i] > perms[:, j], axis=1)
+    return _perm_table(perms[inversions % 2 == 0])
 
 
 def make_psl2(p: int) -> GroupTable:
@@ -505,25 +506,23 @@ def make_psl2(p: int) -> GroupTable:
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValidationError(f"{p} is not prime")
 
-    def canon(m):
-        neg = tuple((-v) % p for v in m)
-        return min(m, neg)
+    def canon(a, b, c, d):
+        # the base-p code of (a, b, c, d) ascends with the tuple order
+        code = ((a % p * p + b % p) * p + c % p) * p + d % p
+        neg = ((-a % p * p + -b % p) * p + -c % p) * p + -d % p
+        return np.minimum(code, neg)
 
-    reps = set()
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        reps.add(canon((a, b, c, d)))
-    ident = canon((1, 0, 0, 1))
-    ordered = [ident] + sorted(m for m in reps if m != ident)
-    index = {m: 1 + t for t, m in enumerate(ordered)}
-    n = len(ordered)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(ordered):
-        for j, (e, f, g, h) in enumerate(ordered):
-            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
-                    (c * e + d * g) % p, (c * f + d * h) % p)
-            table[i, j] = index[canon(prod)]
-    return GroupTable(table)
+    a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
+    det1 = (a * d - b * c) % p == 1
+    codes = np.unique(canon(a[det1], b[det1], c[det1], d[det1]))
+    ident = int(canon(1, 0, 0, 1))
+    ordered = np.concatenate(([ident], codes[codes != ident]))
+    ids = np.zeros(p ** 4, dtype=np.int32)
+    ids[ordered] = np.arange(1, ordered.size + 1)
+    # int32: codes stay below p**4 < 2**31 for any p that can be enumerated
+    a, b, c, d = ((ordered // p ** (3 - i) % p).astype(np.int32)
+                  for i in range(4))
+    e, f, g, h = (x[None, :] for x in (a, b, c, d))
+    a, b, c, d = (x[:, None] for x in (a, b, c, d))
+    prods = canon(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return GroupTable(ids[prods])

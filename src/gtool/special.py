@@ -8,8 +8,6 @@ short fixed path through a Cayley graph with a small generating set.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
@@ -187,13 +185,14 @@ class CompositeRep(Representation):
 class SimpleRep(Representation):
     """Shortest-path representation over a small generating set.
 
-    For a nonabelian simple group, which is 2-generated, the builder scans
-    generating pairs, keeps the one whose Cayley graph has the smallest
-    diameter (ties to the lexicographically first pair), and
+    For a nonabelian simple group, which is 2-generated, the builder keeps
+    the pair whose Cayley graph has the least diameter (ties to the
+    lexicographically first pair), growing the balls of every pair (a, b)
+    with the same a together, level by level; one level-order BFS then
     stores each element's shortest path from the identity as packed edge
-    labels.  A query folds the left operand through the n x |S| step
-    table, held at the id width, along the right operand's path, whose
-    length is held at the width of the diameter.  Abelian simple groups
+    labels.  A query folds the left operand through the n x |S| step table,
+    held at the id width, along the right operand's path, whose length is
+    held at the width of the diameter.  Abelian simple groups
     (prime order) delegate to :class:`CyclicRep`.
     """
 
@@ -211,36 +210,24 @@ class SimpleRep(Representation):
 
         t = G.table
         n = G.n
-        candidates = [x for x in G.elements if x != G.identity]
         # Conjugating a pair maps its Cayley graph isomorphically, so the
         # first minimum-diameter pair starts with the least member of its
-        # conjugacy class: pairs that start elsewhere are skipped.
-        leaders = {cls[0] for cls in conjugacy_classes(G)}
+        # conjugacy class; only a strictly smaller diameter replaces it.
         best = None                      # (diameter, gens)
-        for gens in combinations(candidates, 2):
-            if gens[0] not in leaders:
+        for cls in conjugacy_classes(G):
+            a = cls[0]
+            if a == G.identity:
                 continue
-            d = _bfs_diameter(t, n, G.identity, gens)
-            if d is not None and (best is None or d < best[0]):
-                best = (d, gens)
+            hit = _least_diameter(G, a, n if best is None else best[0])
+            if hit is not None:
+                best = (hit[0], (a, hit[1]))
         if best is None:
             raise PreconditionError("no generating pair found")
         diameter, gens = best
 
-        dist, parent, label = _bfs_paths(t, n, G.identity, gens)
         wl = max(int(len(gens) - 1).bit_length(), 1)
-        path = np.zeros(n, dtype=np.int64)
+        dist, path = _bfs_paths(t, G.identity, gens, wl)
         plen = dist.astype(id_dtype(diameter))
-        for g in range(1, n + 1):
-            labels = []
-            cur = g
-            while cur != G.identity:
-                labels.append(int(label[cur - 1]))
-                cur = int(parent[cur - 1])
-            packed = 0
-            for pos, lab in enumerate(reversed(labels)):
-                packed |= lab << (pos * wl)
-            path[g - 1] = packed
         M = np.ascontiguousarray(t[:, np.array(gens, dtype=np.int64) - 1],
                                  dtype=id_dtype(n))
         for arr in (path, plen, M):
@@ -312,47 +299,63 @@ class SimpleRep(Representation):
         return (2, 2 + self.diameter_)
 
 
-def _bfs_diameter(t, n, identity, gens) -> int | None:
-    """Diameter of the Cayley graph on ``gens``, or None if not generating."""
-    gidx = np.array(gens, dtype=np.int64) - 1
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[identity - 1] = 0
-    frontier = np.array([identity], dtype=np.int64)
-    level = 0
-    reached = 1
-    while frontier.size:
-        prods = t[np.ix_(frontier - 1, gidx)].ravel()
-        nxt = np.unique(prods)
-        nxt = nxt[dist[nxt - 1] < 0]
-        level += 1
-        dist[nxt - 1] = level
-        reached += nxt.size
-        frontier = nxt
-    if reached != n:
-        return None
-    return int(dist.max())
+def _least_diameter(G, a, bound) -> tuple[int, int] | None:
+    """(d, b) for the least b > a, b != e, whose pair (a, b) gives the least
+    Cayley-graph diameter d, if that diameter is below ``bound``; else None.
 
-
-def _bfs_paths(t, n, identity, gens):
-    """BFS recording first-discovered parent and generator label per element.
-
-    The queue is FIFO and generators are explored in index order, so ties
-    resolve to the earliest parent and the smallest label.
+    Row k of the bool matrix R holds the elements that words of length at
+    most L in (a, b_k) reach.  One level extends every row at once by a
+    and by its own b_k, as gathers through x -> x*a^-1 and x -> x*b_k^-1.
+    A row that stops growing spans a proper subgroup and is dropped.
     """
-    dist = np.full(n, -1, dtype=np.int32)
-    parent = np.zeros(n, dtype=np.int64)
-    label = np.zeros(n, dtype=np.int64)
+    t, n, e = G.table, G.n, G.identity
+    bs = np.setdiff1d(np.arange(a + 1, n + 1), [e])
+    back_a = t[:, G.inverse[a - 1] - 1] - 1
+    # row k gathers x*b_k^-1 from itself: offsets into the flattened R
+    flat = t[:, G.inverse[bs - 1] - 1].T - 1 + n * np.arange(bs.size)[:, None]
+    R = np.zeros((bs.size, n), dtype=bool)
+    R[:, e - 1] = True
+    size = np.ones(bs.size, dtype=np.int64)
+    for level in range(1, bound):
+        R |= R[:, back_a] | R.take(flat)
+        count = np.count_nonzero(R, axis=1)
+        full = count == n
+        if full.any():
+            return level, int(bs[full.argmax()])
+        keep = np.flatnonzero(count > size)
+        if keep.size < bs.size:
+            flat = flat[keep] - n * (keep - np.arange(keep.size))[:, None]
+            R, bs = R[keep], bs[keep]
+        size = count[keep]
+        if not bs.size:
+            break
+    return None
+
+
+def _bfs_paths(t, identity, gens, wl):
+    """(dist, path) from a BFS over the Cayley graph on ``gens``, one
+    level at a time; ``path[g-1]`` packs the labels from the identity to g,
+    ``wl`` bits each, the first step lowest.
+
+    A level's products are listed frontier element by frontier element,
+    generators in index order, and each new element keeps its first
+    occurrence: the parent and label a FIFO queue would record.  The next
+    frontier stays in that first-found order.
+    """
+    cols = np.asarray(gens, dtype=np.int64) - 1
+    dist = np.full(len(t), -1, dtype=np.int64)
+    path = np.zeros(len(t), dtype=np.int64)
     dist[identity - 1] = 0
-    queue = [identity]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for i, g in enumerate(gens):
-            w = int(t[v - 1, g - 1])
-            if dist[w - 1] < 0:
-                dist[w - 1] = dist[v - 1] + 1
-                parent[w - 1] = v
-                label[w - 1] = i
-                queue.append(w)
-    return dist, parent, label
+    frontier = np.array([identity - 1])
+    level = 0
+    while frontier.size:
+        level += 1
+        prods = t[frontier[:, None], cols].ravel() - 1
+        new, first = np.unique(prods, return_index=True)
+        first = np.sort(first[dist[new] < 0])
+        new = prods[first]
+        dist[new] = level
+        parent = frontier[first // cols.size]
+        path[new] = path[parent] | (first % cols.size) << ((level - 1) * wl)
+        frontier = new
+    return dist, path

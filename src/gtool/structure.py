@@ -433,27 +433,25 @@ def find_zgroup_decomposition(G: GroupTable) -> SemidirectDecomposition:
 def find_semidirect_decomposition(G: GroupTable) -> SemidirectDecomposition:
     """Split G as A x| C_d with A abelian normal and cyclic complement.
 
-    Candidate subgroups A are normal closures of single elements plus the
-    whole group (abelian case), tried by descending size then ascending
-    closure generator.  Raises when no such split exists.
+    An abelian G splits as A = G with b = e.  Otherwise the candidate
+    subgroups A are the abelian normal closures of single elements, tried
+    by descending size then ascending closure generator.  Raises when no
+    such split exists.
     """
     candidates: list[tuple[int, int, tuple[int, ...]]] = []
-    seen = set()
     if G.is_abelian():
-        whole = tuple(G.elements)
-        candidates.append((-G.n, 0, whole))
-        seen.add(whole)
-    classes = conjugacy_classes(G)
-    for cls in classes:
-        members = tuple(subgroup_closure(G, cls))
-        if members in seen or len(members) == G.n:
-            continue
-        seen.add(members)
-        sub, _ = subtable(G, list(members))
-        if not sub.is_abelian():
-            continue
-        candidates.append((-len(members), cls[0], members))
-    candidates.sort()
+        candidates.append((-G.n, 0, tuple(G.elements)))
+    else:
+        seen = set()
+        for cls in conjugacy_classes(G):
+            members = tuple(subgroup_closure(G, cls))
+            if members in seen or len(members) == G.n:
+                continue
+            seen.add(members)
+            sub, _ = subtable(G, list(members))
+            if sub.is_abelian():
+                candidates.append((-len(members), cls[0], members))
+        candidates.sort()
     orders = G.element_orders()
     for _, _, members in candidates:
         m = len(members)

@@ -219,3 +219,130 @@ def normality_witness(table: np.ndarray, inverse: np.ndarray,
         if not inset[conj].all():
             return g
     return None
+
+
+def simple_pair_scan(table: np.ndarray,
+                     identity: int) -> tuple[int, tuple[int, int]] | None:
+    """(diameter, (a, b)) of the first pair a < b of non-identity elements,
+    in lexicographic order, whose Cayley graph has the least diameter, by
+    one BFS per pair; None when no pair generates.
+
+    Conjugating a pair maps its Cayley graph isomorphically, so only pairs
+    whose a is the least member of its conjugacy class are searched.
+    """
+    n = table.shape[0]
+    inverse = np.argmax(table == identity, axis=1)
+    all_idx = np.arange(n)
+    best = None
+    for a in range(1, n + 1):
+        conj = table[table[all_idx, a - 1] - 1, inverse]   # g a g^-1
+        if a == identity or conj.min() != a:
+            continue
+        for b in range(a + 1, n + 1):
+            if b == identity:
+                continue
+            d = _bfs_diameter(table, identity, (a, b))
+            if d is not None and (best is None or d < best[0]):
+                best = (d, (a, b))
+    return best
+
+
+def _bfs_diameter(table: np.ndarray, identity: int, gens) -> int | None:
+    n = table.shape[0]
+    gidx = np.array(gens, dtype=np.int64) - 1
+    dist = np.full(n, -1, dtype=np.int32)
+    dist[identity - 1] = 0
+    frontier = np.array([identity], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        nxt = np.unique(table[np.ix_(frontier - 1, gidx)])
+        nxt = nxt[dist[nxt - 1] < 0]
+        level += 1
+        dist[nxt - 1] = level
+        frontier = nxt
+    return None if (dist < 0).any() else int(dist.max())
+
+
+def fifo_paths(table: np.ndarray, identity: int,
+               gens) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, path) of a FIFO BFS from the identity that tries generators in
+    index order, so each element keeps its first-found parent and label;
+    ``path[g-1]`` packs the labels from the identity to g, the first step
+    in the lowest bits, ``max(bits(|gens| - 1), 1)`` bits each."""
+    n = table.shape[0]
+    wl = max((len(gens) - 1).bit_length(), 1)
+    dist = np.full(n, -1, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.int64)
+    label = np.zeros(n, dtype=np.int64)
+    dist[identity - 1] = 0
+    queue = [identity]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for i, g in enumerate(gens):
+            w = int(table[v - 1, g - 1])
+            if dist[w - 1] < 0:
+                dist[w - 1] = dist[v - 1] + 1
+                parent[w - 1] = v
+                label[w - 1] = i
+                queue.append(w)
+    path = np.zeros(n, dtype=np.int64)
+    for g in range(1, n + 1):
+        labels = []
+        cur = g
+        while cur != identity:
+            labels.append(int(label[cur - 1]))
+            cur = int(parent[cur - 1])
+        packed = 0
+        for pos, lab in enumerate(reversed(labels)):
+            packed |= lab << (pos * wl)
+        path[g - 1] = packed
+    return dist, path
+
+
+def perm_table_loops(perms) -> np.ndarray:
+    """Table of the permutation tuples ``perms`` by composing every pair,
+    (p*q)(t) = p(q(t)), and looking the product up by tuple."""
+    index = {p: 1 + t for t, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        table[i] = [index[tuple(map(p.__getitem__, q))] for q in perms]
+    return table
+
+
+def even_permutations(k: int) -> list[tuple[int, ...]]:
+    """The even permutations of range(k) in lexicographic order, by
+    counting inversions pair by pair."""
+    from itertools import permutations
+    return [p for p in permutations(range(k))
+            if sum(p[i] > p[j] for i in range(k)
+                   for j in range(i + 1, k)) % 2 == 0]
+
+
+def psl2_loops(p: int) -> np.ndarray:
+    """PSL(2, p) by enumerating determinant-1 matrices entry by entry,
+    each class {M, -M} taken at its lexicographically smaller tuple, the
+    identity first and the rest in sorted order; each product is looked up
+    under both of its signs."""
+    def canon(m):
+        return min(m, tuple((-v) % p for v in m))
+
+    reps = set()
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if (a * d - b * c) % p == 1:
+                        reps.add(canon((a, b, c, d)))
+    ident = canon((1, 0, 0, 1))
+    ordered = [ident] + sorted(m for m in reps if m != ident)
+    index = {}
+    for t, m in enumerate(ordered):
+        index[m] = index[tuple((-v) % p for v in m)] = 1 + t
+    table = np.empty((len(ordered), len(ordered)), dtype=np.int64)
+    for i, (a, b, c, d) in enumerate(ordered):
+        table[i] = [index[((a * e + b * g) % p, (a * f + b * h) % p,
+                           (c * e + d * g) % p, (c * f + d * h) % p)]
+                    for e, f, g, h in ordered]
+    return table

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import gtool as gt
 from gtool.base import GtoolError, ParseError, ValidationError
 
-from oracles import (find_identity, first_assoc_violation, naive_order,
-                     order_multiset, parse_table_rows)
+from oracles import (even_permutations, find_identity, first_assoc_violation,
+                     naive_order, order_multiset, parse_table_rows,
+                     perm_table_loops, psl2_loops)
 
 
 def test_load_c2():
@@ -318,6 +319,20 @@ def test_symmetric_and_alternating():
     A4 = gt.make_alternating(4)
     assert A4.n == 12
     assert order_multiset(A4.table, A4.identity) == [1] + [2] * 3 + [3] * 8
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_permutation_tables_match_loops(k):
+    from itertools import permutations
+    assert np.array_equal(gt.make_symmetric(k).table,
+                          perm_table_loops(list(permutations(range(k)))))
+    assert np.array_equal(gt.make_alternating(k).table,
+                          perm_table_loops(even_permutations(k)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_psl2_tables_match_loops(p):
+    assert np.array_equal(gt.make_psl2(p).table, psl2_loops(p))
 
 
 def test_psl27_matches_data_file():

@@ -11,6 +11,8 @@ from gtool.base import PreconditionError
 from gtool.special import CompositeRep, CyclicRep, SimpleRep
 from gtool.verify import verify_exhaustive, verify_random
 
+from oracles import fifo_paths, simple_pair_scan
+
 
 # -- cyclic ------------------------------------------------------------------
 
@@ -218,6 +220,35 @@ def test_simple_deterministic_choice(corpus):
     r2 = SimpleRep().fit(G)
     assert r1.generators_ == r2.generators_
     assert np.array_equal(r1.path_, r2.path_)
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6"])
+def test_simple_matches_pair_scan_and_fifo_paths(corpus, name):
+    # one BFS per pair and a FIFO queue; too slow to run past A6
+    G = corpus.table(name)
+    rep = corpus.rep(name, "simple")
+    diameter, gens = simple_pair_scan(G.table, G.identity)
+    dist, path = fifo_paths(G.table, G.identity, gens)
+    assert rep.generators_ == gens and rep.diameter_ == diameter
+    assert np.array_equal(rep.path_, path)
+    assert np.array_equal(rep.path_len_, dist)
+
+
+@pytest.mark.parametrize("name, gens, diameter", [
+    ("A6", (17, 90), 10),
+    ("PSL(2,11)", (5, 71), 10),
+    ("PSL(2,13)", (4, 58), 11),
+])
+def test_simple_large_groups(corpus, name, gens, diameter):
+    # conftest.LARGE_SIMPLE: outside the standard corpus
+    G = corpus.table(name)
+    rep = corpus.rep(name, "simple")
+    assert rep.generators_ == gens and rep.diameter_ == diameter
+    assert verify_exhaustive(rep, G) is None
+    # the farthest element costs the whole probe bound
+    far = int(np.argmax(rep.path_len_)) + 1
+    _, ledger = probe_counted_multiply(rep, 2, far)
+    assert ledger.total() == rep.probe_bounds()[1] == 2 + rep.diameter_
 
 
 # -- estimator conventions ---------------------------------------------------------

@@ -6,6 +6,8 @@ calls the code paths under test.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
 
@@ -314,7 +316,6 @@ def perm_table_loops(perms) -> np.ndarray:
 def even_permutations(k: int) -> list[tuple[int, ...]]:
     """The even permutations of range(k) in lexicographic order, by
     counting inversions pair by pair."""
-    from itertools import permutations
     return [p for p in permutations(range(k))
             if sum(p[i] > p[j] for i in range(k)
                    for j in range(i + 1, k)) % 2 == 0]

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,7 +325,6 @@ def test_symmetric_and_alternating():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_permutation_tables_match_loops(k):
-    from itertools import permutations
     assert np.array_equal(gt.make_symmetric(k).table,
                           perm_table_loops(list(permutations(range(k)))))
     assert np.array_equal(gt.make_alternating(k).table,

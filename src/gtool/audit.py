@@ -54,10 +54,6 @@ class SpaceReport:
     probes_max: int
 
     @property
-    def total_bits(self) -> int:
-        return self.slots * self.bits_per_slot
-
-    @property
     def baseline_cayley_slots(self) -> int:
         return self.n * self.n
 
@@ -97,9 +93,7 @@ def measure(rep) -> SpaceReport:
     by_array = dict(rep.space_slots())
     n = getattr(rep, "n_", None) or rep.n
     pmin, pmax = rep.probe_bounds()
-    names = list(getattr(rep, "__dict__", {})) + list(getattr(rep, "__slots__", ()))
-    widths = [arr.dtype.itemsize * 8 for arr in
-              (getattr(rep, name, None) for name in names)
+    widths = [arr.dtype.itemsize * 8 for arr in vars(rep).values()
               if isinstance(arr, np.ndarray)]
     physical = max(widths, default=64)
     return SpaceReport(

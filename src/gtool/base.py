@@ -39,7 +39,7 @@ class NotFittedError(GtoolError, RuntimeError):
 
 
 def check_cayley_table(X) -> np.ndarray:
-    """Coerce ``X`` to an (n, n) int32 array with entries in [1, n].
+    """Copy ``X`` to a new (n, n) int32 array with entries in [1, n].
 
     Only shape and value range are checked here; the group axioms are the
     responsibility of :class:`gtool.groups.GroupTable`.
@@ -59,7 +59,7 @@ def check_cayley_table(X) -> np.ndarray:
         raise ValidationError(
             f"entry at row {bad[0] + 1}, column {bad[1] + 1} is outside [1, {n}]",
             axiom="range", witness=(int(bad[0]) + 1, int(bad[1]) + 1))
-    return arr.astype(np.int32, copy=False)
+    return arr.astype(np.int32)
 
 
 def id_dtype(n: int) -> np.dtype:

@@ -113,20 +113,18 @@ class BlockRep(Representation):
         self.word_index_ = cube.epsilon.astype(np.int64)
         self.word_index_.setflags(write=False)
 
-        two_l = 1 << l
-        mult = np.empty((G.n, m, two_l), dtype=id_dtype(G.n))
-        for i in range(m):
-            gens = cube.elements[i * l:(i + 1) * l]
-            prods = np.empty(two_l, dtype=np.int64)
-            prods[0] = G.identity
-            for j in range(1, two_l):
-                top = j.bit_length() - 1
-                rest = j & ~(1 << top)
-                if top < len(gens):
-                    prods[j] = G.table[prods[rest] - 1, gens[top] - 1]
-                else:
-                    prods[j] = prods[rest]   # generator past k acts as identity
-            mult[:, i, :] = G.table[:, prods - 1]
+        # subset products of all m blocks at once, doubling over the l
+        # generators of each block; generators past k are the identity
+        gens = np.full(m * l, G.identity, dtype=np.int64)
+        gens[:k] = cube.elements
+        gens = gens.reshape(m, l)
+        prods = np.full((m, 1), G.identity, dtype=np.int64)
+        for j in range(l):
+            prods = np.hstack([prods, G.table[prods - 1, gens[:, j, None] - 1]])
+        # 64 rows at a time bounds the int32 gather below the held array
+        mult = np.empty((G.n, m, 1 << l), dtype=id_dtype(G.n))
+        for r in range(0, G.n, 64):
+            mult[r:r + 64] = G.table[r:r + 64, prods - 1]
         mult.setflags(write=False)
         self.mult_arrays_ = mult
         return self

@@ -31,12 +31,6 @@ class GreedyTrace:
     sizes: tuple[int, ...]
     cuts: tuple[int, ...]
 
-    def check_greedy_bound(self, n: int) -> None:
-        for prev, cur in zip(self.sizes, self.sizes[1:]):
-            if n * (n - cur) > (n - prev) ** 2:
-                raise AssertionError(
-                    f"greedy bound violated: n={n}, {prev} -> {cur}")
-
 
 @dataclass(frozen=True)
 class CubeSequence:

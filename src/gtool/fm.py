@@ -20,8 +20,7 @@ import numpy as np
 from .base import (PreconditionError, Representation, ValidationError,
                    check_element_id, id_dtype)
 from .groups import Q8_TABLE, as_group
-from .structure import (AbelianCoordinates, MixedRadix,
-                        SemidirectDecomposition, _prime_factors,
+from .structure import (AbelianCoordinates, MixedRadix, _prime_factors,
                         find_hamiltonian_decomposition,
                         find_semidirect_decomposition,
                         find_zgroup_decomposition)
@@ -442,12 +441,9 @@ class SemidirectLabeler(_Labeler):
         return self.pairing[lab[1] - 1, lab[2]]
 
 
-def compress_semidirect(group,
-                        decomposition: SemidirectDecomposition | None = None
-                        ) -> tuple[SemidirectScheme, SemidirectLabeler]:
+def compress_semidirect(group) -> tuple[SemidirectScheme, SemidirectLabeler]:
     G = as_group(group)
-    dec = decomposition if decomposition is not None \
-        else find_semidirect_decomposition(G)
+    dec = find_semidirect_decomposition(G)
     A = dec.spec.A
     if not A.is_abelian():
         raise PreconditionError("normal part must be abelian")

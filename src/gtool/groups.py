@@ -22,7 +22,9 @@ class GroupTable:
     ``table[x-1, y-1]`` holds the product x*y.  Validation always checks
     the Latin-square property, a two-sided identity, and two-sided
     inverses; the O(n^3) associativity check runs only with ``strict=True``
-    (or via :meth:`check_associativity`).  Loaded tables may place the
+    (or via :meth:`check_associativity`); ``validate=False`` skips every
+    check, for tables that are groups by construction, and derives the
+    identity and inverses the same way.  Loaded tables may place the
     identity anywhere; the constructors in this module put it at 1.
 
     Instances are immutable after construction and safe to share across
@@ -36,72 +38,39 @@ class GroupTable:
         self.table.setflags(write=False)
         self.n = int(self.table.shape[0])
         self._orders = None
-        if validate:
-            self._validate(strict=strict)
-        else:
-            self.identity = int(np.argmax((self.table == np.arange(
-                1, self.n + 1, dtype=np.int32)).all(axis=1))) + 1
-            self.inverse = (1 + np.argmax(
-                self.table == self.identity, axis=1)).astype(np.int32)
-            self.inverse.setflags(write=False)
-
-    # -- validation ------------------------------------------------------
-
-    def _validate(self, strict: bool) -> None:
         t = self.table
-        n = self.n
-        ids = np.arange(1, n + 1, dtype=np.int32)
-        rows_sorted = np.sort(t, axis=1)
-        bad = np.nonzero((rows_sorted != ids).any(axis=1))[0]
-        if bad.size:
-            i = int(bad[0])
-            j1, j2 = _duplicate_positions(t[i])
-            raise ValidationError(
-                f"row {i + 1} is not a permutation of 1..{n}: "
-                f"columns {j1 + 1} and {j2 + 1} both hold {t[i, j1]}",
-                axiom="latin-row", witness=(i + 1, j1 + 1, j2 + 1))
-        # columns as rows of transposed 64-column blocks, which sort faster
-        # than np.sort(t, axis=0) sorts the strided columns
-        for j0 in range(0, n, 64):
-            block = np.sort(t[:, j0:j0 + 64].T)
-            bad = np.nonzero((block != ids).any(axis=1))[0]
-            if bad.size:
-                j = j0 + int(bad[0])
-                i1, i2 = _duplicate_positions(t[:, j])
-                raise ValidationError(
-                    f"column {j + 1} is not a permutation of 1..{n}: "
-                    f"rows {i1 + 1} and {i2 + 1} both hold {t[i1, j]}",
-                    axiom="latin-col", witness=(i1 + 1, i2 + 1, j + 1))
+        ids = np.arange(1, self.n + 1, dtype=np.int32)
+        if validate:
+            _check_latin(t, ids)
+        # in a Latin square at most one row equals the ids: the left identity
+        id_rows = np.nonzero((t == ids).all(axis=1))[0]
+        self.identity = int(id_rows[0]) + 1 if id_rows.size else 1
+        self.inverse = (1 + np.argmax(t == self.identity, axis=1)).astype(np.int32)
+        self.inverse.setflags(write=False)
+        if not validate:
+            return
 
-        left_ids = np.nonzero((t == ids).all(axis=1))[0]
-        identity = None
-        for r in left_ids:
-            if (t[:, r] == ids).all():
-                identity = int(r) + 1
-                break
-        if identity is None:
-            if left_ids.size:
-                r = int(left_ids[0])
-                x = int(np.nonzero(t[:, r] != ids)[0][0])
-                raise ValidationError(
-                    f"element {r + 1} is a left identity but "
-                    f"{x + 1}*{r + 1} = {t[x, r]}",
-                    axiom="identity", witness=(x + 1, r + 1, int(t[x, r])))
+        e = self.identity
+        if not id_rows.size:
             raise ValidationError("no two-sided identity element",
                                   axiom="identity", witness=None)
-        self.identity = identity
+        bad = np.nonzero(t[:, e - 1] != ids)[0]
+        if bad.size:
+            x = int(bad[0])
+            raise ValidationError(
+                f"element {e} is a left identity but "
+                f"{x + 1}*{e} = {t[x, e - 1]}",
+                axiom="identity", witness=(x + 1, e, int(t[x, e - 1])))
 
-        inv = (1 + np.argmax(t == identity, axis=1)).astype(np.int32)
-        left = t[inv - 1, np.arange(n)]
-        bad = np.nonzero(left != identity)[0]
+        inv = self.inverse
+        left = t[inv - 1, np.arange(self.n)]
+        bad = np.nonzero(left != e)[0]
         if bad.size:
             x = int(bad[0])
             raise ValidationError(
                 f"right inverse of {x + 1} is {inv[x]} but "
                 f"{inv[x]}*{x + 1} = {left[x]}",
                 axiom="inverse", witness=(x + 1, int(inv[x]), int(left[x])))
-        self.inverse = inv
-        self.inverse.setflags(write=False)
 
         if strict:
             self.check_associativity()
@@ -227,6 +196,25 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable(n={self.n}, identity={self.identity})"
+
+
+def _check_latin(t, ids) -> None:
+    """Raise at the first row, else the first column, that is not a
+    permutation of ``ids``.  Rows of ``t`` and then of ``t.T`` are sorted
+    64 at a time, which bounds the sort's copy at 64 lines."""
+    n = len(ids)
+    for kind, across, axiom, lines in (("row", "columns", "latin-row", t),
+                                       ("column", "rows", "latin-col", t.T)):
+        for i0 in range(0, n, 64):
+            bad = np.nonzero((np.sort(lines[i0:i0 + 64]) != ids).any(axis=1))[0]
+            if bad.size:
+                i = i0 + int(bad[0])
+                a, b = _duplicate_positions(lines[i])
+                raise ValidationError(
+                    f"{kind} {i + 1} is not a permutation of 1..{n}: "
+                    f"{across} {a + 1} and {b + 1} both hold {lines[i, a]}",
+                    axiom=axiom, witness=(i + 1, a + 1, b + 1) if kind == "row"
+                    else (a + 1, b + 1, i + 1))
 
 
 def _duplicate_positions(vec) -> tuple[int, int]:
@@ -520,9 +508,12 @@ def make_psl2(p: int) -> GroupTable:
     ids = np.zeros(p ** 4, dtype=np.int32)
     ids[ordered] = np.arange(1, ordered.size + 1)
     # int32: codes stay below p**4 < 2**31 for any p that can be enumerated
-    a, b, c, d = ((ordered // p ** (3 - i) % p).astype(np.int32)
-                  for i in range(4))
-    e, f, g, h = (x[None, :] for x in (a, b, c, d))
-    a, b, c, d = (x[:, None] for x in (a, b, c, d))
-    prods = canon(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    return GroupTable(ids[prods])
+    entries = [(ordered // p ** (3 - i) % p).astype(np.int32) for i in range(4)]
+    e, f, g, h = (x[None, :] for x in entries)
+    # 64 rows of products at a time bound the temporaries below the table
+    table = np.empty((ordered.size, ordered.size), dtype=np.int32)
+    for r in range(0, ordered.size, 64):
+        a, b, c, d = (x[r:r + 64, None] for x in entries)
+        table[r:r + 64] = ids[canon(a * e + b * g, a * f + b * h,
+                                    c * e + d * g, c * f + d * h)]
+    return GroupTable(table)

@@ -13,8 +13,7 @@ import numpy as np
 from .base import (PreconditionError, Representation, ValidationError,
                    check_element_id, check_pairs, id_dtype)
 from .groups import as_group
-from .structure import (AbelianCoordinates, MixedRadix,
-                        SemidirectDecomposition, conjugacy_classes,
+from .structure import (AbelianCoordinates, MixedRadix, conjugacy_classes,
                         find_semidirect_decomposition,
                         find_zgroup_decomposition, is_simple, is_z_group)
 
@@ -89,27 +88,20 @@ class CompositeRep(Representation):
 
     rep_kind = "composite"
 
-    def __init__(self, mode: str = "auto",
-                 decomposition: SemidirectDecomposition | None = None):
+    def __init__(self, mode: str = "auto"):
         self.mode = mode
-        self.decomposition = decomposition
 
     def fit(self, group):
         G = as_group(group)
-        dec = self.decomposition
-        if dec is None:
-            if self.mode == "zgroup":
+        if self.mode == "zgroup":
+            dec = find_zgroup_decomposition(G)
+        elif self.mode == "auto":
+            if is_z_group(G):
                 dec = find_zgroup_decomposition(G)
-            elif self.mode == "auto":
-                if is_z_group(G):
-                    dec = find_zgroup_decomposition(G)
-                else:
-                    dec = find_semidirect_decomposition(G)
             else:
-                raise ValidationError(f"unknown mode {self.mode!r}")
-        if dec.a_order * dec.b_order != G.n:
-            raise PreconditionError(
-                "decomposition orders disagree with the group")
+                dec = find_semidirect_decomposition(G)
+        else:
+            raise ValidationError(f"unknown mode {self.mode!r}")
         m_a, d = dec.a_order, dec.b_order
 
         if dec.cyclic_a_generator is not None:

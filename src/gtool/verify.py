@@ -9,8 +9,20 @@ from .groups import GroupTable
 Counterexample = tuple[int, int, int, int]       # (x, y, got, want)
 
 
-def verify_exhaustive(rep, G: GroupTable, chunk: int = 1 << 16
-                      ) -> Counterexample | None:
+_CHUNK = 1 << 16                                  # pairs per predict call
+
+
+def _first_mismatch(rep, G: GroupTable, pairs) -> Counterexample | None:
+    got = rep.predict(pairs)
+    want = G.table[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    bad = np.nonzero(got != want)[0]
+    if bad.size:
+        i = int(bad[0])
+        return (int(pairs[i, 0]), int(pairs[i, 1]), int(got[i]), int(want[i]))
+    return None
+
+
+def verify_exhaustive(rep, G: GroupTable) -> Counterexample | None:
     """Compare rep.predict with the table on all n^2 pairs.
 
     Returns the first mismatch as (x, y, got, want), or None.  Pairs are
@@ -18,17 +30,13 @@ def verify_exhaustive(rep, G: GroupTable, chunk: int = 1 << 16
     """
     n = G.n
     ids = np.arange(1, n + 1, dtype=np.int64)
-    per_row = max(chunk // n, 1)
+    per_row = max(_CHUNK // n, 1)
     for start in range(0, n, per_row):
         rows = ids[start:start + per_row]
         pairs = np.stack([np.repeat(rows, n), np.tile(ids, len(rows))], axis=1)
-        got = rep.predict(pairs)
-        want = G.table[pairs[:, 0] - 1, pairs[:, 1] - 1]
-        bad = np.nonzero(got != want)[0]
-        if bad.size:
-            i = int(bad[0])
-            return (int(pairs[i, 0]), int(pairs[i, 1]),
-                    int(got[i]), int(want[i]))
+        found = _first_mismatch(rep, G, pairs)
+        if found is not None:
+            return found
     return None
 
 
@@ -37,10 +45,4 @@ def verify_random(rep, G: GroupTable, count: int, seed: int = 0
     """Compare rep.predict with the table on seeded uniform pairs."""
     rng = np.random.RandomState(seed)
     pairs = rng.randint(1, G.n + 1, size=(count, 2)).astype(np.int64)
-    got = rep.predict(pairs)
-    want = G.table[pairs[:, 0] - 1, pairs[:, 1] - 1]
-    bad = np.nonzero(got != want)[0]
-    if bad.size:
-        i = int(bad[0])
-        return (int(pairs[i, 0]), int(pairs[i, 1]), int(got[i]), int(want[i]))
-    return None
+    return _first_mismatch(rep, G, pairs)

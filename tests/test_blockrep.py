@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -160,3 +161,15 @@ def test_space_report_fields(corpus):
     assert report.baseline_cayley_slots == 576
     assert report.probes_min == report.probes_max == 1 + rep.m_
     assert "l=2" in report.params
+
+
+def test_fit_peak_stays_near_the_arrays():
+    G = gt.make_cyclic(1024)
+    cube, _ = greedy_cube_sequence(G)
+    tracemalloc.start()
+    try:
+        rep = BlockRep(delta=1).fit(G, cube=cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rep.mult_arrays_.nbytes

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import gtool as gt
 from gtool.base import GtoolError, ParseError, ValidationError
 
+from conftest import LARGE_SIMPLE, table_backed_entries
 from oracles import (even_permutations, find_identity, first_assoc_violation,
                      naive_order, order_multiset, parse_table_rows,
                      perm_table_loops, psl2_loops)
@@ -178,6 +180,15 @@ def test_latin_column_witness_past_first_block():
             assert exc.value.axiom == "latin-col"
             assert exc.value.witness == reference(t), (G.n, a, b)
             assert exc.value.witness[2] == min(a, b) + 1 >= 64
+            # transposed, the same lines are the first bad rows
+            i1, i2, j = reference(t)
+            with pytest.raises(ValidationError) as exc:
+                gt.GroupTable(t.T)
+            assert exc.value.axiom == "latin-row"
+            assert exc.value.witness == (j, i1, i2), (G.n, a, b)
+            assert (f"row {j} is not a permutation of 1..{G.n}: columns "
+                    f"{i1} and {i2} both hold {t[i1 - 1, j - 1]}"
+                    in str(exc.value))
 
 
 def test_make_cyclic():
@@ -360,3 +371,42 @@ def test_identity_not_first_in_loaded_table():
             arr[perm[x] - 1, perm[y] - 1] = perm[C3.mult(x, y)]
     G = gt.GroupTable(arr)
     assert G.identity == 2
+
+
+def test_unvalidated_identity_and_inverse_match_validated(corpus):
+    names = [e.name for e in table_backed_entries()] + list(LARGE_SIMPLE)
+    for name in names:
+        G = corpus.table(name)
+        H = gt.GroupTable(G.table, validate=False)
+        assert H.identity == G.identity, name
+        assert np.array_equal(H.inverse, G.inverse), name
+    # relabel S4 so that the identity is not 1
+    G = corpus.table("S4")
+    sigma = np.random.RandomState(3).permutation(G.n) + 1
+    assert sigma[0] != 1
+    t = np.empty_like(G.table)
+    t[np.ix_(sigma - 1, sigma - 1)] = sigma[G.table - 1]
+    for validate in (True, False):
+        H = gt.GroupTable(t, validate=validate)
+        assert H.identity == sigma[G.identity - 1]
+        assert np.array_equal(H.inverse[sigma - 1], sigma[G.inverse - 1])
+
+
+def test_table_does_not_alias_the_callers_array():
+    B = gt.make_cyclic(3).table.copy()
+    for arr in (B, B[:, :]):
+        G = gt.GroupTable(arr)
+        B[0, 0] = 3                        # the caller's array stays writable
+        assert G.mult(1, 1) == 1 and not G.table.flags.writeable
+        B[0, 0] = 1
+
+
+def test_validation_peak_stays_near_the_table():
+    t = gt.make_cyclic(1024).table.astype(np.int64)
+    tracemalloc.start()
+    try:
+        G = gt.GroupTable(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * G.table.nbytes

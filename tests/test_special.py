@@ -255,7 +255,7 @@ def test_simple_large_groups(corpus, name, gens, diameter):
 
 def test_get_set_params():
     rep = CompositeRep(mode="zgroup")
-    assert rep.get_params() == {"mode": "zgroup", "decomposition": None}
+    assert rep.get_params() == {"mode": "zgroup"}
     rep.set_params(mode="auto")
     assert rep.mode == "auto"
     with pytest.raises(ValueError):

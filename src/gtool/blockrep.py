@@ -31,7 +31,11 @@ def parse_delta(delta) -> Fraction:
     if isinstance(delta, int):
         return Fraction(delta)
     if isinstance(delta, str):
-        return Fraction(delta)
+        try:
+            return Fraction(delta)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f"delta must be an exact rational 'p/q', got {delta!r}") from None
     raise ValidationError(
         f"delta must be an exact rational (Fraction, int, or 'p/q'), "
         f"got {type(delta).__name__}")

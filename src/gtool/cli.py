@@ -179,8 +179,10 @@ def _cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         bad = verify_exhaustive(rep, G)
     elif args.mode.startswith("random:"):
-        count = int(args.mode.split(":", 1)[1])
-        bad = verify_random(rep, G, count, seed=args.seed)
+        count = args.mode.split(":", 1)[1]
+        if not (count.isascii() and count.isdigit()):
+            raise UsageError(f"random:N needs a count N >= 0, got {args.mode}")
+        bad = verify_random(rep, G, int(count), seed=args.seed)
     else:
         raise UsageError(f"unknown mode {args.mode}")
     if bad is None:

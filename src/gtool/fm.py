@@ -6,7 +6,8 @@ compresses the group and labels its elements, and a query processing unit
 the QPU store counts toward space; scheme ``multiply`` methods are pure
 functions of (store, label, label) so a serialized store reproduces
 queries exactly.  They are also the query kernels: label components may be
-Python ints or int64 arrays alike.
+Python ints or int64 arrays alike.  ``multiply`` checks nothing, so its
+labels must come from a labeler's ``label`` or from ``multiply``.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (PreconditionError, Representation, ValidationError,
-                   check_element_id, id_dtype)
+from .base import Representation, ValidationError, check_element_id, id_dtype
 from .groups import Q8_TABLE, as_group
 from .structure import (AbelianCoordinates, MixedRadix, _prime_factors,
                         find_hamiltonian_decomposition,
@@ -38,19 +38,36 @@ class _Labeler:
     """Outside-user labeling of a group's elements.
 
     ``labels`` maps ids to label components and ``elements`` maps label
-    components back to ids; both take Python ints or int64 arrays alike.
-    ``label`` and ``element`` are their checked one-element forms, with
-    Python ints throughout.  The arrays that ``elements`` reads hold ids,
+    components back to ids; both take Python ints or int64 arrays alike
+    and check nothing.  ``label`` and ``element`` are their checked
+    one-element forms, with Python ints throughout: ``element`` takes
+    exactly the tuples that ``label`` (or a scheme's ``multiply``, with
+    numpy integers) returns, and ``codecs[i]`` bounds component i before
+    ``elements`` reads it.  The arrays that ``elements`` reads hold ids,
     at the id width ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
+    codecs: tuple[MixedRadix, ...]
 
     def label(self, x: int) -> FMLabel:
         return tuple(int(v) for v in self.labels(check_element_id(x, self.n)))
 
     def element(self, lab: FMLabel) -> int:
-        return int(self.elements(lab))
+        if type(lab) is tuple and len(lab) == len(self.codecs) and all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                and 0 <= v < 1 << c.bits
+                and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
+                for v, c in zip(lab, self.codecs)):
+            lab = tuple(map(int, lab))
+            x = int(self.elements(lab))
+            if self.label(x) == lab:
+                return x
+        raise ValidationError(f"{lab!r} is not a label of this group")
+
+
+def _fields(*sizes) -> tuple[MixedRadix, ...]:
+    return tuple(MixedRadix((s,)) for s in sizes)
 
 
 # -- abelian ------------------------------------------------------------------
@@ -61,7 +78,7 @@ class AbelianScheme(MixedRadix):
     A label is one packed word of exponents, the mixed-radix codec over the
     factor orders; multiplication adds the fields mod the factor orders.
     No array is read, so a query costs zero probes and O(t) word
-    operations on the packed fields.
+    operations on the packed fields.  Labels are not checked.
     """
 
     def __init__(self, orders):
@@ -85,6 +102,7 @@ class AbelianLabeler(_Labeler):
 
     def __init__(self, scheme: AbelianScheme, packed, element_of_flat):
         self.scheme = scheme
+        self.codecs = (scheme,)
         self.packed = _frozen(packed)
         self.n = len(self.packed)
         self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
@@ -106,6 +124,7 @@ class ArithmeticAbelianLabeler(_Labeler):
 
     def __init__(self, scheme: AbelianScheme):
         self.scheme = scheme
+        self.codecs = (scheme,)
         self.n = scheme.size
 
     def labels(self, x):
@@ -120,10 +139,7 @@ class ArithmeticAbelianLabeler(_Labeler):
 
 
 def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
-    G = as_group(group)
-    if not G.is_abelian():
-        raise PreconditionError("group is not abelian")
-    coords = AbelianCoordinates(G)
+    coords = AbelianCoordinates(as_group(group))
     scheme = AbelianScheme(coords.orders)
     return scheme, AbelianLabeler(scheme, coords.packed, coords.element_of_flat)
 
@@ -138,7 +154,8 @@ def compress_abelian_from_orders(orders) -> tuple[AbelianScheme, ArithmeticAbeli
 class HamiltonianScheme:
     """QPU store for Q8 x C: the fixed 8 x 8 quaternion table plus the
     abelian store for C.  A label packs the quaternion index minus one
-    (three high bits) above the abelian label of the C part."""
+    (three high bits) above the abelian label of the C part.  Labels are
+    not checked."""
 
     def __init__(self, abelian: AbelianScheme):
         self.abelian = abelian
@@ -165,6 +182,8 @@ class HamiltonianLabeler(_Labeler):
 
     def __init__(self, scheme, q_of, c_of, c_labels, by_flat):
         self.scheme = scheme
+        # C's label, then the quaternion index minus one
+        self.codecs = (MixedRadix(scheme.abelian.sizes + (8,)),)
         self.q_of = _frozen(q_of)
         self.c_of = _frozen(c_of)
         self.c_labels = _frozen(c_labels)
@@ -200,7 +219,7 @@ class ZGroupScheme:
     image of the C_m generator under conjugation by b**j.  The output
     label's s component is served from a d-entry table when d is small
     (one probe) and otherwise recomputed by modular exponentiation in
-    O(log d) word operations.
+    O(log d) word operations.  Labels are not checked.
     """
 
     def __init__(self, m: int, d: int, sigma1: int, table_max: int = 64):
@@ -253,6 +272,7 @@ class ZGroupLabeler(_Labeler):
 
     def __init__(self, scheme, i_of, j_of, pairing):
         self.scheme = scheme
+        self.codecs = _fields(scheme.m, scheme.m, scheme.d)
         self.i_of = _frozen(i_of)
         self.j_of = _frozen(j_of)
         self.n = len(i_of) - 1
@@ -287,6 +307,7 @@ class ArithmeticZGroupLabeler(_Labeler):
 
     def __init__(self, scheme: ZGroupScheme):
         self.scheme = scheme
+        self.codecs = _fields(scheme.m, scheme.m, scheme.d)
         self.n = scheme.m * scheme.d
 
     def labels(self, x):
@@ -385,7 +406,7 @@ class SemidirectScheme:
 
     A label is (abelian label of a, index of a, exponent of the cyclic
     part).  A query costs two cycle reads, one label read, and one inverse
-    read."""
+    read.  Labels are not checked."""
 
     def __init__(self, m: int, cycle: CycleStructure, abelian: AbelianScheme,
                  labels_of_a: np.ndarray, index_of_label: np.ndarray):
@@ -428,6 +449,8 @@ class SemidirectLabeler(_Labeler):
 
     def __init__(self, scheme, a_of, j_of, pairing):
         self.scheme = scheme
+        # local A ids are 1-based: 0 is in the box, and no label holds it
+        self.codecs = (scheme.abelian,) + _fields(scheme.a_order + 1, scheme.m)
         self.a_of = _frozen(a_of)
         self.j_of = _frozen(j_of)
         self.n = len(a_of) - 1
@@ -442,12 +465,8 @@ class SemidirectLabeler(_Labeler):
 
 
 def compress_semidirect(group) -> tuple[SemidirectScheme, SemidirectLabeler]:
-    G = as_group(group)
-    dec = find_semidirect_decomposition(G)
-    A = dec.spec.A
-    if not A.is_abelian():
-        raise PreconditionError("normal part must be abelian")
-    coords = AbelianCoordinates(A)
+    dec = find_semidirect_decomposition(as_group(group))
+    coords = AbelianCoordinates(dec.spec.A)
     pi = np.asarray(dec.spec.action, dtype=np.int64)[1 % dec.b_order]
     scheme = SemidirectScheme(dec.b_order, CycleStructure(pi),
                               AbelianScheme(coords.orders), coords.packed,

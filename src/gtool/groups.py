@@ -451,17 +451,18 @@ def make_abelian(orders) -> GroupTable:
 def _perm_table(perms: np.ndarray) -> GroupTable:
     """Table of the permutations ``perms`` (rows, in lexicographic order).
 
-    Row i of ``P[:, P[:, t]]`` holds (p_i * p_j)(t) for every j; each
-    permutation is coded as a base-k integer, and ``ids`` maps codes back.
+    Entry (i, j, t) of ``P[:, P]`` is (p_i * p_j)(t); each permutation is
+    coded as a base-k integer, and ``ids`` maps codes back.  64 rows at a
+    time bound the temporaries below the table.
     """
     n, k = perms.shape
     weights = k ** np.arange(k - 1, -1, -1, dtype=np.int32)
     ids = np.zeros(k ** k, dtype=np.int32)
     ids[perms @ weights] = np.arange(1, n + 1)
-    prods = np.zeros((n, n), dtype=np.int32)
-    for t in range(k):
-        prods += perms[:, perms[:, t]] * weights[t]
-    return GroupTable(ids[prods])
+    table = np.empty((n, n), dtype=np.int32)
+    for r in range(0, n, 64):
+        table[r:r + 64] = ids[perms[r:r + 64][:, perms] @ weights]
+    return GroupTable(table)
 
 
 def make_symmetric(k: int) -> GroupTable:

@@ -109,16 +109,11 @@ class CompositeRep(Representation):
             a_coords = np.arange(m_a, dtype=np.int64)[:, None]
             local_of_flat = np.arange(1, m_a + 1, dtype=np.int64)
         else:
-            if not dec.spec.A.is_abelian():
-                raise PreconditionError("normal part must be abelian")
+            # A is not cyclic, so it has at least two factors
             ac = AbelianCoordinates(dec.spec.A)
-            a_sizes = tuple(ac.orders) if ac.orders else (1,)
-            if ac.orders:
-                a_coords = ac.coords
-                local_of_flat = ac.element_of_flat
-            else:
-                a_coords = np.zeros((1, 1), dtype=np.int64)
-                local_of_flat = np.ones(1, dtype=np.int64)
+            a_sizes = ac.orders
+            a_coords = ac.coords
+            local_of_flat = ac.element_of_flat
 
         # a forward word packs the A coordinates with the b-exponent on top;
         # its flat index over the whole box is the backward position

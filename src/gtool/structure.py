@@ -64,25 +64,6 @@ def subtable(G: GroupTable, elements) -> tuple[GroupTable, list[int]]:
     return GroupTable(sub, validate=False), elements
 
 
-def quotient_table(G: GroupTable, normal_elements) -> tuple[GroupTable, list[int], np.ndarray]:
-    """Quotient by a normal subgroup given as an element list.
-
-    Returns (quotient group, coset representatives, coset id per element).
-    Each coset is represented by its least member, and coset ids follow
-    the representatives in ascending order.
-    """
-    nelems = np.unique(np.asarray(normal_elements, dtype=np.int64)) - 1
-    # N is normal, so the coset of y is Ny: its least member is a column
-    # minimum over N's rows
-    reps, ids = np.unique(G.table[nelems].min(axis=0), return_inverse=True)
-    coset_of = np.zeros(G.n + 1, dtype=np.int64)
-    coset_of[1:] = ids + 1
-    r = reps.astype(np.int64) - 1
-    # a quotient of a group by a normal subgroup is a group
-    return (GroupTable(coset_of[G.table[np.ix_(r, r)]], validate=False),
-            reps.tolist(), coset_of)
-
-
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
     """Conjugacy classes, each sorted, ordered by least member."""
     t = G.table
@@ -178,48 +159,40 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _p_group_basis(H: GroupTable) -> tuple[list[int], list[int]]:
-    """Basis of an abelian p-group by maximal-order picks in quotients.
-
-    At each step the largest-order coset of the current span is located in
-    the quotient and lifted to a representative of the same order; such a
-    representative always exists and is independent of the span.
-    """
-    basis: list[int] = []
-    orders: list[int] = []
-    span = [H.identity]
-    while len(span) < H.n:
-        Q, reps, coset_of = quotient_table(H, span)
-        qorders = Q.element_orders()
-        target = int(qorders.max())
-        cid = int(np.argmax(qorders == target)) + 1
-        members = np.nonzero(coset_of[1:] == cid)[0] + 1
-        matching = members[H.element_orders()[members - 1] == target]
-        if not matching.size:
-            raise AssertionError("no coset representative of matching order")
-        pick = int(matching[0])
-        basis.append(pick)
-        orders.append(target)
-        span = subgroup_closure(H, basis)
-    return basis, orders
-
-
 def abelian_basis(G: GroupTable) -> AbelianBasis:
-    """Decompose an abelian group into independent prime-power cyclic factors."""
+    """Decompose an abelian group into independent prime-power cyclic factors.
+
+    In each Sylow subgroup P, a step takes the least x in P whose coset xS,
+    modulo the span S of the picks so far, has the largest order q, and
+    picks the least element of order q in xS; it is independent of S.
+    """
     if not G.is_abelian():
         raise PreconditionError("group is not abelian")
-    if G.n == 1:
-        return AbelianBasis((), ())
     orders_vec = G.element_orders()
+    inset = np.zeros(G.n + 1, dtype=bool)
     gens: list[int] = []
     orders: list[int] = []
     for p, k in _prime_factors(G.n):
-        pk = p ** k
-        members = sorted(int(x) for x in np.nonzero(pk % orders_vec == 0)[0] + 1)
-        Hp, to_global = subtable(G, members)
-        local_basis, local_orders = _p_group_basis(Hp)
-        gens.extend(to_global[x - 1] for x in local_basis)
-        orders.extend(local_orders)
+        P = np.flatnonzero(p ** k % orders_vec == 0) + 1
+        S = np.array([G.identity])
+        # each step multiplies S.size by q > 1, so this ends on any table
+        while S.size < P.size:
+            inset[S] = True
+            # the order of xS is the least p**j with x**(p**j) in S, j <= k
+            qord, cur = np.ones(P.size, dtype=np.int64), P
+            for _ in range(k):
+                qord[~inset[cur]] *= p
+                cur = G._power(cur, p)
+            inset[S] = False
+            q = int(qord.max())
+            coset = G.table[P[np.argmax(qord == q)] - 1, S - 1]
+            hits = coset[orders_vec[coset - 1] == q]
+            if not hits.size:
+                raise ValidationError("a coset holds no element of its "
+                                      "order: the table is not a group")
+            gens.append(int(hits.min()))
+            orders.append(q)
+            S = G.table[np.ix_(S - 1, G.powers(gens[-1]) - 1)].ravel()
     return AbelianBasis(tuple(gens), tuple(orders))
 
 
@@ -434,7 +407,8 @@ def find_semidirect_decomposition(G: GroupTable) -> SemidirectDecomposition:
     """Split G as A x| C_d with A abelian normal and cyclic complement.
 
     An abelian G splits as A = G with b = e.  Otherwise the candidate
-    subgroups A are the abelian normal closures of single elements, tried
+    subgroups A are the normal closures of single elements whose conjugacy
+    class commutes pairwise (these are the abelian ones, never G), tried
     by descending size then ascending closure generator.  Raises when no
     such split exists.
     """
@@ -444,12 +418,13 @@ def find_semidirect_decomposition(G: GroupTable) -> SemidirectDecomposition:
     else:
         seen = set()
         for cls in conjugacy_classes(G):
-            members = tuple(subgroup_closure(G, cls))
-            if members in seen or len(members) == G.n:
+            c = np.asarray(cls) - 1
+            among = G.table[np.ix_(c, c)]
+            if not np.array_equal(among, among.T):
                 continue
-            seen.add(members)
-            sub, _ = subtable(G, list(members))
-            if sub.is_abelian():
+            members = tuple(subgroup_closure(G, cls))
+            if members not in seen:
+                seen.add(members)
                 candidates.append((-len(members), cls[0], members))
         candidates.sort()
     orders = G.element_orders()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import ValidationError
 from .groups import GroupTable
 
 Counterexample = tuple[int, int, int, int]       # (x, y, got, want)
@@ -43,6 +44,8 @@ def verify_exhaustive(rep, G: GroupTable) -> Counterexample | None:
 def verify_random(rep, G: GroupTable, count: int, seed: int = 0
                   ) -> Counterexample | None:
     """Compare rep.predict with the table on seeded uniform pairs."""
+    if count < 0:
+        raise ValidationError(f"pair count must be >= 0, got {count}")
     rng = np.random.RandomState(seed)
     pairs = rng.randint(1, G.n + 1, size=(count, 2)).astype(np.int64)
     return _first_mismatch(rep, G, pairs)

@@ -347,3 +347,98 @@ def psl2_loops(p: int) -> np.ndarray:
                            (c * e + d * g) % p, (c * f + d * h) % p)]
                     for e, f, g, h in ordered]
     return table
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p**k) for each prime p dividing n, ascending, by trial division."""
+    out = []
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            pk = p
+            while n % (pk * p) == 0:
+                pk *= p
+            out.append((p, pk))
+    return out
+
+
+def abelian_basis(table: np.ndarray, identity: int):
+    """(generators, orders) of an abelian group by maximal-order picks in
+    quotient tables, one Sylow subgroup at a time.
+
+    The Sylow subgroup is reindexed as its own table, ascending.  At each
+    step the quotient by the span of the picks so far is built by
+    :func:`quotient_table`; the first coset of the largest order is lifted
+    to its least member of that order, and the span is closed again.
+    """
+    n = table.shape[0]
+    orders = [naive_order(table, identity, x) for x in range(1, n + 1)]
+    gens, out = [], []
+    for _, pk in _prime_powers(n):
+        members = [x for x in range(1, n + 1) if pk % orders[x - 1] == 0]
+        local = {g: i + 1 for i, g in enumerate(members)}
+        H = np.array([[local[int(table[a - 1, b - 1])] for b in members]
+                      for a in members])
+        e = local[identity]
+        span, basis = [e], []
+        while len(span) < len(members):
+            qt, reps, coset_of = quotient_table(H, span)
+            qorders = [naive_order(qt, int(coset_of[e]), c)
+                       for c in range(1, len(reps) + 1)]
+            target = max(qorders)
+            cid = qorders.index(target) + 1
+            pick = min(x for x in range(1, len(members) + 1)
+                       if coset_of[x] == cid
+                       and naive_order(H, e, x) == target)
+            basis.append(pick)
+            out.append(target)
+            span = subgroup_closure(H, e, basis)
+        gens.extend(members[b - 1] for b in basis)
+    return tuple(gens), tuple(out)
+
+
+def semidirect_split(table: np.ndarray, identity: int):
+    """(a_elements, b_element, multiplier) of the first split A x| <b>
+    with A abelian normal: the closures of the conjugacy classes, each
+    kept when it is not the group and its sub-table is symmetric, by
+    descending size then least
+    class member; for each, the least b of order |G|/|A| whose powers meet
+    A only at the identity.  A cyclic A is listed as the powers of its
+    least element of order |A|, with the t of b a b^-1 = a**t; any other
+    A ascending, with no multiplier.  None when no split exists.
+    """
+    n = table.shape[0]
+    inverse = [int(np.flatnonzero(table[x - 1] == identity)[0]) + 1
+               for x in range(1, n + 1)]
+    if np.array_equal(table, table.T):
+        candidates = [(-n, 0, list(range(1, n + 1)))]
+    else:
+        inv = np.array(inverse) - 1
+        classes = {}
+        for x in range(1, n + 1):
+            cls = np.unique(table[table[:, x - 1] - 1, inv]).tolist()
+            classes.setdefault(tuple(cls), cls)
+        candidates, seen = [], set()
+        for cls in sorted(classes.values()):
+            members = subgroup_closure(table, identity, cls)
+            if tuple(members) in seen or len(members) == n:
+                continue
+            seen.add(tuple(members))
+            idx = np.array(members) - 1
+            sub = table[np.ix_(idx, idx)]
+            if np.array_equal(sub, sub.T):
+                candidates.append((-len(members), cls[0], members))
+        candidates.sort()
+    orders = [naive_order(table, identity, x) for x in range(1, n + 1)]
+    for _, _, members in candidates:
+        m, inA = len(members), set(members)
+        b = next((b for b in range(1, n + 1) if orders[b - 1] == n // m
+                  and not inA & set(power_walk(table, identity, b)[1:])), None)
+        if b is None:
+            continue
+        cyc = next((a for a in members if orders[a - 1] == m), None)
+        if cyc is None:
+            return tuple(members), b, None
+        powers = power_walk(table, identity, cyc)
+        conj = int(table[table[b - 1, cyc - 1] - 1, inverse[b - 1] - 1])
+        return tuple(powers), b, powers.index(conj) if m > 1 else 0
+    return None

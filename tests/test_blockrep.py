@@ -27,6 +27,9 @@ def test_choose_block_length_range_errors():
         choose_block_length(1024, 14, "3/2")      # above 1
     with pytest.raises(ValidationError):
         parse_delta(0.5)                          # floats are ambiguous
+    for text in ("abc", "1/0", "1/x", ""):        # not rationals
+        with pytest.raises(ValidationError):
+            parse_delta(text)
 
 
 @settings(max_examples=60)
@@ -141,6 +144,9 @@ def test_random_verify_on_c1024(corpus):
     G = corpus.table("C1024")
     rep = corpus.rep("C1024", "block", delta=Fraction(1, 2))
     assert verify_random(rep, G, 100_000, seed=0) is None
+    assert verify_random(rep, G, 0) is None
+    with pytest.raises(ValidationError):
+        verify_random(rep, G, -5)
 
 
 def test_trivial_group_block():

@@ -56,6 +56,11 @@ def test_build_block_reports_slots(tmp_path, capsys):
     fields = line.split(",")
     rep = ser.load(art)
     assert int(fields[3]) == 256 * (1 << rep.l_) * rep.m_ + 256 + 4
+    # a delta that is not an exact rational is a malformed input
+    for delta in ("abc", "1/0"):
+        code, _, err = run(capsys, "build", str(table), "block",
+                           str(tmp_path / "x.block"), "--delta", delta)
+        assert code == 2 and "delta" in err, delta
 
 
 def test_build_zgroup_on_klein_fails_with_reason(tmp_path, capsys):
@@ -133,6 +138,10 @@ def test_verify_random_mode_seeded(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(art), str(table),
                           "--mode", "random:5000", "--seed", "7")
     assert code == 0
+    for mode in ("random:abc", "random:", "random:-5"):
+        code, _, err = run(capsys, "verify", str(art), str(table),
+                           "--mode", mode)
+        assert code == 1 and err.startswith("usage error:"), mode
 
 
 def test_verify_trivial_group(tmp_path, capsys):
@@ -163,6 +172,9 @@ def test_bench_csv_regimes(tmp_path, capsys):
     # applicable special rows are present
     assert any(ln.startswith("cyclic,") for ln in lines)
     assert any(ln.startswith("zgroup,") for ln in lines)
+    code, _, err = run(capsys, "bench", str(table), str(out),
+                       "--deltas", "1/2,1/x")
+    assert code == 2 and "delta" in err
 
 
 def test_build_artifacts_byte_identical(tmp_path, capsys):

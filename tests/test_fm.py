@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import gtool as gt
 from gtool import fm
 from gtool.audit import ProbeLedger, probe_counted_multiply
-from gtool.base import PreconditionError, ValidationError
+from gtool.base import GtoolError, PreconditionError, ValidationError
 from gtool.verify import verify_exhaustive
 
 from oracles import cycle_walk, iterate_permutation
@@ -364,3 +364,64 @@ def test_scheme_multiply_is_pure(corpus):
     first = sch.multiply(l1, l2)
     for _ in range(5):
         assert sch.multiply(l1, l2) == first
+
+
+# -- checked labels ----------------------------------------------------------------
+
+def _labeler(corpus, scheme):
+    if scheme == "abelian-arithmetic":
+        return fm.compress_abelian_from_orders([4, 2, 9])[1]
+    if scheme == "zgroup-arithmetic":
+        return fm.compress_zgroup_from_parts(7, 3, 2)[1]
+    name = {"abelian": "C2xC4xC9", "hamiltonian": "Q8xC2xC5",
+            "zgroup": "C7:C3", "semidirect": "A4"}[scheme]
+    return corpus.rep(name, f"fm-{scheme}").labeler_
+
+
+def _malformed(lab, rng):
+    """Labels made from the valid ``lab``: one component shifted, widened,
+    negated or retyped, the arity changed, or another container."""
+    i = int(rng.randint(len(lab)))
+    v = lab[i]
+    swaps = [v + 1, v - 1, v + 1000, -1, -v - 1, 2 * v + 1, 1 << 20,
+             1 << 62, 1 << 63, 1 << 70, -(1 << 70), float(v), v + 0.5,
+             True, False, str(v), None, np.int64(v), np.uint64(v),
+             np.float64(v), int(rng.randint(1 << 16))]
+    out = [lab[:i] + (s,) + lab[i + 1:] for s in swaps]
+    out += [lab[:-1], lab + (0,), (), list(lab), lab[0], None, "label",
+            np.array(lab), tuple(float(u) for u in lab)]
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["abelian", "abelian-arithmetic",
+                                    "hamiltonian", "zgroup",
+                                    "zgroup-arithmetic", "semidirect"])
+def test_label_fuzz_answers_exactly_or_raises(corpus, scheme):
+    # element takes back every label, and takes no tuple that is not one:
+    # whatever else it is given, and whatever id label is given, either
+    # answers exactly or raises a GtoolError
+    lab = _labeler(corpus, scheme)
+    rng = np.random.RandomState(12)
+    for x in range(1, lab.n + 1):
+        assert lab.element(lab.label(x)) == x, (scheme, x)
+    for x in (0, -1, lab.n + 1, 1 << 70, 1.0, True, None, "1"):
+        with pytest.raises(GtoolError):
+            lab.label(x)
+    for x in rng.randint(1, lab.n + 1, 40).tolist():
+        for bad in _malformed(lab.label(x), rng):
+            try:
+                y = lab.element(bad)
+            except GtoolError:
+                continue
+            assert lab.label(y) == tuple(int(v) for v in bad), (scheme, bad)
+
+
+def test_label_fuzz_head_examples(corpus):
+    abelian = corpus.rep("C2xC4xC9", "fm-abelian").labeler_
+    for bad in ((1 << 20,), (-1,), (1.5,)):
+        with pytest.raises(ValidationError):
+            abelian.element(bad)
+    with pytest.raises(ValidationError):
+        corpus.rep("A4", "fm-semidirect").labeler_.element((0, 0, 0))
+    with pytest.raises(ValidationError):
+        corpus.rep("S3", "fm-zgroup").labeler_.element((0, 99, 1))

@@ -410,3 +410,15 @@ def test_validation_peak_stays_near_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * G.table.nbytes
+
+
+def test_permutation_table_peak_stays_near_the_table():
+    # the table and GroupTable's copy of it, plus 64-row temporaries; all
+    # n^2 products at once peak at 3.4 tables
+    tracemalloc.start()
+    try:
+        G = gt.make_symmetric(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * G.table.nbytes

@@ -1,15 +1,18 @@
+import math
+import signal
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import gtool as gt
 from gtool import structure as st
-from gtool.base import PreconditionError
+from gtool.base import GtoolError, PreconditionError
 
 from conftest import _CACHE, small_entries
-from oracles import (brute_sylow_cyclic, naive_order, normality_witness,
-                     order_multiset, power_walk, quotient_table,
+from oracles import (abelian_basis, brute_sylow_cyclic, normality_witness,
+                     order_multiset, power_walk, semidirect_split,
                      subgroup_closure)
 
 
@@ -266,25 +269,6 @@ def test_subgroup_closure_matches_single_walk(data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=hst.data())
-def test_quotient_table_matches_coset_scan(data):
-    # normal subgroups spanned by a few elements, the trivial one and the
-    # whole group: same representatives, coset ids and table as the scan
-    entry = data.draw(hst.sampled_from(small_entries(512)))
-    G = _CACHE.table(entry.name)
-    gens = data.draw(hst.lists(hst.integers(1, G.n), max_size=3))
-    N = st.subgroup_closure(G, gens)
-    if st._is_normal(G, N) is not None:
-        N = data.draw(hst.sampled_from([[G.identity], list(G.elements)]))
-    Q, reps, coset_of = st.quotient_table(G, N)
-    want_table, want_reps, want_coset_of = quotient_table(G.table, N)
-    assert reps == want_reps, (entry.name, gens)
-    assert np.array_equal(coset_of, want_coset_of), (entry.name, gens)
-    assert np.array_equal(Q.table, want_table), (entry.name, gens)
-    assert Q.identity == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=hst.data())
 def test_is_normal_matches_member_scan(data):
     # subgroups spanned by one to three elements, tested through their
     # generators alone: the same least witness as conjugating every member
@@ -294,3 +278,78 @@ def test_is_normal_matches_member_scan(data):
     H = st.subgroup_closure(G, gens)
     assert st._is_normal(G, H, gens) == \
         normality_witness(G.table, G.inverse, H), (entry.name, gens)
+
+
+def _relabel(G, seed):
+    """G with its ids permuted at random, the identity's included."""
+    perm = np.random.RandomState(seed).permutation(G.n) + 1
+    t = np.empty((G.n, G.n), dtype=np.int64)
+    t[np.ix_(perm - 1, perm - 1)] = perm[G.table - 1]
+    return gt.GroupTable(t)
+
+
+def test_abelian_basis_matches_quotient_reference():
+    for e in small_entries(512):
+        if e.flags["abelian"]:
+            G = _CACHE.table(e.name)
+            b = st.abelian_basis(G)
+            assert (b.generators, b.orders) == \
+                abelian_basis(G.table, G.identity), e.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders=hst.lists(hst.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]),
+                        min_size=1, max_size=4),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_abelian_basis_matches_reference_relabelled(orders, seed):
+    assume(math.prod(orders) <= 512)
+    G = _relabel(gt.make_abelian(orders), seed)
+    b = st.abelian_basis(G)
+    assert (b.generators, b.orders) == abelian_basis(G.table, G.identity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entry=hst.sampled_from([e for e in small_entries(512)
+                               if not e.flags["abelian"]]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_semidirect_decomposition_matches_class_closure_reference(entry, seed):
+    G = _relabel(_CACHE.table(entry.name), seed)
+    want = semidirect_split(G.table, G.identity)
+    try:
+        d = st.find_semidirect_decomposition(G)
+    except PreconditionError:
+        assert want is None, entry.name
+        return
+    assert (d.a_elements, d.b_element, d.multiplier) == want, entry.name
+
+
+# commutative loops that pass the checks short of associativity: the
+# order-6 one of test_groups, and one of order 8 in which squaring 2, 3
+# or 7 cycles without reaching the identity
+LOOPS = [
+    [[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
+     [4, 3, 6, 5, 2, 1], [5, 6, 1, 2, 4, 3], [6, 5, 2, 1, 3, 4]],
+    [[1, 2, 3, 4, 5, 6, 7, 8], [2, 4, 7, 3, 8, 5, 6, 1],
+     [3, 7, 8, 2, 1, 4, 5, 6], [4, 3, 2, 7, 6, 8, 1, 5],
+     [5, 8, 1, 6, 4, 7, 3, 2], [6, 5, 4, 8, 7, 1, 2, 3],
+     [7, 6, 5, 1, 3, 2, 8, 4], [8, 1, 6, 5, 2, 3, 4, 7]],
+]
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("abelian_basis did not return")
+
+
+@pytest.mark.parametrize("rows", LOOPS, ids=["order6", "order8"])
+def test_abelian_basis_on_a_loop_returns_or_raises(rows):
+    G = gt.GroupTable(np.array(rows))
+    assert G.is_abelian()
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        st.abelian_basis(G)
+    except GtoolError:
+        pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

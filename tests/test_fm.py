@@ -416,7 +416,7 @@ def test_label_fuzz_answers_exactly_or_raises(corpus, scheme):
             assert lab.label(y) == tuple(int(v) for v in bad), (scheme, bad)
 
 
-def test_label_fuzz_head_examples(corpus):
+def test_element_rejects_labels_that_crashed_or_lied(corpus):
     abelian = corpus.rep("C2xC4xC9", "fm-abelian").labeler_
     for bad in ((1 << 20,), (-1,), (1.5,)):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gtool as gt
@@ -281,7 +281,7 @@ def test_is_normal_matches_member_scan(data):
 
 
 def _relabel(G, seed):
-    """G with its ids permuted at random, the identity's included."""
+    """G with its ids permuted at random, the identity's id among them."""
     perm = np.random.RandomState(seed).permutation(G.n) + 1
     t = np.empty((G.n, G.n), dtype=np.int64)
     t[np.ix_(perm - 1, perm - 1)] = perm[G.table - 1]
@@ -302,7 +302,9 @@ def test_abelian_basis_matches_quotient_reference():
                         min_size=1, max_size=4),
        seed=hst.integers(0, 2 ** 32 - 1))
 def test_abelian_basis_matches_reference_relabelled(orders, seed):
-    assume(math.prod(orders) <= 512)
+    # the longest prefix of orders whose product is at most 512
+    while math.prod(orders) > 512:
+        orders.pop()
     G = _relabel(gt.make_abelian(orders), seed)
     b = st.abelian_basis(G)
     assert (b.generators, b.orders) == abelian_basis(G.table, G.identity)

@@ -18,7 +18,7 @@ from .fm import AbelianFM, HamiltonianFM, SemidirectFM, ZGroupFM, _FMBase
 from .groups import GroupTable, load_cayley_file
 from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import is_simple, is_z_group
-from .verify import verify_exhaustive, verify_random
+from .verify import MAX_SEED, verify_exhaustive, verify_random
 
 REP_KINDS = ("block", "cyclic", "zgroup", "simple", "composite",
              "fm-abelian", "fm-hamiltonian", "fm-zgroup", "fm-semidirect")
@@ -182,6 +182,9 @@ def _cmd_verify(args) -> int:
         count = args.mode.split(":", 1)[1]
         if not (count.isascii() and count.isdigit()):
             raise UsageError(f"random:N needs a count N >= 0, got {args.mode}")
+        if not 0 <= args.seed <= MAX_SEED:
+            raise UsageError(f"--seed must be in [0, {MAX_SEED}], "
+                             f"got {args.seed}")
         bad = verify_random(rep, G, int(count), seed=args.seed)
     else:
         raise UsageError(f"unknown mode {args.mode}")

@@ -212,6 +212,15 @@ def compress_hamiltonian(group) -> tuple[HamiltonianScheme, HamiltonianLabeler]:
 
 # -- Z-groups --------------------------------------------------------------------
 
+def _table_max(value) -> int:
+    """``value`` as a sigma-table bound, which an artifact holds in 32 bits."""
+    value = int(value)
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise ValidationError(
+            f"table_max must be in [0, {0xFFFFFFFF}], got {value}")
+    return value
+
+
 class ZGroupScheme:
     """QPU store for C_m x| C_d: the two orders and the action multiplier.
 
@@ -226,7 +235,7 @@ class ZGroupScheme:
         self.m = int(m)
         self.d = int(d)
         self.sigma1 = int(sigma1)
-        self.table_max = int(table_max)
+        self.table_max = _table_max(table_max)
         if self.m < 1 or self.d < 1:
             raise ValidationError(f"orders m={self.m}, d={self.d} must be >= 1")
         if self.d <= self.table_max:
@@ -287,6 +296,7 @@ class ZGroupLabeler(_Labeler):
 
 
 def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLabeler]:
+    _table_max(table_max)           # before the search
     dec = find_zgroup_decomposition(as_group(group))
     scheme = ZGroupScheme(dec.a_order, dec.b_order, dec.multiplier or 0,
                           table_max=table_max)

@@ -409,8 +409,9 @@ def store_slot_sections(data: bytes) -> dict[str, int]:
 
 
 def save(rep, path) -> None:
+    data = to_bytes(rep)            # a failed encode leaves ``path`` as it was
     with open(path, "wb") as fh:
-        fh.write(to_bytes(rep))
+        fh.write(data)
 
 
 def load(path):

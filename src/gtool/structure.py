@@ -201,8 +201,12 @@ class MixedRadix:
 
     A packed word gives field i ``widths[i]`` = bits(sizes[i] - 1) bits
     starting at bit ``shifts[i]``, field 0 in the low bits.  The flat index
-    is row-major, field 0 most significant (``strides``).  Every method
-    takes Python ints or int64 arrays alike.
+    is row-major, field 0 most significant (``strides``).  The methods
+    ``pack``/``unpack`` (fields <-> word), ``flat``/``unflat`` (fields <->
+    flat index), ``index`` (word -> flat index) and ``add`` (componentwise
+    sum mod sizes of two words) take Python ints or int64 arrays alike.
+    Each is generated once per ``sizes`` as one unrolled expression (see
+    ``_codec_source``), cached, and bound on its first use.
     """
 
     def __init__(self, sizes):
@@ -220,30 +224,21 @@ class MixedRadix:
                                  [(1 << w) - 1 for w in self.widths],
                                  self.sizes))
 
-    def pack(self, fields):
-        out = 0
-        for v, s in zip(fields, self.shifts):
-            out = out | (v << s)
-        return out
+    def __getattr__(self, name):
+        if name not in _CODEC_TERMS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        key = (self.sizes, name)
+        if key not in _COMPILED:
+            namespace = {}
+            exec(_codec_source(self, name), {"__builtins__": {}}, namespace)
+            _COMPILED[key] = namespace[name]
+        fn = self.__dict__[name] = _COMPILED[key]
+        return fn
 
-    def unpack(self, word) -> tuple:
-        return tuple((word >> s) & mask for s, mask, _ in self._fields)
-
-    def flat(self, fields):
-        out = 0
-        for v, st in zip(fields, self.strides):
-            out = out + v * st
-        return out
-
-    def unflat(self, index) -> tuple:
-        return tuple((index // st) % s for s, st in zip(self.sizes, self.strides))
-
-    def index(self, word):
-        """Flat index of a packed word."""
-        out = word & 0              # zero shaped like word, even with no fields
-        for (s, mask, _), st in zip(self._fields, self.strides):
-            out = out + ((word >> s) & mask) * st
-        return out
+    def __reduce__(self):
+        # rebuilt from the sizes: a generated function does not pickle
+        return type(self), (self.sizes,)
 
     def holds(self, words) -> bool:
         """True iff every word of the nonempty array ``words`` (>= 0) packs
@@ -254,12 +249,42 @@ class MixedRadix:
         return bool((words >> top).max() < top_size) and all(
             ((words >> s) & mask).max() < size for s, mask, size in low)
 
-    def add(self, w1, w2):
-        """Componentwise sum mod sizes of two packed words, packed."""
-        out = w1 & 0                # as in index
-        for s, mask, size in self._fields:
-            out = out | ((((w1 >> s) & mask) + ((w2 >> s) & mask)) % size << s)
-        return out
+
+# per method: its arguments, the term of field i, and how terms join (a
+# tuple for ", "); {word}, {w1}, {w2} are the field's bits in that word,
+# and {shl}, {times}, {div} its shift and stride, each omitted when a no-op
+_CODEC_TERMS = {
+    "pack": ("fields", "fields[{i}]{shl}", " | "),
+    "unpack": ("word", "{word}", ", "),
+    "flat": ("fields", "fields[{i}]{times}", " + "),
+    "unflat": ("index", "index{div} % {size}", ", "),
+    "index": ("word", "{word}{times}", " + "),
+    "add": ("w1, w2", "({w1} + {w2}) % {size}{shl}", " | "),
+}
+_COMPILED: dict = {}        # (sizes, method name) -> generated function
+
+
+def _codec_source(box: MixedRadix, name: str) -> str:
+    """The source of ``box``'s method ``name``: one expression over the
+    fields, with their shifts, masks, sizes and strides as literals.  No
+    term shifts by 0 or multiplies by 1, and no result is an input."""
+    args, term, op = _CODEC_TERMS[name]
+    terms = [term.format(
+        i=i, size=size, shl=f" << {s}" if s else "",
+        times=f" * {st}" if st > 1 else "", div=f" // {st}" if st > 1 else "",
+        **{w: f"({w} >> {s} & {mask})" if s else f"({w} & {mask})"
+           for w in ("word", "w1", "w2")})
+        for i, ((s, mask, size), st) in enumerate(zip(box._fields, box.strides))
+        # index and add skip the 0-bit fields, which hold only 0
+        if mask or op == ", " or args == "fields"]
+    if op == ", ":
+        expr = "(" + "".join(t + ", " for t in terms) + ")"
+    elif len(terms) == 1 and args == "fields":
+        expr = "+" + terms[0]       # a new value, not the input field
+    else:   # with no term: 0, or a zero shaped like the first word
+        expr = op.join(terms) or ("0" if args == "fields"
+                                  else args.split(",")[0] + " & 0")
+    return f"def {name}({args}):\n    return {expr}\n"
 
 
 class AbelianCoordinates:
@@ -354,7 +379,12 @@ def _build_decomposition(G: GroupTable, a_elements, b: int,
     a_elements = np.asarray(a_elements, dtype=np.int64)
     b_powers = G.powers(b)
     m, d = a_elements.size, b_powers.size
-    A_t = make_cyclic(m) if cyclic_a is not None else subtable(G, a_elements)[0]
+    if cyclic_a is not None:
+        A_t = make_cyclic(m)
+    elif np.array_equal(a_elements, G.elements):
+        A_t = G                     # A = G, listed 1..n: no copy of the table
+    else:
+        A_t = subtable(G, a_elements)[0]
     local_a = np.zeros(G.n + 1, dtype=np.int64)
     local_a[a_elements] = np.arange(1, m + 1)
     # action[j, i] is the local id of b**j * a_i * b**-j

@@ -11,6 +11,7 @@ Counterexample = tuple[int, int, int, int]       # (x, y, got, want)
 
 
 _CHUNK = 1 << 16                                  # pairs per predict call
+MAX_SEED = (1 << 32) - 1                          # numpy's RandomState bound
 
 
 def _first_mismatch(rep, G: GroupTable, pairs) -> Counterexample | None:
@@ -46,6 +47,8 @@ def verify_random(rep, G: GroupTable, count: int, seed: int = 0
     """Compare rep.predict with the table on seeded uniform pairs."""
     if count < 0:
         raise ValidationError(f"pair count must be >= 0, got {count}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValidationError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     rng = np.random.RandomState(seed)
     pairs = rng.randint(1, G.n + 1, size=(count, 2)).astype(np.int64)
     return _first_mismatch(rep, G, pairs)

@@ -6,6 +6,7 @@ calls the code paths under test.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -442,3 +443,51 @@ def semidirect_split(table: np.ndarray, identity: int):
         conj = int(table[table[b - 1, cyc - 1] - 1, inverse[b - 1] - 1])
         return tuple(powers), b, powers.index(conj) if m > 1 else 0
     return None
+
+
+class LoopMixedRadix:
+    """The mixed-radix codec over the box prod [0, sizes[i]) written as
+    one loop over the fields per call: field i takes bits(sizes[i] - 1)
+    bits, field 0 lowest in a packed word and most significant in the
+    row-major flat index.  Every method takes Python ints or int64 arrays
+    alike."""
+
+    def __init__(self, sizes):
+        self.sizes = tuple(int(s) for s in sizes)
+        widths = [(s - 1).bit_length() for s in self.sizes]
+        self.shifts = [sum(widths[:i]) for i in range(len(widths))]
+        self.masks = [(1 << w) - 1 for w in widths]
+        self.strides = [math.prod(self.sizes[i + 1:])
+                        for i in range(len(widths))]
+
+    def pack(self, fields):
+        out = 0
+        for v, s in zip(fields, self.shifts):
+            out = out | (v << s)
+        return out
+
+    def unpack(self, word) -> tuple:
+        return tuple((word >> s) & mask
+                     for s, mask in zip(self.shifts, self.masks))
+
+    def flat(self, fields):
+        out = 0
+        for v, st in zip(fields, self.strides):
+            out = out + v * st
+        return out
+
+    def unflat(self, index) -> tuple:
+        return tuple((index // st) % s
+                     for s, st in zip(self.sizes, self.strides))
+
+    def index(self, word):
+        out = word & 0              # zero shaped like word, even with no fields
+        for s, mask, st in zip(self.shifts, self.masks, self.strides):
+            out = out + ((word >> s) & mask) * st
+        return out
+
+    def add(self, w1, w2):
+        out = w1 & 0
+        for s, mask, size in zip(self.shifts, self.masks, self.sizes):
+            out = out | ((((w1 >> s) & mask) + ((w2 >> s) & mask)) % size << s)
+        return out

@@ -147,6 +147,10 @@ def test_random_verify_on_c1024(corpus):
     assert verify_random(rep, G, 0) is None
     with pytest.raises(ValidationError):
         verify_random(rep, G, -5)
+    for seed in (-1, 1 << 32):          # outside numpy's seed range
+        with pytest.raises(ValidationError, match="seed"):
+            verify_random(rep, G, 10, seed=seed)
+    assert verify_random(rep, G, 10, seed=(1 << 32) - 1) is None
 
 
 def test_trivial_group_block():

@@ -4,6 +4,7 @@ import pytest
 import gtool as gt
 from gtool import serialize as ser
 from gtool.cli import main
+from gtool.fm import ZGroupFM
 
 
 def run(capsys, *argv):
@@ -142,6 +143,48 @@ def test_verify_random_mode_seeded(tmp_path, capsys):
         code, _, err = run(capsys, "verify", str(art), str(table),
                            "--mode", mode)
         assert code == 1 and err.startswith("usage error:"), mode
+    for seed in ("-1", str(1 << 32)):       # outside numpy's seed range
+        code, _, err = run(capsys, "verify", str(art), str(table),
+                           "--mode", "random:10", "--seed", seed)
+        assert code == 1 and err.startswith("usage error:"), seed
+        assert "--seed" in err and "Traceback" not in err, seed
+    assert run(capsys, "verify", str(art), str(table), "--mode", "random:10",
+               "--seed", str((1 << 32) - 1))[0] == 0
+
+
+def test_build_rejects_table_max_out_of_range(tmp_path, capsys):
+    table = tmp_path / "c6.table"
+    run(capsys, "gen", "cyclic", "6", str(table))
+    out = tmp_path / "z.gta"
+    for bad in ("-1", str(1 << 32)):
+        code, _, err = run(capsys, "build", str(table), "fm-zgroup", str(out),
+                           "--table-max", bad)
+        assert code == 2 and "table_max" in err, bad
+        assert "corrupt" not in err and not out.exists(), bad
+    for ok in ("0", str((1 << 32) - 1)):
+        assert run(capsys, "build", str(table), "fm-zgroup", str(out),
+                   "--table-max", ok)[0] == 0
+        assert ser.load(out).scheme_.table_max == int(ok)
+
+
+def test_failed_build_keeps_the_artifact_at_out(tmp_path, capsys,
+                                                monkeypatch):
+    table = tmp_path / "c6.table"
+    run(capsys, "gen", "cyclic", "6", str(table))
+    out = tmp_path / "z.gta"
+    assert run(capsys, "build", str(table), "fm-zgroup", str(out))[0] == 0
+    good = out.read_bytes()
+    fit = ZGroupFM.fit
+
+    def fit_then_spoil(self, G):        # a store that the encoder rejects
+        fit(self, G)
+        self.scheme_.table_max = -1
+        return self
+
+    monkeypatch.setattr(ZGroupFM, "fit", fit_then_spoil)
+    code, _, err = run(capsys, "build", str(table), "fm-zgroup", str(out))
+    assert code == 2 and "table_max" in err
+    assert out.read_bytes() == good
 
 
 def test_verify_trivial_group(tmp_path, capsys):

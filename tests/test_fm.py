@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gtool as gt
 from gtool import fm
+from gtool import serialize as ser
 from gtool.audit import ProbeLedger, probe_counted_multiply
 from gtool.base import GtoolError, PreconditionError, ValidationError
 from gtool.verify import verify_exhaustive
@@ -207,6 +208,18 @@ def test_zgroup_action_consistency_checked():
     for m, d in ((0, 3), (7, 0)):    # orders below 1
         with pytest.raises(ValidationError):
             fm.ZGroupScheme(m, d, 1)
+
+
+def test_zgroup_table_max_is_range_checked_before_the_search():
+    # Klein has no Z-group split: the bound is rejected before the search
+    for bad in (-1, 1 << 32):
+        with pytest.raises(ValidationError, match="table_max"):
+            fm.ZGroupFM(table_max=bad).fit(gt.make_abelian([2, 2]))
+        with pytest.raises(ValidationError, match="table_max"):
+            fm.ZGroupScheme(7, 3, 2, table_max=bad)
+    for ok in (0, (1 << 32) - 1):
+        rep = fm.ZGroupFM(table_max=ok).fit(gt.make_symmetric(3))
+        assert ser.from_bytes(ser.to_bytes(rep)).scheme_.table_max == ok
 
 
 def test_zgroup_rejects_klein():

@@ -206,7 +206,7 @@ class MixedRadix:
     flat index), ``index`` (word -> flat index) and ``add`` (componentwise
     sum mod sizes of two words) take Python ints or int64 arrays alike.
     Each is generated once per ``sizes`` as one unrolled expression (see
-    ``_codec_source``), cached, and bound on its first use.
+    ``_generated``), cached, and bound on its first use.
     """
 
     def __init__(self, sizes):
@@ -224,16 +224,10 @@ class MixedRadix:
                                  [(1 << w) - 1 for w in self.widths],
                                  self.sizes))
 
-    def __getattr__(self, name):
+    def __getattr__(self, name):    # only for a name not yet bound
         if name not in _CODEC_TERMS:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        key = (self.sizes, name)
-        if key not in _COMPILED:
-            namespace = {}
-            exec(_codec_source(self, name), {"__builtins__": {}}, namespace)
-            _COMPILED[key] = namespace[name]
-        fn = self.__dict__[name] = _COMPILED[key]
+            raise AttributeError(name)
+        fn = self.__dict__[name] = _generated(self, name)
         return fn
 
     def __reduce__(self):
@@ -264,10 +258,13 @@ _CODEC_TERMS = {
 _COMPILED: dict = {}        # (sizes, method name) -> generated function
 
 
-def _codec_source(box: MixedRadix, name: str) -> str:
-    """The source of ``box``'s method ``name``: one expression over the
-    fields, with their shifts, masks, sizes and strides as literals.  No
-    term shifts by 0 or multiplies by 1, and no result is an input."""
+def _generated(box: MixedRadix, name: str):
+    """``box``'s method ``name``, compiled once per sizes: one expression
+    with the fields' shifts, masks, sizes and strides as literals, no term
+    that shifts by 0 or multiplies by 1, and no input as its result."""
+    key = (box.sizes, name)
+    if key in _COMPILED:
+        return _COMPILED[key]
     args, term, op = _CODEC_TERMS[name]
     terms = [term.format(
         i=i, size=size, shl=f" << {s}" if s else "",
@@ -284,7 +281,11 @@ def _codec_source(box: MixedRadix, name: str) -> str:
     else:   # with no term: 0, or a zero shaped like the first word
         expr = op.join(terms) or ("0" if args == "fields"
                                   else args.split(",")[0] + " & 0")
-    return f"def {name}({args}):\n    return {expr}\n"
+    namespace = {}
+    exec(f"def {name}({args}):\n    return {expr}\n", {"__builtins__": {}},
+         namespace)
+    _COMPILED[key] = namespace[name]
+    return namespace[name]
 
 
 class AbelianCoordinates:

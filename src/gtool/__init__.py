@@ -32,11 +32,10 @@ from .groups import (
     make_quaternion,
     make_semidirect,
     make_symmetric,
-    trivial_action,
 )
-from .audit import ProbeLedger, SpaceReport, assert_fits, measure, probe_counted_multiply
+from .audit import ProbeLedger, SpaceReport, measure, probe_counted_multiply
 from .blockrep import BlockRep, choose_block_length, tradeoff_table
-from .cubegen import CubeSequence, GreedyTrace, greedy_cube_sequence, verify_cube
+from .cubegen import CubeSequence, GreedyTrace, greedy_cube_sequence
 from .fm import (
     AbelianFM,
     AbelianScheme,
@@ -45,7 +44,6 @@ from .fm import (
     SemidirectFM,
     ZGroupFM,
     compress_abelian,
-    compress_abelian_from_orders,
     compress_hamiltonian,
     compress_semidirect,
     compress_zgroup,
@@ -72,8 +70,7 @@ __all__ = [
     "NotFittedError", "ParseError", "PreconditionError", "ProbeLedger",
     "Representation", "SemidirectFM", "SemidirectSpec", "SimpleRep",
     "SpaceReport", "ValidationError", "ZGroupFM", "abelian_basis",
-    "as_group", "assert_fits", "choose_block_length",
-    "compress_abelian", "compress_abelian_from_orders",
+    "as_group", "choose_block_length", "compress_abelian",
     "compress_hamiltonian", "compress_semidirect", "compress_zgroup",
     "find_hamiltonian_decomposition",
     "find_semidirect_decomposition", "find_zgroup_decomposition",
@@ -81,6 +78,5 @@ __all__ = [
     "load_cayley_table", "make_abelian", "make_alternating", "make_cyclic",
     "make_dihedral", "make_direct", "make_psl2", "make_quaternion",
     "make_semidirect", "make_symmetric", "measure", "probe_counted_multiply",
-    "qpu_space", "tradeoff_table", "trivial_action", "verify_cube",
-    "verify_exhaustive", "verify_random",
+    "qpu_space", "tradeoff_table", "verify_exhaustive", "verify_random",
 ]

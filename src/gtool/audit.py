@@ -75,11 +75,6 @@ def word_bits(n: int) -> int:
     return max(int(n).bit_length(), 1)
 
 
-def assert_fits(value: int, width_bits: int) -> bool:
-    """True iff a nonnegative value fits in ``width_bits`` bits."""
-    return 0 <= int(value) < (1 << width_bits)
-
-
 def _params_string(rep) -> str:
     get = getattr(rep, "get_params", None)
     if get is None:

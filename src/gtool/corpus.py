@@ -1,10 +1,8 @@
 """The standard corpus: named groups with their expected structure flags.
 
-Each entry records how to build the group and which representations apply
-to it.  Entries up to order 1024 are table-backed; a few larger abelian
-and metacyclic members are "virtual" (no explicit table) and exercise the
-label schemes through arithmetic oracles only.  The PSL(2,7) table ships
-as a data file and is loaded, not regenerated, at run time.
+Each entry records how to build the group's table and which
+representations apply to it.  The PSL(2,7) table ships as a data file and
+is loaded, not regenerated, at run time.
 """
 
 from __future__ import annotations
@@ -29,12 +27,9 @@ class CorpusEntry:
     family: str
     params: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    virtual: bool = False
+    virtual = False     # every entry has a table; perfbench reads the flag
 
     def build(self) -> GroupTable:
-        if self.virtual:
-            raise ValidationError(
-                f"{self.name} is a virtual entry with no explicit table")
         return build_family(self.family, self.params)
 
 
@@ -176,17 +171,6 @@ def standard_corpus() -> list[CorpusEntry]:
         name="PSL(2,7)", family="file", params={"path": "psl2_7.table"},
         flags=_flags(abelian=False, cyclic=False, z_group=False,
                      hamiltonian=False, simple=True, semidirect=False)))
-    # virtual members: large abelian groups for the constant-store checks
-    entries.append(CorpusEntry(
-        name="C16384", family="abelian", params={"orders": [16384]},
-        flags=_flags(abelian=True, cyclic=True, z_group=True,
-                     hamiltonian=False, simple=False, semidirect=True),
-        virtual=True))
-    entries.append(CorpusEntry(
-        name="C4096xC4", family="abelian", params={"orders": [4096, 4]},
-        flags=_flags(abelian=True, cyclic=False, z_group=False,
-                     hamiltonian=False, simple=False, semidirect=True),
-        virtual=True))
     return entries
 
 
@@ -196,8 +180,6 @@ CORPUS_BY_NAME = {e.name: e for e in STANDARD_CORPUS}
 
 def applicable_kinds(entry: CorpusEntry) -> list[str]:
     """Representation kinds whose preconditions this entry satisfies."""
-    if entry.virtual:
-        return ["fm-abelian"] if entry.flags["abelian"] else []
     kinds = ["block"]
     if entry.flags["cyclic"]:
         kinds.append("cyclic")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParseError, ValidationError, check_element_id
 from .groups import GroupTable
 
 
@@ -44,16 +43,6 @@ class CubeSequence:
     k: int
     elements: tuple[int, ...]
     epsilon: np.ndarray     # (n,) int64, read-only
-
-    def decompose(self, g: int) -> int:
-        """The frozen packed bitstring for element g."""
-        g = check_element_id(g, self.n)
-        return int(self.epsilon[g - 1])
-
-    def bits(self, g: int) -> str:
-        """Decomposition as a k-character 0/1 string, first generator first."""
-        e = self.decompose(g)
-        return "".join("1" if (e >> i) & 1 else "0" for i in range(self.k))
 
 
 def greedy_cube_sequence(G: GroupTable) -> tuple[CubeSequence, GreedyTrace]:
@@ -93,45 +82,3 @@ def greedy_cube_sequence(G: GroupTable) -> tuple[CubeSequence, GreedyTrace]:
     epsilon.setflags(write=False)
     seq = CubeSequence(n=n, k=stage, elements=tuple(elements), epsilon=epsilon)
     return seq, GreedyTrace(sizes=tuple(sizes), cuts=tuple(cuts))
-
-
-def verify_cube(G: GroupTable, seq: CubeSequence) -> bool:
-    """True iff the 2^k subset products, as a set, are exactly the group.
-
-    Guarded at k <= 30; the check enumerates products incrementally, so it
-    costs O(2^k) table lookups.
-    """
-    if seq.k > 30:
-        raise ValidationError(f"k={seq.k} exceeds the enumeration guard of 30")
-    prods = np.array([G.identity], dtype=np.int64)
-    for gi in seq.elements:
-        prods = np.concatenate([prods, G.table[prods - 1, gi - 1]])
-    return bool(np.array_equal(np.unique(prods), np.arange(1, G.n + 1)))
-
-
-def dump_cube_sequence(seq: CubeSequence) -> str:
-    """Textual form: 'k n' header, k generator ids, then n 'g bits' lines."""
-    lines = [f"{seq.k} {seq.n}"]
-    lines.extend(str(g) for g in seq.elements)
-    lines.extend(f"{g} {seq.bits(g)}" for g in range(1, seq.n + 1))
-    return "\n".join(lines) + "\n"
-
-
-def load_cube_sequence(text: str) -> CubeSequence:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        k, n = map(int, lines[0].split())
-    except (ValueError, IndexError):
-        raise ParseError("malformed cube-sequence header") from None
-    if len(lines) != 1 + k + n:
-        raise ParseError(f"expected {1 + k + n} lines, got {len(lines)}")
-    elements = tuple(int(ln) for ln in lines[1:1 + k])
-    epsilon = np.zeros(n, dtype=np.int64)
-    for ln in lines[1 + k:]:
-        gs, bits = ln.split()
-        g = int(gs)
-        if len(bits) != k:
-            raise ParseError(f"element {g} has {len(bits)} bits, expected {k}")
-        epsilon[g - 1] = int(bits[::-1], 2) if k else 0
-    epsilon.setflags(write=False)
-    return CubeSequence(n=n, k=k, elements=elements, epsilon=epsilon)

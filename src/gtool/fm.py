@@ -114,39 +114,10 @@ class AbelianLabeler(_Labeler):
         return self.element_of_flat[self.scheme.index(lab[0])]
 
 
-class ArithmeticAbelianLabeler(_Labeler):
-    """Labeling for a virtual abelian group given only by factor orders.
-
-    Elements are numbered by the mixed-radix index of their exponent
-    tuple plus one, so labels are computed arithmetically without any
-    stored table.
-    """
-
-    def __init__(self, scheme: AbelianScheme):
-        self.scheme = scheme
-        self.codecs = (scheme,)
-        self.n = scheme.size
-
-    def labels(self, x):
-        return (self.scheme.pack(self.scheme.unflat(x - 1)),)
-
-    def elements(self, lab):
-        return 1 + self.scheme.index(lab[0])
-
-    def multiply_ids(self, x: int, y: int) -> int:
-        """Arithmetic oracle product for the virtual group."""
-        return self.element(self.scheme.multiply(self.label(x), self.label(y)))
-
-
 def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
     coords = AbelianCoordinates(as_group(group))
     scheme = AbelianScheme(coords.orders)
     return scheme, AbelianLabeler(scheme, coords.packed, coords.element_of_flat)
-
-
-def compress_abelian_from_orders(orders) -> tuple[AbelianScheme, ArithmeticAbelianLabeler]:
-    scheme = AbelianScheme(orders)
-    return scheme, ArithmeticAbelianLabeler(scheme)
 
 
 # -- Hamiltonian ----------------------------------------------------------------
@@ -302,38 +273,6 @@ def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLab
                           table_max=table_max)
     labeler = ZGroupLabeler(scheme, dec.a_of, dec.j_of, dec.pairing)
     return scheme, labeler
-
-
-def compress_zgroup_from_parts(m: int, d: int, multiplier: int,
-                               table_max: int = 64
-                               ) -> tuple[ZGroupScheme, "ArithmeticZGroupLabeler"]:
-    """Scheme plus arithmetic labeler for a virtual C_m x| C_d."""
-    scheme = ZGroupScheme(m, d, multiplier, table_max=table_max)
-    return scheme, ArithmeticZGroupLabeler(scheme)
-
-
-class ArithmeticZGroupLabeler(_Labeler):
-    """Labels for a virtual C_m x| C_d numbered as (i, j) -> i*d + j + 1."""
-
-    def __init__(self, scheme: ZGroupScheme):
-        self.scheme = scheme
-        self.codecs = _fields(scheme.m, scheme.m, scheme.d)
-        self.n = scheme.m * scheme.d
-
-    def labels(self, x):
-        i, j = divmod(x - 1, self.scheme.d)
-        return (i, self.scheme.sigma(j), j)
-
-    def elements(self, lab):
-        return lab[0] * self.scheme.d + lab[2] + 1
-
-    def multiply_ids(self, x: int, y: int) -> int:
-        """Arithmetic oracle product for the virtual group."""
-        i1, j1 = divmod(x - 1, self.scheme.d)
-        i2, j2 = divmod(y - 1, self.scheme.d)
-        m, d = self.scheme.m, self.scheme.d
-        s1 = pow(self.scheme.sigma1, j1, m) if m > 1 else 0
-        return ((i1 + s1 * i2) % m) * d + (j1 + j2) % d + 1
 
 
 # -- permutation powers by cycle position -----------------------------------------

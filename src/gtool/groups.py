@@ -38,6 +38,7 @@ class GroupTable:
         self.table.setflags(write=False)
         self.n = int(self.table.shape[0])
         self._orders = None
+        self._abelian = None
         t = self.table
         ids = np.arange(1, self.n + 1, dtype=np.int32)
         if validate:
@@ -170,7 +171,10 @@ class GroupTable:
         return out[:o]
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """Whether the table is symmetric; cached."""
+        if self._abelian is None:
+            self._abelian = bool(np.array_equal(self.table, self.table.T))
+        return self._abelian
 
     def predict(self, X) -> np.ndarray:
         from .base import check_pairs
@@ -393,10 +397,6 @@ def make_semidirect(spec: SemidirectSpec) -> GroupTable:
         rows = np.arange(nA) * nB + b1      # rows owned by (a1, b1)
         table[rows, :] = vals.reshape(nA, nA * nB)
     return GroupTable(table)
-
-
-def trivial_action(A: GroupTable, B: GroupTable) -> np.ndarray:
-    return np.tile(np.arange(1, A.n + 1, dtype=np.int64), (B.n, 1))
 
 
 def make_quaternion() -> GroupTable:

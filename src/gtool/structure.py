@@ -219,6 +219,11 @@ class MixedRadix:
                 f"packed coordinates need {self.bits} bits, max is 63")
         self.strides = tuple(math.prod(self.sizes[i + 1:])
                              for i in range(len(self.sizes)))
+        # each is an int64 literal of the generated code; 2**63 fits the
+        # bit budget as a size, and as a stride after fields of size 1
+        if not all(0 < v < 1 << 63 for v in self.sizes + self.strides):
+            raise PreconditionError(f"sizes {self.sizes} and strides "
+                                    f"{self.strides} must be in [1, 2**63)")
         self.size = math.prod(self.sizes)
         self._fields = tuple(zip(self.shifts,
                                  [(1 << w) - 1 for w in self.widths],

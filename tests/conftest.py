@@ -101,13 +101,9 @@ def corpus():
     return _CACHE
 
 
-def table_backed_entries():
-    return [e for e in STANDARD_CORPUS if not e.virtual]
-
-
 def small_entries(max_n: int = 512):
     out = []
-    for e in table_backed_entries():
+    for e in STANDARD_CORPUS:
         n = _entry_order(e)
         if n is not None and n <= max_n:
             out.append(e)

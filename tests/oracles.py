@@ -99,6 +99,15 @@ def subset_products(table: np.ndarray, identity: int,
     return out
 
 
+def metacyclic_product(m: int, d: int, multiplier: int, x: int, y: int) -> int:
+    """x*y in C_m x| C_d, where b a b^-1 = a**multiplier and the id
+    i*d + j + 1 names a**i * b**j: (a**i1 b**j1)(a**i2 b**j2) is
+    a**(i1 + multiplier**j1 * i2) b**(j1 + j2)."""
+    i1, j1 = divmod(x - 1, d)
+    i2, j2 = divmod(y - 1, d)
+    return (i1 + pow(multiplier, j1, m) * i2) % m * d + (j1 + j2) % d + 1
+
+
 def iterate_permutation(pi: np.ndarray, g: int, d: int) -> int:
     """pi**d (g) by d explicit applications."""
     cur = g

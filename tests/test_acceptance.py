@@ -18,7 +18,7 @@ from gtool.cli import main as cli_main
 from gtool.corpus import applicable_kinds
 from gtool.verify import verify_exhaustive
 
-from conftest import small_entries, table_backed_entries
+from conftest import small_entries
 
 
 def _ok(num: int, text: str):
@@ -51,7 +51,7 @@ def test_criterion_01_oracle_equivalence_exhaustive(corpus):
 
 
 def test_criterion_02_cube_length_bounds(corpus):
-    for entry in table_backed_entries():
+    for entry in corpus.entries:
         seq, _ = corpus.cube(entry.name)
         n = corpus.table(entry.name).n
         if n == 1:
@@ -66,7 +66,7 @@ def test_criterion_02_cube_length_bounds(corpus):
 
 def test_criterion_03_greedy_claim_every_stage(corpus):
     stages = 0
-    for entry in table_backed_entries():
+    for entry in corpus.entries:
         n = corpus.table(entry.name).n
         _, trace = corpus.cube(entry.name)
         for prev, cur in zip(trace.sizes, trace.sizes[1:]):
@@ -154,11 +154,6 @@ def test_criterion_06_linear_space_reps(corpus):
 
 def test_criterion_07_fm_store_bounds(corpus):
     for entry in corpus.entries:
-        if entry.virtual:
-            scheme, _ = fm.compress_abelian_from_orders(
-                entry.params["orders"])
-            assert fm.qpu_space(scheme) <= 80, entry.name
-            continue
         if entry.flags["abelian"]:
             rep = corpus.rep(entry.name, "fm-abelian")
             assert fm.qpu_space(rep.scheme_) <= 80, entry.name
@@ -172,9 +167,11 @@ def test_criterion_07_fm_store_bounds(corpus):
             rep = corpus.rep(entry.name, "fm-semidirect")
             assert fm.qpu_space(rep.scheme_) <= 8 * rep.scheme_.a_order, \
                 entry.name
-    # virtual metacyclic member at the 2^14 scale keeps a constant store
-    scheme, _ = fm.compress_zgroup_from_parts(8191, 2, 8190)
-    assert fm.qpu_space(scheme) <= 80
+    # stores built from the orders alone keep a constant size at the 2^14
+    # scale, where no table is built
+    for scheme in (fm.AbelianScheme((16384,)), fm.AbelianScheme((4096, 4)),
+                   fm.ZGroupScheme(8191, 2, 8190)):
+        assert fm.qpu_space(scheme) <= 80
     _ok(7, "constant-size stores (<= 80 slots) up to order 2^14; "
            "semidirect stores within 8|A|")
 

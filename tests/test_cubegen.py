@@ -5,7 +5,6 @@ import pytest
 
 import gtool as gt
 from gtool import cubegen as cg
-from gtool.base import ValidationError
 
 from oracles import subset_products
 
@@ -15,7 +14,7 @@ def test_c2_sequence():
     seq, trace = cg.greedy_cube_sequence(G)
     assert seq.k == 1
     assert seq.elements == (2,)
-    assert seq.bits(1) == "0" and seq.bits(2) == "1"
+    assert seq.epsilon.tolist() == [0, 1]
     assert trace.sizes == (1, 2)
 
 
@@ -37,21 +36,21 @@ def test_q8_bound_and_coverage():
 def test_identity_decomposition_is_empty_product():
     G = gt.make_symmetric(4)
     seq, _ = cg.greedy_cube_sequence(G)
-    assert seq.decompose(G.identity) == 0
+    assert seq.epsilon[G.identity - 1] == 0
 
 
 def test_first_generator_bit():
     G = gt.make_symmetric(3)
     seq, _ = cg.greedy_cube_sequence(G)
     g1 = seq.elements[0]
-    assert seq.decompose(g1) == 1
+    assert seq.epsilon[g1 - 1] == 1
 
 
 def test_decomposition_replay_s3():
     G = gt.make_symmetric(3)
     seq, _ = cg.greedy_cube_sequence(G)
     for g in G.elements:
-        mask = seq.decompose(g)
+        mask = int(seq.epsilon[g - 1])
         acc = G.identity
         for i, gi in enumerate(seq.elements):
             if (mask >> i) & 1:
@@ -62,8 +61,10 @@ def test_decomposition_replay_s3():
 def test_decompose_deterministic_across_calls():
     G = gt.make_dihedral(6)
     seq, _ = cg.greedy_cube_sequence(G)
-    first = [seq.decompose(g) for g in G.elements]
-    assert [seq.decompose(g) for g in G.elements] == first
+    first = seq.epsilon.tolist()
+    with pytest.raises(ValueError):         # the decompositions are frozen
+        seq.epsilon[0] = 1
+    assert seq.epsilon.tolist() == first
 
 
 def test_greedy_is_reproducible():
@@ -96,46 +97,21 @@ def test_trivial_group():
     seq, trace = cg.greedy_cube_sequence(gt.make_cyclic(1))
     assert seq.k == 0
     assert trace.sizes == (1,)
-    assert cg.verify_cube(gt.make_cyclic(1), seq)
-
-
-def test_verify_cube_rejects_short_sequences():
-    C2 = gt.make_cyclic(2)
-    ident_only = cg.CubeSequence(n=2, k=1, elements=(1,),
-                                 epsilon=np.zeros(2, dtype=np.int64))
-    assert not cg.verify_cube(C2, ident_only)
-    C4 = gt.make_cyclic(4)
-    just_g = cg.CubeSequence(n=4, k=1, elements=(2,),
-                             epsilon=np.zeros(4, dtype=np.int64))
-    assert not cg.verify_cube(C4, just_g)
-
-
-def test_verify_cube_guard():
-    seq = cg.CubeSequence(n=2, k=31, elements=(1,) * 31,
-                          epsilon=np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValidationError):
-        cg.verify_cube(gt.make_cyclic(2), seq)
+    assert subset_products(np.array([[1]]), 1, seq.elements) == {1}
 
 
 def test_verify_cube_accepts_greedy_output(corpus):
     for name in ("C6", "C30", "Q8", "S4", "A4", "D8"):
         G = corpus.table(name)
         seq, _ = corpus.cube(name)
-        assert cg.verify_cube(G, seq)
+        assert subset_products(G.table, G.identity, seq.elements) == \
+            set(G.elements), name
 
 
 def test_dump_golden_s3():
     G = gt.make_symmetric(3)
     seq, _ = cg.greedy_cube_sequence(G)
     # frozen golden: correctness of the content is covered by the replay
-    # test above; this pins byte-for-byte reproducibility
-    assert cg.dump_cube_sequence(seq) == (
-        "3 6\n2\n3\n2\n1 000\n2 100\n3 010\n4 011\n5 110\n6 111\n")
-
-
-def test_dump_load_roundtrip():
-    G = gt.make_dihedral(5)
-    seq, _ = cg.greedy_cube_sequence(G)
-    back = cg.load_cube_sequence(cg.dump_cube_sequence(seq))
-    assert back.k == seq.k and back.elements == seq.elements
-    assert np.array_equal(back.epsilon, seq.epsilon)
+    # test above; this pins the generators and every decomposition
+    assert seq.elements == (2, 3, 2)
+    assert seq.epsilon.tolist() == [0, 1, 2, 6, 3, 7]

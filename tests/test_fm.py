@@ -10,7 +10,7 @@ from gtool.audit import ProbeLedger, probe_counted_multiply
 from gtool.base import GtoolError, PreconditionError, ValidationError
 from gtool.verify import verify_exhaustive
 
-from oracles import cycle_walk, iterate_permutation
+from oracles import cycle_walk, iterate_permutation, metacyclic_product
 
 
 # -- abelian scheme ------------------------------------------------------------
@@ -62,21 +62,30 @@ def test_abelian_qpu_space_examples(corpus):
     assert fm.qpu_space(single.scheme_) <= 4
 
 
+def _flat_product(scheme, x, y):
+    """The product of ids x and y of the group of ``scheme``, with the id
+    1 + i naming the exponent tuple at flat index i of the scheme's box."""
+    l1, l2 = ((scheme.pack(scheme.unflat(v - 1)),) for v in (x, y))
+    return 1 + scheme.index(scheme.multiply(l1, l2)[0])
+
+
 def test_abelian_virtual_large_orders():
-    scheme, labeler = fm.compress_abelian_from_orders([16384])
+    # no table at this scale: the store is built from the orders alone
+    scheme = fm.AbelianScheme((16384,))
     assert fm.qpu_space(scheme) <= 80
     rng = np.random.RandomState(0)
     for _ in range(200):
         x, y = (int(v) for v in rng.randint(1, 16385, 2))
         want = (x - 1 + y - 1) % 16384 + 1
-        assert labeler.multiply_ids(x, y) == want
-    two, lab2 = fm.compress_abelian_from_orders([4096, 4])
+        assert _flat_product(scheme, x, y) == want
+    two = fm.AbelianScheme((4096, 4))
+    assert fm.qpu_space(two) <= 80
     for _ in range(200):
         x, y = (int(v) for v in rng.randint(1, 16385, 2))
         e1 = divmod(x - 1, 4)
         e2 = divmod(y - 1, 4)
         want = ((e1[0] + e2[0]) % 4096) * 4 + (e1[1] + e2[1]) % 4 + 1
-        assert lab2.multiply_ids(x, y) == want
+        assert _flat_product(two, x, y) == want
 
 
 def test_abelian_from_orders_rejects_composite_factor():
@@ -93,6 +102,9 @@ def test_abelian_bit_budget_checked_before_factoring(monkeypatch):
     monkeypatch.setattr(fm, "_prime_factors", no_factoring)
     with pytest.raises(PreconditionError, match="2016 bits"):
         fm.AbelianScheme([4294967291] * 63)
+    # the prime power 2**63 fits 63 bits but no int64 modulo
+    with pytest.raises(PreconditionError, match=r"\[1, 2\*\*63\)"):
+        fm.AbelianScheme((2**63,))
 
 
 # -- hamiltonian -----------------------------------------------------------------
@@ -192,14 +204,21 @@ def test_zgroup_store_bound(corpus):
 
 
 def test_zgroup_virtual_large():
-    # virtual C_8191 x| C_2 with inverting action: 8190^2 = 1 mod 8191
-    scheme, labeler = fm.compress_zgroup_from_parts(8191, 2, 8190)
+    # C_8191 x| C_2 with inverting action, 8190^2 = 1 mod 8191, and no
+    # table: the id i*d + j + 1 names a**i * b**j
+    scheme = fm.ZGroupScheme(8191, 2, 8190)
     assert fm.qpu_space(scheme) <= 80
+    d = scheme.d
+
+    def label(x):
+        i, j = divmod(x - 1, d)
+        return (i, scheme.sigma(j), j)
+
     rng = np.random.RandomState(5)
     for _ in range(300):
         x, y = (int(v) for v in rng.randint(1, 8191 * 2 + 1, 2))
-        got = labeler.element(scheme.multiply(labeler.label(x), labeler.label(y)))
-        assert got == labeler.multiply_ids(x, y)
+        i, _, j = scheme.multiply(label(x), label(y))
+        assert i * d + j + 1 == metacyclic_product(8191, d, 8190, x, y)
 
 
 def test_zgroup_action_consistency_checked():
@@ -382,10 +401,6 @@ def test_scheme_multiply_is_pure(corpus):
 # -- checked labels ----------------------------------------------------------------
 
 def _labeler(corpus, scheme):
-    if scheme == "abelian-arithmetic":
-        return fm.compress_abelian_from_orders([4, 2, 9])[1]
-    if scheme == "zgroup-arithmetic":
-        return fm.compress_zgroup_from_parts(7, 3, 2)[1]
     name = {"abelian": "C2xC4xC9", "hamiltonian": "Q8xC2xC5",
             "zgroup": "C7:C3", "semidirect": "A4"}[scheme]
     return corpus.rep(name, f"fm-{scheme}").labeler_
@@ -406,9 +421,8 @@ def _malformed(lab, rng):
     return out
 
 
-@pytest.mark.parametrize("scheme", ["abelian", "abelian-arithmetic",
-                                    "hamiltonian", "zgroup",
-                                    "zgroup-arithmetic", "semidirect"])
+@pytest.mark.parametrize("scheme", ["abelian", "hamiltonian", "zgroup",
+                                    "semidirect"])
 def test_label_fuzz_answers_exactly_or_raises(corpus, scheme):
     # element takes back every label, and takes no tuple that is not one:
     # whatever else it is given, and whatever id label is given, either

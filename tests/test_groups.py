@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gtool as gt
 from gtool.base import GtoolError, ParseError, ValidationError
 
-from conftest import LARGE_SIMPLE, table_backed_entries
+from conftest import LARGE_SIMPLE
 from oracles import (even_permutations, find_identity, first_assoc_violation,
                      naive_order, order_multiset, parse_table_rows,
                      perm_table_loops, psl2_loops)
@@ -224,7 +224,7 @@ def test_direct_orders_are_componentwise_lcm():
     from math import lcm
     A, B = gt.make_cyclic(4), gt.make_dihedral(3)
     G = gt.make_direct(A, B)
-    spec = gt.SemidirectSpec(A, B, gt.trivial_action(A, B))
+    spec = gt.SemidirectSpec(A, B, np.tile(A.elements, (B.n, 1)))
     H = gt.make_semidirect(spec)
     want = sorted(lcm(naive_order(A.table, A.identity, a),
                       naive_order(B.table, B.identity, b))
@@ -243,7 +243,7 @@ def test_make_semidirect_s3():
 
 def test_make_semidirect_trivial_action_equals_direct():
     A, B = gt.make_cyclic(4), gt.make_cyclic(3)
-    spec = gt.SemidirectSpec(A, B, gt.trivial_action(A, B))
+    spec = gt.SemidirectSpec(A, B, np.tile(A.elements, (B.n, 1)))
     assert np.array_equal(gt.make_semidirect(spec).table,
                           gt.make_direct(A, B).table)
 
@@ -306,6 +306,24 @@ def test_mult_and_order_basics():
     # numpy integer scalars and arrays of any integer width are accepted
     assert G.mult(np.int64(1), np.int32(4)) == rep.multiply(np.uint8(1), 4) == 4
     assert rep.predict(np.array([[1, 4]], dtype=np.int32)).tolist() == [4]
+
+
+def test_is_abelian_compares_the_table_once(monkeypatch):
+    # a fit on a noncyclic abelian group asks twice, for the semidirect
+    # split and then for the basis: an n^2 comparison each at C64xC64
+    A, Q = gt.make_abelian([8, 8]), gt.make_quaternion()
+    tables = []
+    real = np.array_equal
+
+    def counted(a, b, *args, **kwargs):
+        tables.append(a)
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    gt.SemidirectFM().fit(A)
+    assert A.is_abelian() and not Q.is_abelian() and not Q.is_abelian()
+    assert sum(t is A.table for t in tables) == 1
+    assert sum(t is Q.table for t in tables) == 1
 
 
 @settings(max_examples=40)
@@ -374,7 +392,7 @@ def test_identity_not_first_in_loaded_table():
 
 
 def test_unvalidated_identity_and_inverse_match_validated(corpus):
-    names = [e.name for e in table_backed_entries()] + list(LARGE_SIMPLE)
+    names = [e.name for e in corpus.entries] + list(LARGE_SIMPLE)
     for name in names:
         G = corpus.table(name)
         H = gt.GroupTable(G.table, validate=False)

@@ -253,6 +253,24 @@ def test_id_arrays_held_at_id_width(name, make, kinds):
             _assert_narrowed(rep, G, kind)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("block", {"delta": "1/2"}), ("cyclic", {}), ("composite", {}),
+    ("zgroup", {}), ("fm-abelian", {}), ("fm-zgroup", {}),
+    ("fm-semidirect", {})])
+def test_every_kind_exact_at_the_top_of_the_byte_id_width(kind, params):
+    # C255 is the largest group whose ids fit one byte, and 255 * 255 =
+    # 254 squares its largest id; it stays out of the corpus, so that the
+    # pinned digests stay as they are
+    G = gt.make_cyclic(255)
+    fitted = build_rep(G, kind, **params)
+    data = ser.to_bytes(fitted)
+    loaded = ser.from_bytes(data)
+    for rep in (fitted, loaded):
+        assert verify_exhaustive(rep, G) is None, kind
+        assert rep.multiply(255, 255) == 254, kind
+    assert ser.to_bytes(loaded) == data, kind
+
+
 def test_id_dtype_follows_artifact_id_width():
     # the numpy word of ceil(bits(n)/8)-byte ids: 3-byte ids take 4 bytes
     for n, want in ((1, np.uint8), (255, np.uint8), (256, np.uint16),

@@ -1,6 +1,7 @@
 """Static checks on the package source, in place of a linter."""
 
 import ast
+import re
 from pathlib import Path
 
 import gtool
@@ -37,3 +38,22 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attributes a module reads; a ``def`` or ``class`` line
+    names what it defines without reading it."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_is_read_by_the_package_or_documented():
+    # an export that only the tests call is surface with no user
+    assert names_read("def f(x):\n    return g(x).h\n") == {"g", "x", "h"}
+    read = set().union(*(names_read(path.read_text())
+                         for path in SRC.glob("*.py")
+                         if path.name != "__init__.py"))
+    readme = (SRC.parents[1] / "README.md").read_text()
+    assert [name for name in gtool.__all__ if name not in read
+            and not re.search(rf"\b{name}\b", readme)] == []

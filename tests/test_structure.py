@@ -384,28 +384,19 @@ def test_whole_group_split_does_not_copy_the_table():
 @hst.composite
 def boxes(draw):
     """Sizes of 0 to 8 fields within the 63-bit budget, each of a drawn
-    width: 1 for width 0, else above half the width's range."""
+    width: 1 for width 0, else above half the width's range and below
+    2**63."""
     widths = draw(hst.lists(hst.one_of(hst.integers(0, 4), hst.integers(0, 63)),
                             max_size=8))
     while sum(widths) > 63:
         widths.pop()
-    return tuple(draw(hst.integers((1 << w - 1) + 1, 1 << w)) if w else 1
-                 for w in widths)
-
-
-def _outcome(fn, *args):
-    """``fn(*args)``, or the type of the OverflowError it raises: int64
-    arithmetic cannot take a field of size 2**63 as a literal."""
-    try:
-        return fn(*args)
-    except OverflowError as exc:
-        return type(exc)
+    top = (1 << 63) - 1
+    return tuple(draw(hst.integers((1 << w - 1) + 1, min(1 << w, top)))
+                 if w else 1 for w in widths)
 
 
 def _same(got, want) -> bool:
     """Equal, of the same type, and for arrays of the same dtype and shape."""
-    if isinstance(want, type):
-        return got is want
     if type(want) is tuple:
         return (type(got) is tuple and len(got) == len(want)
                 and all(map(_same, got, want)))
@@ -432,6 +423,10 @@ def test_generated_codec_matches_loop_reference(sizes, seed, shape):
         v = rng.integers(0, hi, size=shape, dtype=np.int64, endpoint=True)
         return int(v) if shape == () else v
 
+    if math.prod(sizes[1:]) >= 1 << 63:     # field 0's stride is past int64
+        with pytest.raises(PreconditionError):
+            st.MixedRadix(sizes)
+        return
     box, ref = st.MixedRadix(sizes), LoopMixedRadix(sizes)
     fields = tuple(draw(s - 1) for s in sizes)
     packed, w1, w2 = ref.pack(fields), draw((1 << 63) - 1), draw((1 << 63) - 1)
@@ -440,11 +435,26 @@ def test_generated_codec_matches_loop_reference(sizes, seed, shape):
              ("index", packed), ("index", w1), ("add", packed, packed),
              ("add", w1, w2)]
     for name, *args in calls:
-        got = _outcome(getattr(box, name), *args)
-        assert _same(got, _outcome(getattr(ref, name), *args)), (sizes, name)
+        got = getattr(box, name)(*args)
+        assert _same(got, getattr(ref, name)(*args)), (sizes, name)
         # no result aliases an input array (ints are immutable)
         assert not any(np.shares_memory(r, a) for r in _arrays(got)
                        for a in _arrays(args)), (sizes, name)
+
+
+def test_codec_rejects_sizes_outside_int64():
+    # 0 and -3 built, and unflat then divided by zero or gave a negative
+    # field; 2**63 fits the 63-bit budget, and unflat and add on int64
+    # arrays overflowed, as field 0's stride 2**63 did in flat and unflat
+    for sizes in ((0,), (-3,), (2**63,), (1, 2**32, 2**31)):
+        with pytest.raises(PreconditionError, match=r"\[1, 2\*\*63\)"):
+            st.MixedRadix(sizes)
+    # the largest boxes on either side still build and answer
+    for sizes in (((1 << 63) - 1,), (2**32, 2**31)):
+        box, ref = st.MixedRadix(sizes), LoopMixedRadix(sizes)
+        words = np.array([0, box.size - 1], dtype=np.int64)
+        assert _same(box.unflat(words), ref.unflat(words))
+        assert _same(box.add(words, words), ref.add(words, words))
 
 
 def test_codec_pickles_and_copies():

@@ -193,7 +193,9 @@ class Representation(Estimator):
             x = check_element_id(x, n)
         if type(y) is not int or not 1 <= y <= n:
             y = check_element_id(y, n)
-        return twin._kernel(x, y, ledger)
+        # a twin's bound kernel counts no ledger; the class's kernel does
+        return (twin._kernel(x, y) if ledger is None
+                else type(twin)._kernel(twin, x, y, ledger))
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
@@ -225,7 +227,9 @@ def _view_twin(obj, memo: dict):
     read-only memoryview of the same buffer, so that no data is copied.
 
     A memoryview read gives a Python int, and the kernel's arithmetic on it
-    then stays in Python ints, which costs less than on numpy scalars.
+    then stays in Python ints, which costs less than on numpy scalars.  A
+    kind's ``_bound_kernel``, a kernel over the twin's views that counts no
+    ledger, becomes the twin's ``_kernel``.
     ``memo`` maps ``id`` of a part to its twin, so a shared part has one.
     """
     twin = memo.get(id(obj))
@@ -239,4 +243,6 @@ def _view_twin(obj, memo: dict):
             elif name in PARTS and value is not None:
                 value = _view_twin(value, memo)
             twin.__dict__[name] = value
+        if hasattr(twin, "_bound_kernel"):
+            twin.__dict__["_kernel"] = twin._bound_kernel()
     return twin

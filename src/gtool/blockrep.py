@@ -20,6 +20,7 @@ from .base import (CapacityError, PreconditionError, Representation,
                    ValidationError, id_dtype)
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
+from .structure import _generated
 
 DEFAULT_MAX_SLOTS = 1 << 29      # 512 Mi slots = 2 GiB at 4-byte ids
 
@@ -75,7 +76,8 @@ class BlockRep(Representation):
     of shape (n, m, 2^l) with ``mult_arrays_[g-1, i, j]`` = g times the
     j-th subset product of block i.  Entry j = 0 is the empty product, so
     ``mult_arrays_[g-1, i, 0] == g`` always.  ``mult_arrays_`` is held at
-    the id width ``id_dtype(n)``.
+    the id width ``id_dtype(n)``.  The query is one expression per (m, l),
+    compiled on first use; the view twin holds it bound to its own views.
     """
 
     rep_kind = "block"
@@ -139,12 +141,13 @@ class BlockRep(Representation):
         if ledger is not None:
             ledger.count("word_index")
             ledger.count("mult_array", self.m_)
-        w = self.word_index_[y - 1]
-        mask = (1 << self.l_) - 1
-        cur = x
-        for i in range(self.m_):
-            cur = self.mult_arrays_[cur - 1, i, (w >> (i * self.l_)) & mask]
-        return cur
+        return self._bound_kernel()(x, y)
+
+    def _bound_kernel(self):
+        """The query bound to these arrays, compiled once per (m, l)."""
+        bind = _generated(("block", self.m_, self.l_), _kernel_source,
+                          self.m_, self.l_)
+        return bind(self.mult_arrays_, self.word_index_)
 
     # -- ledgers -------------------------------------------------------------
 
@@ -159,6 +162,18 @@ class BlockRep(Representation):
     def probe_bounds(self) -> tuple[int, int]:
         self._require_fitted("m_")
         return (1 + self.m_, 1 + self.m_)
+
+
+def _kernel_source(m: int, l: int) -> str:
+    """A binder of the block query to arrays A and W, unrolled over the m
+    blocks with the shifts and masks as literals: for m = 2 the query is
+    ``A[A[x - 1, 0, w & M] - 1, 1, w >> l & M]`` with ``w = W[y - 1]``."""
+    expr = "x"
+    for i in range(m):
+        shift = f" >> {i * l}" if i else ""
+        expr = f"A[{expr} - 1, {i}, w{shift} & {(1 << l) - 1}]"
+    return ("def bind(A, W):\n    def kernel(x, y):\n        w = W[y - 1]\n"
+            f"        return {expr}\n    return kernel\n")
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,8 @@ class SimpleRep(Representation):
     def _kernel(self, x, y, ledger=None):
         if self.cyclic_ is not None:
             return self.cyclic_._kernel(x, y, ledger)
-        steps = int(self.path_len_[y - 1])
-        packed = int(self.path_[y - 1])
+        steps = self.path_len_[y - 1]       # ints: this runs on the twin
+        packed = self.path_[y - 1]
         if ledger is not None:
             ledger.count("forward", 2)
             ledger.count("table", steps)

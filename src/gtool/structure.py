@@ -206,7 +206,7 @@ class MixedRadix:
     flat index), ``index`` (word -> flat index) and ``add`` (componentwise
     sum mod sizes of two words) take Python ints or int64 arrays alike.
     Each is generated once per ``sizes`` as one unrolled expression (see
-    ``_generated``), cached, and bound on its first use.
+    ``_codec_source``), cached, and bound on its first use.
     """
 
     def __init__(self, sizes):
@@ -232,7 +232,8 @@ class MixedRadix:
     def __getattr__(self, name):    # only for a name not yet bound
         if name not in _CODEC_TERMS:
             raise AttributeError(name)
-        fn = self.__dict__[name] = _generated(self, name)
+        fn = self.__dict__[name] = _generated((self.sizes, name),
+                                              _codec_source, self, name)
         return fn
 
     def __reduce__(self):
@@ -260,16 +261,23 @@ _CODEC_TERMS = {
     "index": ("word", "{word}{times}", " + "),
     "add": ("w1, w2", "({w1} + {w2}) % {size}{shl}", " | "),
 }
-_COMPILED: dict = {}        # (sizes, method name) -> generated function
+_COMPILED: dict = {}        # key -> generated function
 
 
-def _generated(box: MixedRadix, name: str):
-    """``box``'s method ``name``, compiled once per sizes: one expression
-    with the fields' shifts, masks, sizes and strides as literals, no term
-    that shifts by 0 or multiplies by 1, and no input as its result."""
-    key = (box.sizes, name)
-    if key in _COMPILED:
-        return _COMPILED[key]
+def _generated(key, source, *args):
+    """The one function defined by the code ``source(*args)`` returns,
+    compiled once per ``key`` with no builtins; a hit builds no source."""
+    if key not in _COMPILED:
+        namespace = {}
+        exec(source(*args), {"__builtins__": {}}, namespace)
+        (_COMPILED[key],) = namespace.values()
+    return _COMPILED[key]
+
+
+def _codec_source(box: MixedRadix, name: str) -> str:
+    """``box``'s method ``name`` as one expression with the fields' shifts,
+    masks, sizes and strides as literals, no term that shifts by 0 or
+    multiplies by 1, and no input as its result."""
     args, term, op = _CODEC_TERMS[name]
     terms = [term.format(
         i=i, size=size, shl=f" << {s}" if s else "",
@@ -286,11 +294,7 @@ def _generated(box: MixedRadix, name: str):
     else:   # with no term: 0, or a zero shaped like the first word
         expr = op.join(terms) or ("0" if args == "fields"
                                   else args.split(",")[0] + " & 0")
-    namespace = {}
-    exec(f"def {name}({args}):\n    return {expr}\n", {"__builtins__": {}},
-         namespace)
-    _COMPILED[key] = namespace[name]
-    return namespace[name]
+    return f"def {name}({args}):\n    return {expr}\n"
 
 
 class AbelianCoordinates:

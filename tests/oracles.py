@@ -500,3 +500,16 @@ class LoopMixedRadix:
         for s, mask, size in zip(self.shifts, self.masks, self.sizes):
             out = out | ((((w1 >> s) & mask) + ((w2 >> s) & mask)) % size << s)
         return out
+
+
+def loop_block_kernel(mult_arrays, word_index, m: int, l: int, x, y):
+    """The block query as one loop over the m blocks: block i of y's word
+    (bits i*l .. i*l+l-1) picks the column of array i that x, then each
+    product so far, is multiplied by.  Takes Python ints on memoryviews or
+    int64 arrays on ndarrays alike."""
+    w = word_index[y - 1]
+    mask = (1 << l) - 1
+    cur = x
+    for i in range(m):
+        cur = mult_arrays[cur - 1, i, (w >> (i * l)) & mask]
+    return cur

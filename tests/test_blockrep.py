@@ -13,6 +13,8 @@ from gtool.blockrep import BlockRep, choose_block_length, parse_delta, tradeoff_
 from gtool.cubegen import greedy_cube_sequence
 from gtool.verify import verify_exhaustive, verify_random
 
+from oracles import loop_block_kernel
+
 
 def test_choose_block_length_examples():
     assert choose_block_length(1024, 14, Fraction(1, 2)) == 5
@@ -160,6 +162,37 @@ def test_trivial_group_block():
     assert rep.multiply(1, 1) == 1
     _, ledger = probe_counted_multiply(rep, 1, 1)
     assert ledger["word_index"] == 1 and ledger["mult_array"] == 0
+
+
+def _same(got, want) -> bool:
+    """Equal, of the same type, and for arrays of the same dtype and shape."""
+    if isinstance(want, np.ndarray):
+        return (type(got) is np.ndarray and got.dtype == want.dtype
+                and got.shape == want.shape and np.array_equal(got, want))
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 12), l=st.integers(1, 9), n=st.integers(1, 40),
+       dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(), (0,), (7,), (2, 3)]))
+def test_unrolled_kernel_matches_loop_reference(m, l, n, dtype, seed, shape):
+    # random arrays, not a group: the kernel only indexes.  Shape () runs
+    # Python ints on memoryviews, as multiply's twin does; any other shape
+    # int64 arrays on ndarrays of the id width, as predict does
+    rng = np.random.default_rng(seed)
+    A = rng.integers(1, n, size=(n, m, 1 << l), dtype=dtype, endpoint=True)
+    W = rng.integers(0, 1 << 63, size=n, dtype=np.int64)    # up to 63 bits
+    x, y = (rng.integers(1, n, size=shape, dtype=np.int64, endpoint=True)
+            for _ in range(2))
+    if shape == ():
+        A, W, x, y = memoryview(A).toreadonly(), memoryview(W), int(x), int(y)
+    rep = BlockRep(l=l)
+    rep.m_, rep.l_, rep.mult_arrays_, rep.word_index_ = m, l, A, W
+    want = loop_block_kernel(A, W, m, l, x, y)
+    assert _same(rep._bound_kernel()(x, y), want)
+    assert _same(rep._kernel(x, y), want)
 
 
 def test_space_report_fields(corpus):

@@ -57,3 +57,31 @@ def test_every_export_is_read_by_the_package_or_documented():
     readme = (SRC.parents[1] / "README.md").read_text()
     assert [name for name in gtool.__all__ if name not in read
             and not re.search(rf"\b{name}\b", readme)] == []
+
+
+def exec_sites(source: str) -> list[str]:
+    """The functions of a module that call ``exec``, one entry per call;
+    a call outside any function is listed as ``<module>``."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "exec"):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_one_function_compiles_generated_code():
+    # generated code has one compiler and one cache: a second exec site
+    # would be a second generator
+    assert exec_sites("exec('1')\ndef f():\n    def g():\n        exec(s)\n"
+                      "    exec(t)\n") == ["<module>", "g", "f"]
+    found = [(path.name, site) for path in sorted(SRC.rglob("*.py"))
+             for site in exec_sites(path.read_text())]
+    assert found == [("structure.py", "_generated")]

@@ -515,5 +515,57 @@ def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
         box = rep
         for attr in filter(None, path.split(".")):
             box = getattr(box, attr)
-        want = {(box.sizes, name) for name in names}
+        want = ({("block", rep.m_, rep.l_)} if kind == "block"
+                else {(box.sizes, name) for name in names})
         assert set(st._COMPILED) - before <= want <= set(st._COMPILED), kind
+
+
+def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
+    blocks = [(name, params) for name, kind, params in ALL_KINDS
+              if kind == "block"]
+    artifacts = [ser.to_bytes(corpus.rep(name, "block", **params))
+                 for name, params in blocks]
+    st._COMPILED.clear()
+    reps = [ser.from_bytes(data) for data in artifacts]
+    assert st._COMPILED == {}                   # decode compiles nothing
+    for (name, _), rep in zip(blocks, reps):
+        G = corpus.table(name)
+        before = set(st._COMPILED)
+        assert rep.multiply(2, 3) == G.multiply(2, 3)
+        assert set(st._COMPILED) - before <= {("block", rep.m_, rep.l_)} \
+            <= set(st._COMPILED)
+    # the first query compiled one kernel per (m, l); a second structure
+    # with the same (m, l), from another group, adds no miss
+    assert len(st._COMPILED) == len({(r.m_, r.l_) for r in reps})
+    G = gt.make_dihedral(12)
+    other = gt.BlockRep(l=2).fit(G)
+    assert (other.m_, other.l_) == (reps[0].m_, reps[0].l_)
+    compiled = dict(st._COMPILED)
+    assert [other.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)] \
+        == [G.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)]
+    assert st._COMPILED == compiled
+    # a queried rep holds its twin, which no copy carries
+    rep, G = reps[0], corpus.table(blocks[0][0])
+    pairs = np.array([(x, y) for x in range(1, G.n + 1)
+                      for y in range(1, G.n + 1)])
+    assert callable(vars(rep._twin)["_kernel"])     # bound on the twin
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.copy(rep),
+                 copy.deepcopy(rep)):
+        assert "_twin" not in vars(twin) and "_kernel" not in vars(twin)
+        assert [twin.multiply(x, y) for x, y in pairs.tolist()] \
+            == G.table[pairs[:, 0] - 1, pairs[:, 1] - 1].tolist()
+        assert np.array_equal(twin.predict(pairs), rep.predict(pairs))
+
+
+def test_block_probes_are_one_word_index_read_and_m_arrays(corpus):
+    G = corpus.table("C1024")
+    reps = [gt.BlockRep(delta=d).fit(G) for d in ("1/10", "1/3", "1/2", "1")]
+    reps.append(gt.BlockRep(l=1).fit(gt.make_cyclic(1)))      # m = 0
+    assert reps[-1].m_ == 0
+    for rep in reps:
+        for x, y in ((1, 1), (1, rep.n_), (rep.n_, 1 + rep.n_ // 2)):
+            z, ledger = gt.probe_counted_multiply(rep, x, y)
+            assert z == rep.multiply(x, y)
+            assert ledger["word_index"] == 1
+            assert ledger["mult_array"] == rep.m_
+            assert ledger.total() == 1 + rep.m_

@@ -140,7 +140,33 @@ class Estimator:
         return f"{type(self).__name__}({args})"
 
 
-class Representation(Estimator):
+# what a structure caches for its queries: its view twin, and a label
+# scheme's bound ``multiply``; neither is state, and neither pickles
+_CACHED = ("_twin", "multiply")
+
+
+class _Cached:
+    """The lifecycle of the caches in ``_CACHED``: setting or deleting any
+    attribute drops them, as ``fit``, ``set_params`` and loading do, and
+    no pickle or copy carries them."""
+
+    _twin = None
+
+    def __setattr__(self, name, value):
+        for key in _CACHED:
+            self.__dict__.pop(key, None)
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        for key in _CACHED:
+            self.__dict__.pop(key, None)
+        super().__delattr__(name)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
+
+
+class Representation(_Cached, Estimator):
     """Base class for multiplication data structures.
 
     The lifecycle is ``rep = Kind(**params).fit(group)`` followed by
@@ -153,24 +179,10 @@ class Representation(Estimator):
     ``multiply`` runs it on a view twin (:func:`_view_twin`), so that every
     read gives a Python int rather than a numpy scalar.  The twin is built
     by the first scalar query and dropped whenever an attribute is set or
-    deleted, as ``fit``, ``set_params`` and loading do.
+    deleted (:class:`_Cached`).
     """
 
     rep_kind: str = "?"
-    _twin = None
-
-    def __setattr__(self, name, value):
-        self.__dict__.pop("_twin", None)
-        super().__setattr__(name, value)
-
-    def __delattr__(self, name):
-        self.__dict__.pop("_twin", None)
-        super().__delattr__(name)
-
-    def __getstate__(self):         # memoryviews do not pickle
-        state = dict(self.__dict__)
-        state.pop("_twin", None)
-        return state
 
     def fit(self, group):
         raise NotImplementedError
@@ -236,7 +248,7 @@ def _view_twin(obj, memo: dict):
     if twin is None:
         twin = memo[id(obj)] = object.__new__(type(obj))
         for name, value in vars(obj).items():
-            if name == "_twin":
+            if name in _CACHED:
                 continue
             if isinstance(value, np.ndarray):
                 value = memoryview(value).toreadonly()

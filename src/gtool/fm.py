@@ -3,11 +3,17 @@
 These structures split the work between an unbounded outside user, who
 compresses the group and labels its elements, and a query processing unit
 (QPU) that stores only the compressed form and multiplies labels.  Only
-the QPU store counts toward space; scheme ``multiply`` methods are pure
-functions of (store, label, label) so a serialized store reproduces
-queries exactly.  They are also the query kernels: label components may be
-Python ints or int64 arrays alike.  ``multiply`` checks nothing, so its
-labels must come from a labeler's ``label`` or from ``multiply``.
+the QPU store counts toward space; a scheme's ``multiply`` is a pure
+function of (store, label, label), so a serialized store reproduces
+queries exactly.  ``multiply`` checks nothing, so its labels must come
+from a labeler's ``label`` or from ``multiply``.
+
+Each scheme writes its query once, as ``_bound_kernel()``: a closure over
+the store's arrays that counts no ledger.  ``_kernel`` counts the store's
+fixed reads and runs it; it is the query kernel, whose label components
+may be Python ints or int64 arrays alike.  ``multiply`` runs the closure
+of a view twin (``base._view_twin``), bound at its first call, so that
+every read gives a Python int.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Representation, ValidationError, check_element_id, id_dtype
+from .base import (Representation, ValidationError, _Cached, _view_twin,
+                   check_element_id, id_dtype)
 from .groups import Q8_TABLE, as_group
 from .structure import (AbelianCoordinates, MixedRadix, _prime_factors,
                         find_hamiltonian_decomposition,
@@ -41,8 +48,8 @@ class _Labeler:
     components back to ids; both take Python ints or int64 arrays alike
     and check nothing.  ``label`` and ``element`` are their checked
     one-element forms, with Python ints throughout: ``element`` takes
-    exactly the tuples that ``label`` (or a scheme's ``multiply``, with
-    numpy integers) returns, and ``codecs[i]`` bounds component i before
+    exactly the tuples that ``label`` or a scheme's ``multiply`` returns,
+    and ``codecs[i]`` bounds component i before
     ``elements`` reads it.  The arrays that ``elements`` reads hold ids,
     at the id width ``id_dtype(n)``; the others stay int64.
     """
@@ -70,9 +77,31 @@ def _fields(*sizes) -> tuple[MixedRadix, ...]:
     return tuple(MixedRadix((s,)) for s in sizes)
 
 
+class _Scheme(_Cached):
+    """A QPU store.  Its query is ``_bound_kernel()``, a closure over the
+    store's arrays that counts no ledger; ``_reads`` are its array reads."""
+
+    _reads: dict = {}       # array family -> reads by one query
+
+    def multiply(self, l1: FMLabel, l2: FMLabel) -> FMLabel:
+        """The product label, as Python ints.  The first call binds the
+        twin's closure in this method's place, so a later lookup of
+        ``multiply`` returns the closure itself."""
+        bound = self.__dict__.get("multiply")
+        if bound is None:
+            bound = self.__dict__["multiply"] = _view_twin(self, {})._kernel
+        return bound(l1, l2)
+
+    def _kernel(self, l1, l2, ledger=None):
+        if ledger is not None:
+            for family, k in self._reads.items():
+                ledger.count(family, k)
+        return self._bound_kernel()(l1, l2)
+
+
 # -- abelian ------------------------------------------------------------------
 
-class AbelianScheme(MixedRadix):
+class AbelianScheme(MixedRadix, _Scheme):
     """QPU store for an abelian group: the cyclic factor orders alone.
 
     A label is one packed word of exponents, the mixed-radix codec over the
@@ -89,8 +118,12 @@ class AbelianScheme(MixedRadix):
                 raise ValidationError(f"factor order {d} is not a prime power")
         self.orders = orders
 
-    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        return (self.add(l1[0], l2[0]),)
+    def _bound_kernel(self):
+        add = self.add
+
+        def multiply(l1, l2):
+            return (add(l1[0], l2[0]),)
+        return multiply
 
     def space_slots(self) -> dict[str, int]:
         return {"orders": len(self.orders), "meta": 1}
@@ -122,22 +155,25 @@ def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
 
 # -- Hamiltonian ----------------------------------------------------------------
 
-class HamiltonianScheme:
+class HamiltonianScheme(_Scheme):
     """QPU store for Q8 x C: the fixed 8 x 8 quaternion table plus the
     abelian store for C.  A label packs the quaternion index minus one
     (three high bits) above the abelian label of the C part.  Labels are
     not checked."""
 
+    _reads = {"table": 1}
+
     def __init__(self, abelian: AbelianScheme):
         self.abelian = abelian
         self.q8_table = Q8_TABLE
 
-    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        bits = self.abelian.bits
-        q3 = self.q8_table[l1[0] >> bits, l2[0] >> bits]
-        if ledger is not None:
-            ledger.count("table")
-        return (((q3 - 1) << bits) | self.abelian.add(l1[0], l2[0]),)
+    def _bound_kernel(self):
+        q8, add, bits = self.q8_table, self.abelian.add, self.abelian.bits
+
+        def multiply(l1, l2):
+            w1, w2 = l1[0], l2[0]
+            return (((q8[w1 >> bits, w2 >> bits] - 1) << bits) | add(w1, w2),)
+        return multiply
 
     def space_slots(self) -> dict[str, int]:
         slots = {"q8_table": 64}
@@ -192,7 +228,7 @@ def _table_max(value) -> int:
     return value
 
 
-class ZGroupScheme:
+class ZGroupScheme(_Scheme):
     """QPU store for C_m x| C_d: the two orders and the action multiplier.
 
     A label is (i, s, j) for the element a**i * b**j, where s indexes the
@@ -210,9 +246,8 @@ class ZGroupScheme:
         if self.m < 1 or self.d < 1:
             raise ValidationError(f"orders m={self.m}, d={self.d} must be >= 1")
         if self.d <= self.table_max:
-            self.sigma_table = np.array(
-                [pow(self.sigma1, j, self.m) for j in range(self.d)],
-                dtype=np.int64)
+            self.sigma_table = _frozen(
+                [pow(self.sigma1, j, self.m) for j in range(self.d)])
         else:
             self.sigma_table = None
         # action consistency: applying sigma d times is the identity map
@@ -220,24 +255,40 @@ class ZGroupScheme:
             raise ValidationError(
                 f"multiplier {self.sigma1} does not have order dividing {self.d} mod {self.m}")
 
-    def sigma(self, j, ledger=None):
-        """sigma1**j mod m for exponents j in [0, d)."""
-        if self.sigma_table is not None:
-            if ledger is not None:
-                ledger.count("table")
-            return self.sigma_table[j]
-        out, sq = 1 % self.m, self.sigma1 % self.m
-        for k in range((self.d - 1).bit_length()):
-            # multiply by sq exactly when bit k of j is set
-            out = out * (1 + (sq - 1) * ((j >> k) & 1)) % self.m
-            sq = sq * sq % self.m
-        return out
+    @property
+    def _reads(self) -> dict:
+        return {} if self.sigma_table is None else {"table": 1}
 
-    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        i1, s1, j1 = l1
-        i2, _, j2 = l2
-        j3 = (j1 + j2) % self.d
-        return ((i1 + s1 * i2) % self.m, self.sigma(j3, ledger), j3)
+    def sigma(self, j):
+        """sigma1**j mod m for exponents j in [0, d), given as Python ints
+        or int64 arrays."""
+        if self.sigma_table is not None:    # inline: every id query reads it
+            return self.sigma_table[j]
+        return self._bound_sigma()(j)
+
+    def _bound_sigma(self):
+        if self.sigma_table is not None:
+            return self.sigma_table.__getitem__
+        m, s1, steps = self.m, self.sigma1, (self.d - 1).bit_length()
+
+        def sigma(j):
+            out, sq = 1 % m, s1 % m
+            for k in range(steps):
+                # multiply by sq exactly when bit k of j is set
+                out = out * (1 + (sq - 1) * ((j >> k) & 1)) % m
+                sq = sq * sq % m
+            return out
+        return sigma
+
+    def _bound_kernel(self):
+        m, d, sigma = self.m, self.d, self._bound_sigma()
+
+        def multiply(l1, l2):
+            i1, s1, j1 = l1
+            i2, _, j2 = l2
+            j3 = (j1 + j2) % d
+            return ((i1 + s1 * i2) % m, sigma(j3), j3)
+        return multiply
 
     def space_slots(self) -> dict[str, int]:
         slots = {"meta": 3}            # m, d, sigma1
@@ -311,6 +362,8 @@ class CycleStructure:
         self.index_ = j * n + r
         self.flat_ = np.empty(n, dtype=np.int64)
         self.flat_[self.offsets_[j] + r] = pts + 1
+        for arr in (self.lengths_, self.offsets_, self.index_, self.flat_):
+            arr.setflags(write=False)
 
     @property
     def cycles(self) -> list[np.ndarray]:
@@ -336,8 +389,18 @@ class CycleStructure:
         if ledger is not None:
             ledger.count("forward")
             ledger.count("backward")
-        j, r = divmod(self.index_[g - 1], self.n_points)
-        return self.flat_[self.offsets_[j] + (r + d) % self.lengths_[j]]
+        return self._bound_power()(g, d)
+
+    def _bound_power(self):
+        """``power`` bound to these arrays, counting no ledger."""
+        index, flat, offsets, lengths, n = (
+            self.index_, self.flat_, self.offsets_, self.lengths_,
+            self.n_points)
+
+        def power(g, d):
+            j, r = divmod(index[g - 1], n)
+            return flat[offsets[j] + (r + d) % lengths[j]]
+        return power
 
     def space_slots(self) -> dict[str, int]:
         # contents + position index + the stored length per cycle + the
@@ -348,7 +411,7 @@ class CycleStructure:
 
 # -- semidirect A x| C_m with abelian A ---------------------------------------------
 
-class SemidirectScheme:
+class SemidirectScheme(_Scheme):
     """QPU store for G = A x| C_m with A abelian: the generator's action as
     a cycle structure, A's abelian store, the label of every A element,
     and the dense label-to-index inverse.
@@ -357,28 +420,31 @@ class SemidirectScheme:
     part).  A query costs two cycle reads, one label read, and one inverse
     read.  Labels are not checked."""
 
+    _reads = {"forward": 2, "backward": 2}
+
     def __init__(self, m: int, cycle: CycleStructure, abelian: AbelianScheme,
                  labels_of_a: np.ndarray, index_of_label: np.ndarray):
         self.m = int(m)
         self.cycle = cycle
         self.abelian = abelian
-        self.labels_of_a = np.asarray(labels_of_a, dtype=np.int64)
-        self.index_of_label = np.asarray(index_of_label, dtype=np.int64)
+        self.labels_of_a = _frozen(labels_of_a)
+        self.index_of_label = _frozen(index_of_label)
 
     @property
     def a_order(self) -> int:
         return len(self.labels_of_a)
 
-    def multiply(self, l1: FMLabel, l2: FMLabel, ledger=None) -> FMLabel:
-        la1, _, k1 = l1
-        _, a2, k2 = l2
-        a3 = self.cycle.power(a2, k1, ledger)
-        la4 = self.abelian.add(la1, self.labels_of_a[a3 - 1])
-        a4 = self.index_of_label[self.abelian.index(la4)]
-        if ledger is not None:
-            ledger.count("forward")
-            ledger.count("backward")
-        return (la4, a4, (k1 + k2) % self.m)
+    def _bound_kernel(self):
+        power, add, flat_index = (self.cycle._bound_power(), self.abelian.add,
+                                  self.abelian.index)
+        labels_of_a, index_of_label, m = (self.labels_of_a,
+                                          self.index_of_label, self.m)
+
+        def multiply(l1, l2):
+            la1, _, k1 = l1
+            la4 = add(la1, labels_of_a[power(l2[1], k1) - 1])
+            return (la4, index_of_label[flat_index(la4)], (k1 + l2[2]) % m)
+        return multiply
 
     def space_slots(self) -> dict[str, int]:
         slots = {"labels_of_a": self.a_order,
@@ -447,9 +513,11 @@ class _FMBase(Representation):
         return self
 
     def _kernel(self, x, y, ledger=None):
-        lab = self.labeler_
-        return lab.elements(
-            self.scheme_.multiply(lab.labels(x), lab.labels(y), ledger))
+        # on the view twin, the scheme's ``_kernel`` is its bound closure
+        lab, sch = self.labeler_, self.scheme_
+        l1, l2 = lab.labels(x), lab.labels(y)
+        return lab.elements(sch._kernel(l1, l2) if ledger is None
+                            else type(sch)._kernel(sch, l1, l2, ledger))
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("scheme_")

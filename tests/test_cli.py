@@ -104,13 +104,25 @@ def test_query_block_matches_oracle(tmp_path, capsys):
 
 
 def test_query_fm_prints_label(tmp_path, capsys):
-    table = tmp_path / "c6.table"
-    run(capsys, "gen", "cyclic", "6", str(table))
-    art = tmp_path / "c6.fmz"
-    run(capsys, "build", str(table), "fm-zgroup", str(art))
-    code, stdout, _ = run(capsys, "query", str(art), "2", "3")
-    assert code == 0
-    assert "label:" in stdout
+    # the product, its label as the labeler gives it, and the reads of one
+    # query, for every label scheme
+    for group, kind, x, y, stats in (
+            (gt.make_abelian([2, 4, 9]), "fm-abelian", 17, 50, "probes: 0 "),
+            (gt.make_direct(gt.make_quaternion(), gt.make_cyclic(3)),
+             "fm-hamiltonian", 5, 22, "probes: 1 table=1"),
+            (gt.make_cyclic(6), "fm-zgroup", 2, 3, "probes: 1 table=1"),
+            (gt.make_alternating(4), "fm-semidirect", 7, 11,
+             "probes: 4 backward=2 forward=2")):
+        table, art = tmp_path / f"{kind}.table", tmp_path / f"{kind}.rep"
+        group.dump(table)
+        assert run(capsys, "build", str(table), kind, str(art))[0] == 0
+        code, stdout, _ = run(capsys, "query", str(art), str(x), str(y),
+                              "--stats")
+        assert code == 0
+        z = group.mult(x, y)
+        label = ser.load(art).labeler_.label(z)
+        assert stdout.splitlines() == [
+            f"{z} label: {','.join(map(str, label))}", stats], kind
 
 
 def test_verify_pass_and_corruption_detection(tmp_path, capsys):

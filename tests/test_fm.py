@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,9 @@ import gtool as gt
 from gtool import fm
 from gtool import serialize as ser
 from gtool.audit import ProbeLedger, probe_counted_multiply
-from gtool.base import GtoolError, PreconditionError, ValidationError
+from gtool.base import (GtoolError, PreconditionError, ValidationError,
+                        _view_twin)
+from gtool.corpus import make_metacyclic
 from gtool.verify import verify_exhaustive
 
 from oracles import cycle_walk, iterate_permutation, metacyclic_product
@@ -373,6 +378,14 @@ def test_semidirect_probe_count(corpus):
     assert ledger.total() == 4
 
 
+def test_semidirect_store_cannot_be_written_in_place():
+    G = make_metacyclic(127, 7, 2)
+    rep = fm.SemidirectFM().fit(G)
+    with pytest.raises(ValueError):
+        rep.scheme_.labels_of_a[0] += 1
+    assert rep.multiply(2, 3) == G.mult(2, 3) == 4
+
+
 def test_semidirect_rejects_s4(corpus):
     with pytest.raises(PreconditionError):
         fm.SemidirectFM().fit(corpus.table("S4"))
@@ -396,6 +409,90 @@ def test_scheme_multiply_is_pure(corpus):
     first = sch.multiply(l1, l2)
     for _ in range(5):
         assert sch.multiply(l1, l2) == first
+
+
+# one small group per scheme, with the reads of one query; C7:C3 has d = 3,
+# so table_max = 0 sends its sigma to the exponentiation
+FM_SCHEMES = [
+    ("C2xC4xC9", "fm-abelian", {}, {}),
+    ("Q8xC3", "fm-hamiltonian", {}, {"table": 1}),
+    ("C7:C3", "fm-zgroup", {}, {"table": 1}),
+    ("C7:C3", "fm-zgroup", {"table_max": 0}, {}),
+    ("A4", "fm-semidirect", {}, {"forward": 2, "backward": 2}),
+]
+FM_IDS = ["abelian", "hamiltonian", "zgroup", "zgroup-no-table", "semidirect"]
+
+
+def _all_label_pairs(corpus, name, rep):
+    """Every pair of labels, and the label of each pair's product."""
+    G, lab = corpus.table(name), rep.labeler_
+    ids = range(1, G.n + 1)
+    pairs = [(lab.label(x), lab.label(y)) for x in ids for y in ids]
+    return pairs, [lab.label(G.mult(x, y)) for x in ids for y in ids]
+
+
+def _assert_scheme_answers(sch, pairs, want):
+    """``multiply`` gives ``want`` in Python ints, and so does ``_kernel``
+    on Python ints and, column by column, on int64 arrays."""
+    got = [sch.multiply(l1, l2) for l1, l2 in pairs]
+    assert got == want
+    assert all(type(v) is int for lab in got for v in lab)
+    assert [sch._kernel(l1, l2) for l1, l2 in pairs] == want
+    l1s, l2s = ([np.array(c, dtype=np.int64) for c in zip(*side)]
+                for side in zip(*pairs))
+    cols = sch._kernel(tuple(l1s), tuple(l2s))
+    assert [tuple(lab) for lab in zip(*(c.tolist() for c in cols))] == want
+
+
+@pytest.mark.parametrize("name, kind, params, reads", FM_SCHEMES, ids=FM_IDS)
+def test_scheme_multiply_is_the_kernel_bound_on_a_twin(corpus, name, kind,
+                                                       params, reads):
+    rep = copy.deepcopy(corpus.rep(name, kind, **params))
+    if kind == "fm-zgroup":
+        assert (rep.scheme_.sigma_table is None) == ("table_max" in params)
+    pairs, want = _all_label_pairs(corpus, name, rep)
+    sch = rep.scheme_
+    _assert_scheme_answers(sch, pairs, want)
+    # the first call bound the twin's closure; a lookup returns it as is,
+    # and no twin, pickle or copy carries it
+    bound = vars(sch)["multiply"]
+    assert sch.multiply is bound and callable(bound)
+    assert "multiply" not in vars(_view_twin(sch, {}))
+    store = ser.fm_store_from_bytes(ser.to_bytes(rep))
+    for other in (pickle.loads(pickle.dumps(sch)), copy.copy(sch),
+                  copy.deepcopy(sch), pickle.loads(pickle.dumps(rep)).scheme_,
+                  store):
+        assert type(other) is type(sch) and "multiply" not in vars(other)
+        _assert_scheme_answers(other, pairs, want)
+    # setting or deleting any attribute drops the closure
+    name0 = next(iter(vars(sch)))
+    value = getattr(sch, name0)
+    setattr(sch, name0, value)
+    assert "multiply" not in vars(sch)
+    _assert_scheme_answers(sch, pairs, want)
+    delattr(sch, name0)
+    assert "multiply" not in vars(sch)
+    setattr(sch, name0, value)
+    _assert_scheme_answers(sch, pairs, want)
+
+
+@pytest.mark.parametrize("name, kind, params, reads", FM_SCHEMES, ids=FM_IDS)
+def test_probe_ledgers_stay_out_of_the_bound_closures(corpus, name, kind,
+                                                      params, reads):
+    # scalar id and label queries bind the closures first; a counted
+    # query still runs the counting kernel, with the same reads
+    rep = copy.deepcopy(corpus.rep(name, kind, **params))
+    G = corpus.table(name)
+    rep.multiply(1, G.n)
+    rep.scheme_.multiply(rep.labeler_.label(1), rep.labeler_.label(G.n))
+    assert callable(vars(rep._twin.scheme_)["_kernel"])
+    lo, hi = rep.probe_bounds()
+    for x in range(1, G.n + 1):
+        for y in range(1, G.n + 1):
+            z, ledger = probe_counted_multiply(rep, x, y)
+            assert z == G.mult(x, y)
+            assert lo == ledger.total() == hi
+            assert {k: v for k, v in ledger.counts.items() if v} == reads
 
 
 # -- checked labels ----------------------------------------------------------------

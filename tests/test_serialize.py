@@ -5,7 +5,7 @@ import pytest
 
 import gtool as gt
 from gtool import serialize as ser
-from gtool.base import ParseError, ValidationError, id_dtype
+from gtool.base import PARTS, ParseError, ValidationError, id_dtype
 from gtool.verify import verify_exhaustive
 
 from conftest import build_rep
@@ -35,6 +35,29 @@ def test_roundtrip_re_verifies(corpus, name, kind, params):
     assert ser.to_bytes(back) == data
     with pytest.raises(ParseError):
         ser.from_bytes(data + b"junk")
+
+
+def _held_arrays(obj, path: str):
+    """(path, array) for every ndarray that ``obj`` or a part of it holds."""
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            yield f"{path}.{name}", value
+        elif name in PARTS and value is not None:
+            yield from _held_arrays(value, f"{path}.{name}")
+
+
+@pytest.mark.parametrize("name, kind, params", ALL_KINDS)
+def test_fitted_and_loaded_arrays_are_read_only(corpus, name, kind, params):
+    # all fitted state is immutable: an array written in place would
+    # change later answers (a label of C127:C7's semidirect store, bumped
+    # by one, made multiply(2, 3) answer 18 instead of 4)
+    rep = corpus.rep(name, kind, **params)
+    for tag, top in (("fitted", rep),
+                     ("loaded", ser.from_bytes(ser.to_bytes(rep)))):
+        held = dict(_held_arrays(top, tag))
+        assert held, (kind, tag)
+        assert [path for path, arr in held.items()
+                if arr.flags.writeable] == [], (kind, tag)
 
 
 U32_PATCHES = (0, 1, 255, 65535, 1 << 31, (1 << 32) - 1)

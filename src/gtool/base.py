@@ -140,17 +140,28 @@ class Estimator:
         return f"{type(self).__name__}({args})"
 
 
-# what a structure caches for its queries: its view twin, and a label
-# scheme's bound ``multiply``; neither is state, and neither pickles
-_CACHED = ("_twin", "multiply")
+# what a structure caches for its queries: its view twin, and the closures
+# bound in the place of ``multiply`` and ``_kernel``; none is state, and
+# none pickles
+_CACHED = ("_twin", "multiply", "_kernel")
 
 
 class _Cached:
     """The lifecycle of the caches in ``_CACHED``: setting or deleting any
     attribute drops them, as ``fit``, ``set_params`` and loading do, and
-    no pickle or copy carries them."""
+    no pickle or copy carries them.
+
+    A structure writes its query once, as ``_bound_kernel()``: a closure
+    over its arrays that counts no ledger.  ``_reads`` maps each array
+    family to the reads of one query.  ``_kernel`` runs the closure, on
+    Python ints or int64 arrays alike.  Given a ledger, it first counts
+    the reads in it; without one, it binds the closure in its own place,
+    so that a later lookup of ``_kernel`` returns the closure itself.  A
+    counted query therefore calls the class's ``_kernel``.
+    """
 
     _twin = None
+    _reads: dict = {}
 
     def __setattr__(self, name, value):
         for key in _CACHED:
@@ -165,6 +176,14 @@ class _Cached:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
+    def _kernel(self, x, y, ledger=None):
+        if ledger is not None:
+            for family, k in self._reads.items():
+                ledger.count(family, k)
+            return self._bound_kernel()(x, y)
+        kernel = self.__dict__["_kernel"] = self._bound_kernel()
+        return kernel(x, y)
+
 
 class Representation(_Cached, Estimator):
     """Base class for multiplication data structures.
@@ -174,12 +193,14 @@ class Representation(_Cached, Estimator):
     array of (x, y) pairs to products.  All fitted state is immutable, so
     concurrent queries are safe.
 
-    Each kind defines its query once, as ``_kernel``; ``multiply`` and
-    ``predict`` validate ids and run it on Python ints or on int64 arrays.
-    ``multiply`` runs it on a view twin (:func:`_view_twin`), so that every
-    read gives a Python int rather than a numpy scalar.  The twin is built
-    by the first scalar query and dropped whenever an attribute is set or
-    deleted (:class:`_Cached`).
+    Each kind writes its query once, as ``_bound_kernel()``, and ``_kernel``
+    runs it (:class:`_Cached`).  ``predict`` runs ``_kernel`` on int64
+    arrays, so its first call binds the closure over the fitted arrays.
+    The first ``multiply`` builds a view twin (:func:`_view_twin`), on
+    which every read gives a Python int rather than a numpy scalar, and
+    puts a closure in this method's place that checks the ids and runs the
+    twin's kernel.  Twin and closures are dropped whenever an attribute is
+    set or deleted.
     """
 
     rep_kind: str = "?"
@@ -187,27 +208,15 @@ class Representation(_Cached, Estimator):
     def fit(self, group):
         raise NotImplementedError
 
-    def _kernel(self, x, y, ledger=None):
-        """x*y for validated ids given as Python ints or int64 arrays.
-
-        Written in indexing and arithmetic that behave the same on both;
-        each array read is counted in ``ledger`` when one is passed.
-        """
-        raise NotImplementedError
-
     def multiply(self, x: int, y: int, ledger=None) -> int:
-        twin = self._twin
-        if twin is None:
+        """x*y as a Python int.  The first call binds the closure in this
+        method's place, so a later lookup of ``multiply`` returns it."""
+        bound = self.__dict__.get("multiply")
+        if bound is None:
             self._require_fitted("n_")
             twin = self.__dict__["_twin"] = _view_twin(self, {})
-        n = self.n_
-        if type(x) is not int or not 1 <= x <= n:
-            x = check_element_id(x, n)
-        if type(y) is not int or not 1 <= y <= n:
-            y = check_element_id(y, n)
-        # a twin's bound kernel counts no ledger; the class's kernel does
-        return (twin._kernel(x, y) if ledger is None
-                else type(twin)._kernel(twin, x, y, ledger))
+            bound = self.__dict__["multiply"] = _bound_multiply(twin, self.n_)
+        return bound(x, y, ledger)
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
@@ -258,3 +267,20 @@ def _view_twin(obj, memo: dict):
         if hasattr(twin, "_bound_kernel"):
             twin.__dict__["_kernel"] = twin._bound_kernel()
     return twin
+
+
+def _bound_multiply(twin, n: int):
+    """A checked scalar query on ``twin``: a Python int id in range skips
+    the general id check.  A twin's bound kernel counts no ledger; the
+    class's kernel does."""
+    kernel, counted = twin._kernel, type(twin)._kernel
+
+    def multiply(x, y, ledger=None):
+        if type(x) is not int or not 1 <= x <= n:
+            x = check_element_id(x, n)
+        if type(y) is not int or not 1 <= y <= n:
+            y = check_element_id(y, n)
+        if ledger is None:
+            return kernel(x, y)
+        return counted(twin, x, y, ledger)
+    return multiply

@@ -137,11 +137,9 @@ class BlockRep(Representation):
 
     # -- queries -----------------------------------------------------------
 
-    def _kernel(self, x, y, ledger=None):
-        if ledger is not None:
-            ledger.count("word_index")
-            ledger.count("mult_array", self.m_)
-        return self._bound_kernel()(x, y)
+    @property
+    def _reads(self) -> dict:
+        return {"word_index": 1, "mult_array": self.m_}
 
     def _bound_kernel(self):
         """The query bound to these arrays, compiled once per (m, l)."""

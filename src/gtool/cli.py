@@ -163,9 +163,8 @@ def _cmd_query(args) -> int:
     else:
         print(result)
     if args.stats:
-        used = {k: v for k, v in ledger.counts.items() if v}
-        print("probes:", ledger.total(),
-              " ".join(f"{k}={v}" for k, v in sorted(used.items())))
+        used = sorted((k, v) for k, v in ledger.counts.items() if v)
+        print("probes:", ledger.total(), *(f"{k}={v}" for k, v in used))
     return 0
 
 

@@ -13,7 +13,8 @@ the store's arrays that counts no ledger.  ``_kernel`` counts the store's
 fixed reads and runs it; it is the query kernel, whose label components
 may be Python ints or int64 arrays alike.  ``multiply`` runs the closure
 of a view twin (``base._view_twin``), bound at its first call, so that
-every read gives a Python int.
+every read gives a Python int.  An id-level estimator's closure runs the
+labeler's ``labels``, the scheme's closure and the labeler's ``elements``.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -21,6 +22,8 @@ low-order factor in the low bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,21 +47,23 @@ def _frozen(arr, dtype=np.int64) -> np.ndarray:
 class _Labeler:
     """Outside-user labeling of a group's elements.
 
-    ``labels`` maps ids to label components and ``elements`` maps label
-    components back to ids; both take Python ints or int64 arrays alike
-    and check nothing.  ``label`` and ``element`` are their checked
-    one-element forms, with Python ints throughout: ``element`` takes
-    exactly the tuples that ``label`` or a scheme's ``multiply`` returns,
-    and ``codecs[i]`` bounds component i before
-    ``elements`` reads it.  The arrays that ``elements`` reads hold ids,
-    at the id width ``id_dtype(n)``; the others stay int64.
+    Each labeling writes its maps once, as ``_bound_maps()``: a pair of
+    closures over its arrays, ``labels`` from ids to label components and
+    ``elements`` from label components back to ids.  Both take Python
+    ints or int64 arrays alike and check nothing.  ``label`` and
+    ``element`` are their checked one-element forms, with Python ints
+    throughout: ``element`` takes exactly the tuples that ``label`` or a
+    scheme's ``multiply`` returns, and ``codecs[i]`` bounds component i
+    before ``elements`` reads it.  The arrays that ``elements`` reads hold
+    ids, at the id width ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
     codecs: tuple[MixedRadix, ...]
 
     def label(self, x: int) -> FMLabel:
-        return tuple(int(v) for v in self.labels(check_element_id(x, self.n)))
+        labels, _ = self._bound_maps()
+        return tuple(int(v) for v in labels(check_element_id(x, self.n)))
 
     def element(self, lab: FMLabel) -> int:
         if type(lab) is tuple and len(lab) == len(self.codecs) and all(
@@ -67,7 +72,7 @@ class _Labeler:
                 and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
                 for v, c in zip(lab, self.codecs)):
             lab = tuple(map(int, lab))
-            x = int(self.elements(lab))
+            x = int(self._bound_maps()[1](lab))
             if self.label(x) == lab:
                 return x
         raise ValidationError(f"{lab!r} is not a label of this group")
@@ -81,8 +86,6 @@ class _Scheme(_Cached):
     """A QPU store.  Its query is ``_bound_kernel()``, a closure over the
     store's arrays that counts no ledger; ``_reads`` are its array reads."""
 
-    _reads: dict = {}       # array family -> reads by one query
-
     def multiply(self, l1: FMLabel, l2: FMLabel) -> FMLabel:
         """The product label, as Python ints.  The first call binds the
         twin's closure in this method's place, so a later lookup of
@@ -91,12 +94,6 @@ class _Scheme(_Cached):
         if bound is None:
             bound = self.__dict__["multiply"] = _view_twin(self, {})._kernel
         return bound(l1, l2)
-
-    def _kernel(self, l1, l2, ledger=None):
-        if ledger is not None:
-            for family, k in self._reads.items():
-                ledger.count(family, k)
-        return self._bound_kernel()(l1, l2)
 
 
 # -- abelian ------------------------------------------------------------------
@@ -140,11 +137,16 @@ class AbelianLabeler(_Labeler):
         self.n = len(self.packed)
         self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
 
-    def labels(self, x):
-        return (self.packed[x - 1],)
+    def _bound_maps(self):
+        packed, element_of_flat, index = (self.packed, self.element_of_flat,
+                                          self.scheme.index)
 
-    def elements(self, lab):
-        return self.element_of_flat[self.scheme.index(lab[0])]
+        def labels(x):
+            return (packed[x - 1],)
+
+        def elements(lab):
+            return element_of_flat[index(lab[0])]
+        return labels, elements
 
 
 def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
@@ -197,13 +199,17 @@ class HamiltonianLabeler(_Labeler):
         self.n = len(q_of) - 1
         self.by_flat = _frozen(by_flat, id_dtype(self.n))
 
-    def labels(self, x):
-        bits = self.scheme.abelian.bits
-        return (((self.q_of[x] - 1) << bits) | self.c_labels[self.c_of[x] - 1],)
+    def _bound_maps(self):
+        q_of, c_of, c_labels, by_flat = (self.q_of, self.c_of, self.c_labels,
+                                         self.by_flat)
+        bits, index = self.scheme.abelian.bits, self.scheme.abelian.index
 
-    def elements(self, lab):
-        ab = self.scheme.abelian
-        return self.by_flat[lab[0] >> ab.bits, ab.index(lab[0])]
+        def labels(x):
+            return (((q_of[x] - 1) << bits) | c_labels[c_of[x] - 1],)
+
+        def elements(lab):
+            return by_flat[lab[0] >> bits, index(lab[0])]
+        return labels, elements
 
 
 def compress_hamiltonian(group) -> tuple[HamiltonianScheme, HamiltonianLabeler]:
@@ -228,6 +234,11 @@ def _table_max(value) -> int:
     return value
 
 
+# the largest m with m * m < 2**63: a query's i1 + s1 * i2 is at most
+# m * (m - 1), and on int64 arrays it must not wrap
+_ZGROUP_MAX_M = math.isqrt((1 << 63) - 1)
+
+
 class ZGroupScheme(_Scheme):
     """QPU store for C_m x| C_d: the two orders and the action multiplier.
 
@@ -245,6 +256,9 @@ class ZGroupScheme(_Scheme):
         self.table_max = _table_max(table_max)
         if self.m < 1 or self.d < 1:
             raise ValidationError(f"orders m={self.m}, d={self.d} must be >= 1")
+        if self.m > _ZGROUP_MAX_M:
+            raise ValidationError(f"order m={self.m} is past {_ZGROUP_MAX_M}, "
+                                  f"where int64 label arithmetic wraps")
         if self.d <= self.table_max:
             self.sigma_table = _frozen(
                 [pow(self.sigma1, j, self.m) for j in range(self.d)])
@@ -309,12 +323,17 @@ class ZGroupLabeler(_Labeler):
         self.n = len(i_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def labels(self, x):
-        j = self.j_of[x]
-        return (self.i_of[x], self.scheme.sigma(j), j)
+    def _bound_maps(self):
+        i_of, j_of, pairing = self.i_of, self.j_of, self.pairing
+        sigma = self.scheme._bound_sigma()
 
-    def elements(self, lab):
-        return self.pairing[lab[0], lab[2]]
+        def labels(x):
+            j = j_of[x]
+            return (i_of[x], sigma(j), j)
+
+        def elements(lab):
+            return pairing[lab[0], lab[2]]
+        return labels, elements
 
 
 def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLabeler]:
@@ -471,12 +490,17 @@ class SemidirectLabeler(_Labeler):
         self.n = len(a_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def labels(self, x):
-        a = self.a_of[x]
-        return (self.scheme.labels_of_a[a], a + 1, self.j_of[x])
+    def _bound_maps(self):
+        a_of, j_of, pairing = self.a_of, self.j_of, self.pairing
+        labels_of_a = self.scheme.labels_of_a
 
-    def elements(self, lab):
-        return self.pairing[lab[1] - 1, lab[2]]
+        def labels(x):
+            a = a_of[x]
+            return (labels_of_a[a], a + 1, j_of[x])
+
+        def elements(lab):
+            return pairing[lab[1] - 1, lab[2]]
+        return labels, elements
 
 
 def compress_semidirect(group) -> tuple[SemidirectScheme, SemidirectLabeler]:
@@ -501,7 +525,8 @@ class _FMBase(Representation):
     """Adapter exposing a scheme + labeler pair as an id-level estimator.
 
     A query labels both ids, multiplies the labels with the pure QPU
-    scheme and maps the product label back to an id; ``space_slots``
+    scheme and maps the product label back to an id; it reads what the
+    scheme reads.  ``space_slots``
     reports the QPU store alone, since the labeling cost belongs to the
     outside user in this model.
     """
@@ -512,12 +537,17 @@ class _FMBase(Representation):
         self.n_ = G.n
         return self
 
-    def _kernel(self, x, y, ledger=None):
-        # on the view twin, the scheme's ``_kernel`` is its bound closure
-        lab, sch = self.labeler_, self.scheme_
-        l1, l2 = lab.labels(x), lab.labels(y)
-        return lab.elements(sch._kernel(l1, l2) if ledger is None
-                            else type(sch)._kernel(sch, l1, l2, ledger))
+    @property
+    def _reads(self) -> dict:
+        return self.scheme_._reads
+
+    def _bound_kernel(self):
+        labels, elements = self.labeler_._bound_maps()
+        multiply = self.scheme_._bound_kernel()
+
+        def kernel(x, y):
+            return elements(multiply(labels(x), labels(y)))
+        return kernel
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("scheme_")

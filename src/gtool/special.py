@@ -58,11 +58,14 @@ class CyclicRep(Representation):
         self.B_ = B
         return self
 
-    def _kernel(self, x, y, ledger=None):
-        if ledger is not None:
-            ledger.count("forward", 2)
-            ledger.count("backward")
-        return self.B_[(self.F_[x - 1] + self.F_[y - 1]) % self.n_]
+    _reads = {"forward": 2, "backward": 1}
+
+    def _bound_kernel(self):
+        F, B, n = self.F_, self.B_, self.n_
+
+        def kernel(x, y):
+            return B[(F[x - 1] + F[y - 1]) % n]
+        return kernel
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("F_")
@@ -142,19 +145,23 @@ class CompositeRep(Representation):
         self.action_ = action
         return self
 
-    def _kernel(self, x, y, ledger=None):
-        if ledger is not None:
-            ledger.count("forward", 2)
-            ledger.count("action")
-            ledger.count("backward")
+    _reads = {"forward": 2, "action": 1, "backward": 1}
+
+    def _bound_kernel(self):
         A = self.codec_
-        w1 = self.forward_[x - 1]
-        w2 = self.forward_[y - 1]
-        j1 = w1 >> A.bits
-        # the action maps flat A indices; its image is added in packed form
-        a3 = A.pack(A.unflat(self.action_[j1, A.index(w2)]))
-        out = A.index(A.add(w1, a3))
-        return self.backward_[out * self.d_ + (j1 + (w2 >> A.bits)) % self.d_]
+        pack, unflat, index, add, bits = (A.pack, A.unflat, A.index, A.add,
+                                          A.bits)
+        forward, backward, action, d = (self.forward_, self.backward_,
+                                        self.action_, self.d_)
+
+        def kernel(x, y):
+            w1 = forward[x - 1]
+            w2 = forward[y - 1]
+            j1 = w1 >> bits
+            # the action maps flat A indices; its image is added packed
+            a3 = pack(unflat(action[j1, index(w2)]))
+            return backward[index(add(w1, a3)) * d + (j1 + (w2 >> bits)) % d]
+        return kernel
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("forward_")
@@ -229,19 +236,30 @@ class SimpleRep(Representation):
         return self
 
     def _kernel(self, x, y, ledger=None):
-        if self.cyclic_ is not None:
-            return self.cyclic_._kernel(x, y, ledger)
-        steps = self.path_len_[y - 1]       # ints: this runs on the twin
-        packed = self.path_[y - 1]
         if ledger is not None:
+            cyclic = self.cyclic_
+            if cyclic is not None:  # its ``_kernel`` may be a 2-arg closure
+                return type(cyclic)._kernel(cyclic, x, y, ledger)
             ledger.count("forward", 2)
-            ledger.count("table", steps)
+            ledger.count("table", self.path_len_[y - 1])
+        return super()._kernel(x, y, ledger)
+
+    def _bound_kernel(self):
+        """The fold along y's path, for one pair of ids: ``predict``
+        folds arrays of pairs itself."""
+        if self.cyclic_ is not None:
+            return self.cyclic_._bound_kernel()
+        path, path_len, M = self.path_, self.path_len_, self.M_
         wl = self.label_bits_
         mask = (1 << wl) - 1
-        cur = x
-        for pos in range(steps):
-            cur = self.M_[cur - 1, (packed >> (pos * wl)) & mask]
-        return cur
+
+        def kernel(x, y):
+            packed = path[y - 1]
+            for _ in range(path_len[y - 1]):
+                x = M[x - 1, packed & mask]
+                packed >>= wl
+            return x
+        return kernel
 
     def predict(self, X) -> np.ndarray:
         """Batch queries by a masked fold over ``diameter_`` steps.

@@ -107,7 +107,7 @@ def test_query_fm_prints_label(tmp_path, capsys):
     # the product, its label as the labeler gives it, and the reads of one
     # query, for every label scheme
     for group, kind, x, y, stats in (
-            (gt.make_abelian([2, 4, 9]), "fm-abelian", 17, 50, "probes: 0 "),
+            (gt.make_abelian([2, 4, 9]), "fm-abelian", 17, 50, "probes: 0"),
             (gt.make_direct(gt.make_quaternion(), gt.make_cyclic(3)),
              "fm-hamiltonian", 5, 22, "probes: 1 table=1"),
             (gt.make_cyclic(6), "fm-zgroup", 2, 3, "probes: 1 table=1"),

@@ -234,6 +234,32 @@ def test_zgroup_action_consistency_checked():
             fm.ZGroupScheme(m, d, 1)
 
 
+def test_zgroup_orders_whose_products_wrap_int64_are_rejected():
+    # a query computes i1 + s1 * i2, up to m * (m - 1), which int64 arrays
+    # hold exactly when m <= 3,037,000,499 (m * m < 2**63)
+    def u32(*vals):
+        return b"".join(v.to_bytes(4, "little") for v in vals)
+
+    # S3's store: m, d, sigma1 and table_max, a table flag, sigma_table
+    s3 = ser.to_bytes(fm.ZGroupFM().fit(gt.make_symmetric(3)))
+    assert s3[4:29] == u32(3, 2, 2, 64) + b"\x01" + u32(1, 2)
+    for m in (3_037_000_500, 4_294_967_291):
+        with pytest.raises(ValidationError, match="wraps"):
+            fm.ZGroupScheme(m, 2, m - 1)
+        # the store of C_m x| C_2, inverting: m, sigma1 and sigma_table[1]
+        data = bytearray(s3)
+        for at, v in ((4, m), (12, m - 1), (25, m - 1)):
+            data[at:at + 4] = u32(v)
+        with pytest.raises(ValidationError, match="wraps"):
+            ser.fm_store_from_bytes(bytes(data))
+    m = 3_037_000_499
+    scheme = fm.ZGroupScheme(m, 2, m - 1)
+    lab = (m - 1, m - 1, 1)         # a**(m-1) * b: its square is e
+    assert scheme.multiply(lab, lab) == (0, 1, 0)
+    col = tuple(np.array([v], dtype=np.int64) for v in lab)
+    assert tuple(int(c[0]) for c in scheme._kernel(col, col)) == (0, 1, 0)
+
+
 def test_zgroup_table_max_is_range_checked_before_the_search():
     # Klein has no Z-group split: the bound is rejected before the search
     for bad in (-1, 1 << 32):

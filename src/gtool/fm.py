@@ -273,14 +273,9 @@ class ZGroupScheme(_Scheme):
     def _reads(self) -> dict:
         return {} if self.sigma_table is None else {"table": 1}
 
-    def sigma(self, j):
-        """sigma1**j mod m for exponents j in [0, d), given as Python ints
-        or int64 arrays."""
-        if self.sigma_table is not None:    # inline: every id query reads it
-            return self.sigma_table[j]
-        return self._bound_sigma()(j)
-
     def _bound_sigma(self):
+        """sigma1**j mod m for exponents j in [0, d), given as Python ints
+        or int64 arrays: a read of the table, or a closure over m."""
         if self.sigma_table is not None:
             return self.sigma_table.__getitem__
         m, s1, steps = self.m, self.sigma1, (self.d - 1).bit_length()
@@ -395,23 +390,19 @@ class CycleStructure:
         if d < 0:
             raise ValidationError("negative powers are rejected; normalize "
                                   "exponents into [0, m) first")
-        return int(self.power(g, d, ledger))
+        if ledger is not None:
+            ledger.count("forward")
+            ledger.count("backward")
+        return int(self._bound_power()(g, d))
 
-    def power(self, g, d, ledger=None):
-        """Unchecked ``apply_power`` for points and exponents given as
-        Python ints or int64 arrays.
+    def _bound_power(self):
+        """Unchecked ``apply_power``, counting no ledger, for points and
+        exponents given as Python ints or int64 arrays.
 
         The reads are the position lookup and the shifted cycle entry; a
         cycle's offset and length are its handle, as the start and length
         of a stored list would be.
         """
-        if ledger is not None:
-            ledger.count("forward")
-            ledger.count("backward")
-        return self._bound_power()(g, d)
-
-    def _bound_power(self):
-        """``power`` bound to these arrays, counting no ledger."""
         index, flat, offsets, lengths, n = (
             self.index_, self.flat_, self.offsets_, self.lengths_,
             self.n_points)

@@ -213,11 +213,11 @@ def test_zgroup_virtual_large():
     # table: the id i*d + j + 1 names a**i * b**j
     scheme = fm.ZGroupScheme(8191, 2, 8190)
     assert fm.qpu_space(scheme) <= 80
-    d = scheme.d
+    d, sigma = scheme.d, scheme._bound_sigma()
 
     def label(x):
         i, j = divmod(x - 1, d)
-        return (i, scheme.sigma(j), j)
+        return (i, sigma(j), j)
 
     rng = np.random.RandomState(5)
     for _ in range(300):

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import gtool
+from gtool.base import Representation
 
 SRC = Path(gtool.__file__).parent
 
@@ -85,3 +86,40 @@ def test_one_function_compiles_generated_code():
     found = [(path.name, site) for path in sorted(SRC.rglob("*.py"))
              for site in exec_sites(path.read_text())]
     assert found == [("structure.py", "_generated")]
+
+
+def concrete_kinds(root) -> dict[str, bool]:
+    """Each concrete subclass of ``root``, one that names its ``rep_kind``,
+    by kind: whether it has a ``_bound_kernel``."""
+    found, todo = {}, list(root.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.rep_kind != root.rep_kind:
+            found[cls.rep_kind] = hasattr(cls, "_bound_kernel")
+    return found
+
+
+def test_every_representation_binds_its_query():
+    # a kind with no bound kernel would give its twin no closure to run
+    class Root:
+        rep_kind = "?"
+
+    class Abstract(Root):
+        pass
+
+    class Bound(Abstract):
+        rep_kind = "bound"
+
+        def _bound_kernel(self):
+            pass
+
+    class Bare(Abstract):
+        rep_kind = "bare"
+
+    assert concrete_kinds(Root) == {"bound": True, "bare": False}
+    kinds = concrete_kinds(Representation)
+    assert set(kinds) >= {"block", "cyclic", "composite", "simple",
+                          "fm-abelian", "fm-hamiltonian", "fm-zgroup",
+                          "fm-semidirect"}
+    assert [kind for kind, bound in kinds.items() if not bound] == []

@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 import gtool as gt
 from gtool import serialize as ser
 from gtool import structure as st
-from gtool.base import GtoolError, PreconditionError
+from gtool.base import (GtoolError, NotFittedError, PreconditionError,
+                        ValidationError, check_element_id)
 from gtool.fm import AbelianScheme, SemidirectFM
 from gtool.special import CompositeRep
 
@@ -555,6 +556,77 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
         assert [twin.multiply(x, y) for x, y in pairs.tolist()] \
             == G.table[pairs[:, 0] - 1, pairs[:, 1] - 1].tolist()
         assert np.array_equal(twin.predict(pairs), rep.predict(pairs))
+
+
+def _id_error(x, n) -> str:
+    """The message of the general id check for ``x``."""
+    with pytest.raises(ValidationError) as err:
+        check_element_id(x, n)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name, kind, params", ALL_KINDS)
+def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
+                                                       params):
+    G = corpus.table(name)
+    pairs = [(x, y) for x in G.elements for y in G.elements]
+    want = [G.mult(x, y) for x, y in pairs]
+    fitted = corpus.rep(name, kind, **params)
+    with pytest.raises(NotFittedError):
+        type(fitted)(**fitted.get_params()).multiply(1, 1)
+    for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
+        assert "multiply" not in vars(rep)
+        # the first query binds the closure; a lookup returns it as is, and
+        # the twin holds its kind's bound kernel
+        assert rep.multiply(1, G.n) == G.mult(1, G.n)
+        bound = vars(rep)["multiply"]
+        assert rep.multiply is bound and callable(bound)
+        assert callable(vars(rep._twin)["_kernel"])
+        got = [bound(x, y) for x, y in pairs]
+        assert got == want and all(type(z) is int for z in got)
+        # numpy ids answer as ints do; other ids fail as the general check
+        assert bound(np.int64(G.n), np.int64(1)) == G.mult(G.n, 1)
+        for bad in (True, False, 1.0, 2.5, 0, -1, G.n + 1, np.int64(G.n + 1),
+                    "1", None):
+            for args in ((bad, 1), (1, bad)):
+                with pytest.raises(ValidationError) as err:
+                    bound(*args)
+                assert str(err.value) == _id_error(bad, G.n), (kind, bad)
+        # counted queries run the class's kernel, with the same reads
+        lo, hi = rep.probe_bounds()
+        assert lo == hi or kind == "simple"
+        for x, y in pairs[::7]:
+            z, ledger = gt.probe_counted_multiply(rep, x, y)
+            assert z == G.mult(x, y) and lo <= ledger.total() <= hi
+        assert vars(rep)["multiply"] is bound
+        # predict binds its closure in ``_kernel``'s place once (SimpleRep
+        # folds its own arrays unless it delegates)
+        arr = np.array(pairs)
+        assert rep.predict(arr).tolist() == want
+        kernel = vars(rep).get("_kernel")
+        assert (kernel is None) == (kind == "simple" and rep.cyclic_ is None)
+        assert rep.predict(arr).tolist() == want
+        assert vars(rep).get("_kernel") is kernel
+        # no pickle or copy carries the caches
+        for other in (pickle.loads(pickle.dumps(rep)), copy.copy(rep),
+                      copy.deepcopy(rep)):
+            assert not {"multiply", "_twin", "_kernel"} & set(vars(other))
+            assert [other.multiply(x, y) for x, y in pairs] == want
+        # setting or deleting any attribute drops them
+        if rep.get_params():            # a kind with no parameter sets none
+            rep.set_params(**rep.get_params())
+            assert "multiply" not in vars(rep) and "_twin" not in vars(rep)
+            assert [rep.multiply(x, y) for x, y in pairs] == want
+        n = rep.n_
+        del rep.n_
+        assert "multiply" not in vars(rep)
+        with pytest.raises(NotFittedError):
+            rep.multiply(1, 1)
+        rep.n_ = n
+        rep.multiply(1, 1)
+        rep.fit(G)
+        assert "multiply" not in vars(rep)
+        assert [rep.multiply(x, y) for x, y in pairs] == want
 
 
 def test_block_probes_are_one_word_index_read_and_m_arrays(corpus):

@@ -99,8 +99,12 @@ def measure(rep) -> SpaceReport:
 
 
 def probe_counted_multiply(rep, x: int, y: int) -> tuple[int, ProbeLedger]:
-    """Run one query with a fresh ledger; the result is identical to the
-    uninstrumented path (the counters ride along the same code)."""
+    """Run one query, then count its reads in a fresh ledger.
+
+    The query is ``rep.multiply(x, y)`` itself, ids checked as it checks
+    them; ``rep._count`` counts the reads that its kind states once.
+    """
+    result = rep.multiply(x, y)
     ledger = ProbeLedger()
-    result = rep.multiply(int(x), int(y), ledger=ledger)
+    rep._count(ledger, y)
     return result, ledger

@@ -152,12 +152,11 @@ class _Cached:
     no pickle or copy carries them.
 
     A structure writes its query once, as ``_bound_kernel()``: a closure
-    over its arrays that counts no ledger.  ``_reads`` maps each array
-    family to the reads of one query.  ``_kernel`` runs the closure, on
-    Python ints or int64 arrays alike.  Given a ledger, it first counts
-    the reads in it; without one, it binds the closure in its own place,
-    so that a later lookup of ``_kernel`` returns the closure itself.  A
-    counted query therefore calls the class's ``_kernel``.
+    over its arrays, on Python ints or int64 arrays alike.  ``_reads``
+    maps each array family to the reads of one query; the query itself
+    counts nothing.  The first call of ``_kernel`` or ``multiply`` binds
+    ``_bound_kernel()`` or ``_bound_multiply()`` in the method's place,
+    so that a later lookup returns the closure itself.
     """
 
     _twin = None
@@ -176,13 +175,16 @@ class _Cached:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
-    def _kernel(self, x, y, ledger=None):
-        if ledger is not None:
-            for family, k in self._reads.items():
-                ledger.count(family, k)
-            return self._bound_kernel()(x, y)
+    def _kernel(self, x, y):
         kernel = self.__dict__["_kernel"] = self._bound_kernel()
         return kernel(x, y)
+
+    def multiply(self, x, y):
+        """One query, answered in Python ints."""
+        bound = self.__dict__.get("multiply")
+        if bound is None:
+            bound = self.__dict__["multiply"] = self._bound_multiply()
+        return bound(x, y)
 
 
 class Representation(_Cached, Estimator):
@@ -198,9 +200,10 @@ class Representation(_Cached, Estimator):
     arrays, so its first call binds the closure over the fitted arrays.
     The first ``multiply`` builds a view twin (:func:`_view_twin`), on
     which every read gives a Python int rather than a numpy scalar, and
-    puts a closure in this method's place that checks the ids and runs the
-    twin's kernel.  Twin and closures are dropped whenever an attribute is
-    set or deleted.
+    binds a closure that checks the ids and runs the twin's kernel.  Twin
+    and closures are dropped whenever an attribute is set or deleted.
+    ``_count`` counts one query's reads, ``_reads``, beside the kernel,
+    and ``probe_bounds`` is their sum.
     """
 
     rep_kind: str = "?"
@@ -208,20 +211,30 @@ class Representation(_Cached, Estimator):
     def fit(self, group):
         raise NotImplementedError
 
-    def multiply(self, x: int, y: int, ledger=None) -> int:
-        """x*y as a Python int.  The first call binds the closure in this
-        method's place, so a later lookup of ``multiply`` returns it."""
-        bound = self.__dict__.get("multiply")
-        if bound is None:
-            self._require_fitted("n_")
-            twin = self.__dict__["_twin"] = _view_twin(self, {})
-            bound = self.__dict__["multiply"] = _bound_multiply(twin, self.n_)
-        return bound(x, y, ledger)
+    def _bound_multiply(self):
+        """A checked scalar query on the view twin: a Python int id in
+        range skips the general id check."""
+        self._require_fitted("n_")
+        twin = self.__dict__["_twin"] = _view_twin(self, {})
+        kernel, n = twin._kernel, self.n_
+
+        def multiply(x, y):
+            if type(x) is not int or not 1 <= x <= n:
+                x = check_element_id(x, n)
+            if type(y) is not int or not 1 <= y <= n:
+                y = check_element_id(y, n)
+            return kernel(x, y)
+        return multiply
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
         pairs = check_pairs(X, self.n_)
         return self._kernel(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+
+    def _count(self, ledger, y) -> None:
+        """Count the reads of one query with right operand ``y``."""
+        for family, k in self._reads.items():
+            ledger.count(family, k)
 
     def space_slots(self) -> dict[str, int]:
         """Exact per-array slot counts of the query-time store."""
@@ -229,7 +242,9 @@ class Representation(_Cached, Estimator):
 
     def probe_bounds(self) -> tuple[int, int]:
         """(min, max) array reads performed by one multiply query."""
-        raise NotImplementedError
+        self._require_fitted("n_")
+        k = sum(self._reads.values())
+        return (k, k)
 
     def _require_fitted(self, *attrs: str) -> None:
         for a in attrs:
@@ -249,8 +264,8 @@ def _view_twin(obj, memo: dict):
 
     A memoryview read gives a Python int, and the kernel's arithmetic on it
     then stays in Python ints, which costs less than on numpy scalars.  A
-    kind's ``_bound_kernel``, a kernel over the twin's views that counts no
-    ledger, becomes the twin's ``_kernel``.
+    kind's ``_bound_kernel``, a kernel over the twin's views, becomes the
+    twin's ``_kernel``.
     ``memo`` maps ``id`` of a part to its twin, so a shared part has one.
     """
     twin = memo.get(id(obj))
@@ -267,20 +282,3 @@ def _view_twin(obj, memo: dict):
         if hasattr(twin, "_bound_kernel"):
             twin.__dict__["_kernel"] = twin._bound_kernel()
     return twin
-
-
-def _bound_multiply(twin, n: int):
-    """A checked scalar query on ``twin``: a Python int id in range skips
-    the general id check.  A twin's bound kernel counts no ledger; the
-    class's kernel does."""
-    kernel, counted = twin._kernel, type(twin)._kernel
-
-    def multiply(x, y, ledger=None):
-        if type(x) is not int or not 1 <= x <= n:
-            x = check_element_id(x, n)
-        if type(y) is not int or not 1 <= y <= n:
-            y = check_element_id(y, n)
-        if ledger is None:
-            return kernel(x, y)
-        return counted(twin, x, y, ledger)
-    return multiply

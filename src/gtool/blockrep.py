@@ -157,10 +157,6 @@ class BlockRep(Representation):
             "meta": 4,                      # n, k, l, m
         }
 
-    def probe_bounds(self) -> tuple[int, int]:
-        self._require_fitted("m_")
-        return (1 + self.m_, 1 + self.m_)
-
 
 def _kernel_source(m: int, l: int) -> str:
     """A binder of the block query to arrays A and W, unrolled over the m

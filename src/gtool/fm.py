@@ -9,12 +9,13 @@ queries exactly.  ``multiply`` checks nothing, so its labels must come
 from a labeler's ``label`` or from ``multiply``.
 
 Each scheme writes its query once, as ``_bound_kernel()``: a closure over
-the store's arrays that counts no ledger.  ``_kernel`` counts the store's
-fixed reads and runs it; it is the query kernel, whose label components
-may be Python ints or int64 arrays alike.  ``multiply`` runs the closure
-of a view twin (``base._view_twin``), bound at its first call, so that
-every read gives a Python int.  An id-level estimator's closure runs the
-labeler's ``labels``, the scheme's closure and the labeler's ``elements``.
+the store's arrays, whose label components may be Python ints or int64
+arrays alike, and states the store's fixed reads once, as ``_reads``.
+``_kernel`` runs the closure; ``multiply`` runs the closure of a view twin
+(``base._view_twin``), bound at its first call, so that every read gives
+a Python int.  An id-level estimator's closure runs the labeler's
+``labels``, the scheme's closure and the labeler's ``elements``, and it
+reads what the scheme reads.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -84,16 +85,11 @@ def _fields(*sizes) -> tuple[MixedRadix, ...]:
 
 class _Scheme(_Cached):
     """A QPU store.  Its query is ``_bound_kernel()``, a closure over the
-    store's arrays that counts no ledger; ``_reads`` are its array reads."""
+    store's arrays; ``_reads`` are its array reads.  ``multiply(l1, l2)``
+    gives the product label in Python ints: it is the view twin's kernel."""
 
-    def multiply(self, l1: FMLabel, l2: FMLabel) -> FMLabel:
-        """The product label, as Python ints.  The first call binds the
-        twin's closure in this method's place, so a later lookup of
-        ``multiply`` returns the closure itself."""
-        bound = self.__dict__.get("multiply")
-        if bound is None:
-            bound = self.__dict__["multiply"] = _view_twin(self, {})._kernel
-        return bound(l1, l2)
+    def _bound_multiply(self):
+        return _view_twin(self, {})._kernel
 
 
 # -- abelian ------------------------------------------------------------------
@@ -551,18 +547,12 @@ class AbelianFM(_FMBase):
     def _compress(self, G):
         return compress_abelian(G)
 
-    def probe_bounds(self) -> tuple[int, int]:
-        return (0, 0)
-
 
 class HamiltonianFM(_FMBase):
     rep_kind = "fm-hamiltonian"
 
     def _compress(self, G):
         return compress_hamiltonian(G)
-
-    def probe_bounds(self) -> tuple[int, int]:
-        return (1, 1)
 
 
 class ZGroupFM(_FMBase):
@@ -574,16 +564,9 @@ class ZGroupFM(_FMBase):
     def _compress(self, G):
         return compress_zgroup(G, table_max=self.table_max)
 
-    def probe_bounds(self) -> tuple[int, int]:
-        self._require_fitted("scheme_")
-        return (1, 1) if self.scheme_.sigma_table is not None else (0, 0)
-
 
 class SemidirectFM(_FMBase):
     rep_kind = "fm-semidirect"
 
     def _compress(self, G):
         return compress_semidirect(G)
-
-    def probe_bounds(self) -> tuple[int, int]:
-        return (4, 4)

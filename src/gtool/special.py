@@ -71,9 +71,6 @@ class CyclicRep(Representation):
         self._require_fitted("F_")
         return {"forward": self.n_, "backward": self.n_, "meta": 2}
 
-    def probe_bounds(self) -> tuple[int, int]:
-        return (3, 3)
-
 
 class CompositeRep(Representation):
     """Coordinate representation of G = A x| <b> with abelian A, cyclic <b>.
@@ -172,9 +169,6 @@ class CompositeRep(Representation):
             "meta": 3 + len(self.sizes_),      # n, d, |A|, factor sizes
         }
 
-    def probe_bounds(self) -> tuple[int, int]:
-        return (4, 4)
-
 
 class SimpleRep(Representation):
     """Shortest-path representation over a small generating set.
@@ -235,15 +229,6 @@ class SimpleRep(Representation):
         self.M_ = M
         return self
 
-    def _kernel(self, x, y, ledger=None):
-        if ledger is not None:
-            cyclic = self.cyclic_
-            if cyclic is not None:  # its ``_kernel`` may be a 2-arg closure
-                return type(cyclic)._kernel(cyclic, x, y, ledger)
-            ledger.count("forward", 2)
-            ledger.count("table", self.path_len_[y - 1])
-        return super()._kernel(x, y, ledger)
-
     def _bound_kernel(self):
         """The fold along y's path, for one pair of ids: ``predict``
         folds arrays of pairs itself."""
@@ -282,6 +267,13 @@ class SimpleRep(Representation):
             nxt = self.M_[cur - 1, (packed >> (pos * wl)) & mask]
             cur = np.where(pos < steps, nxt, cur)
         return cur.astype(np.int64)
+
+    def _count(self, ledger, y) -> None:
+        """The path and its length, then one table step per label."""
+        if self.cyclic_ is not None:
+            return self.cyclic_._count(ledger, y)
+        ledger.count("forward", 2)
+        ledger.count("table", int(self.path_len_[y - 1]))
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("n_")

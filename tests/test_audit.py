@@ -27,6 +27,11 @@ def test_measure_cayley_table():
     assert report.slots <= 100 + 2 * 10 + 8
     assert report.rep_type == "cayley"
     assert report.ratio > 1.0
+    # the raw table is the baseline rep: one read of the n x n table
+    z, ledger = probe_counted_multiply(G, 2, 3)
+    assert z == G.mult(2, 3)
+    assert {k: v for k, v in ledger.counts.items() if v} == {"table": 1}
+    assert (ledger.total(), ledger.total()) == G.probe_bounds()
 
 
 def test_measure_cyclic_rep():

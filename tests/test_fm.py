@@ -506,7 +506,7 @@ def test_scheme_multiply_is_the_kernel_bound_on_a_twin(corpus, name, kind,
 def test_probe_ledgers_stay_out_of_the_bound_closures(corpus, name, kind,
                                                       params, reads):
     # scalar id and label queries bind the closures first; a counted
-    # query still runs the counting kernel, with the same reads
+    # query runs the same closure and counts the scheme's stated reads
     rep = copy.deepcopy(corpus.rep(name, kind, **params))
     G = corpus.table(name)
     rep.multiply(1, G.n)

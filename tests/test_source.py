@@ -60,16 +60,16 @@ def test_every_export_is_read_by_the_package_or_documented():
             and not re.search(rf"\b{name}\b", readme)] == []
 
 
-def exec_sites(source: str) -> list[str]:
-    """The functions of a module that call ``exec``, one entry per call;
-    a call outside any function is listed as ``<module>``."""
+def call_sites(source: str, callee: str) -> list[str]:
+    """The functions of a module that call ``callee``, written as in the
+    source (``exec``, ``ledger.count``), one entry per call; a call
+    outside any function is listed as ``<module>``."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "exec"):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
             sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -78,26 +78,33 @@ def exec_sites(source: str) -> list[str]:
     return sites
 
 
+def package_call_sites(callee: str) -> list[tuple[str, str]]:
+    return [(path.name, site) for path in sorted(SRC.rglob("*.py"))
+            for site in call_sites(path.read_text(), callee)]
+
+
 def test_one_function_compiles_generated_code():
     # generated code has one compiler and one cache: a second exec site
     # would be a second generator
-    assert exec_sites("exec('1')\ndef f():\n    def g():\n        exec(s)\n"
-                      "    exec(t)\n") == ["<module>", "g", "f"]
-    found = [(path.name, site) for path in sorted(SRC.rglob("*.py"))
-             for site in exec_sites(path.read_text())]
-    assert found == [("structure.py", "_generated")]
+    assert call_sites("exec('1')\ndef f():\n    def g():\n        exec(s)\n"
+                      "    exec(t)\n", "exec") == ["<module>", "g", "f"]
+    assert package_call_sites("exec") == [("structure.py", "_generated")]
+
+
+def subclasses(root) -> list[type]:
+    """Every subclass of ``root``, direct or not."""
+    found, todo = [], list(root.__subclasses__())
+    while todo:
+        found.append(todo.pop())
+        todo += found[-1].__subclasses__()
+    return found
 
 
 def concrete_kinds(root) -> dict[str, bool]:
     """Each concrete subclass of ``root``, one that names its ``rep_kind``,
     by kind: whether it has a ``_bound_kernel``."""
-    found, todo = {}, list(root.__subclasses__())
-    while todo:
-        cls = todo.pop()
-        todo += cls.__subclasses__()
-        if cls.rep_kind != root.rep_kind:
-            found[cls.rep_kind] = hasattr(cls, "_bound_kernel")
-    return found
+    return {cls.rep_kind: hasattr(cls, "_bound_kernel")
+            for cls in subclasses(root) if cls.rep_kind != root.rep_kind}
 
 
 def test_every_representation_binds_its_query():
@@ -123,3 +130,28 @@ def test_every_representation_binds_its_query():
                           "fm-abelian", "fm-hamiltonian", "fm-zgroup",
                           "fm-semidirect"}
     assert [kind for kind, bound in kinds.items() if not bound] == []
+
+
+def parameters_of(source: str, names) -> dict[str, list[str]]:
+    """The parameters of every function or method named in ``names``,
+    nested ones included, as "line:name" -> parameter names."""
+    return {f"{node.lineno}:{node.name}": [a.arg for a in ast.walk(node.args)
+                                           if isinstance(a, ast.arg)]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def test_each_query_states_its_reads_once():
+    # a query counts nothing: ``_count`` counts its stated reads beside it,
+    # and ``probe_bounds`` is their sum, so no kind restates them
+    assert parameters_of("def f(a, *b, c=1, **d):\n    def g(e):\n"
+                         "        pass\n", {"f", "g"}) \
+        == {"1:f": ["a", "b", "c", "d"], "2:g": ["e"]}
+    assert [(path.name, where) for path in sorted(SRC.glob("*.py"))
+            for where, args in parameters_of(
+                path.read_text(), {"_kernel", "multiply", "mult"}).items()
+            if "ledger" in args] == []
+    assert {where for _, where in package_call_sites("ledger.count")} \
+        == {"_count", "apply_power"}
+    assert [cls.__name__ for cls in subclasses(Representation)
+            if "probe_bounds" in vars(cls)] == ["SimpleRep"]

@@ -3,6 +3,7 @@ import math
 import pickle
 import signal
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -574,6 +575,8 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
     fitted = corpus.rep(name, kind, **params)
     with pytest.raises(NotFittedError):
         type(fitted)(**fitted.get_params()).multiply(1, 1)
+    with pytest.raises(NotFittedError):
+        type(fitted)(**fitted.get_params()).probe_bounds()
     for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
         assert "multiply" not in vars(rep)
         # the first query binds the closure; a lookup returns it as is, and
@@ -589,10 +592,11 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         for bad in (True, False, 1.0, 2.5, 0, -1, G.n + 1, np.int64(G.n + 1),
                     "1", None):
             for args in ((bad, 1), (1, bad)):
-                with pytest.raises(ValidationError) as err:
-                    bound(*args)
-                assert str(err.value) == _id_error(bad, G.n), (kind, bad)
-        # counted queries run the class's kernel, with the same reads
+                for query in (bound, partial(gt.probe_counted_multiply, rep)):
+                    with pytest.raises(ValidationError) as err:
+                        query(*args)
+                    assert str(err.value) == _id_error(bad, G.n), (kind, bad)
+        # counted queries run the same closure, and count the stated reads
         lo, hi = rep.probe_bounds()
         assert lo == hi or kind == "simple"
         for x, y in pairs[::7]:
@@ -627,6 +631,21 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         rep.fit(G)
         assert "multiply" not in vars(rep)
         assert [rep.multiply(x, y) for x, y in pairs] == want
+
+
+@pytest.mark.parametrize("name, kind, params", ALL_KINDS)
+def test_probe_ledgers_count_in_python_ints(corpus, name, kind, params):
+    # a numpy count would wrap the int totals it is added to
+    G = corpus.table(name)
+    fitted = corpus.rep(name, kind, **params)
+    for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
+        for bound in (False, True):
+            assert ("multiply" in vars(rep)) == bound
+            for x, y in ((1, 1), (1, G.n), (G.n, 1 + G.n // 2)):
+                _, ledger = gt.probe_counted_multiply(rep, x, y)
+                assert all(type(v) is int for v in ledger.counts.values()), \
+                    (kind, ledger.counts)
+                assert type(ledger.total()) is int
 
 
 def test_block_probes_are_one_word_index_read_and_m_arrays(corpus):

@@ -132,13 +132,13 @@ def test_every_representation_binds_its_query():
     assert [kind for kind, bound in kinds.items() if not bound] == []
 
 
-def parameters_of(source: str, names) -> dict[str, list[str]]:
-    """The parameters of every function or method named in ``names``,
-    nested ones included, as "line:name" -> parameter names."""
-    return {f"{node.lineno}:{node.name}": [a.arg for a in ast.walk(node.args)
-                                           if isinstance(a, ast.arg)]
+def parameters_of(source: str, names) -> list[tuple[str, list[str]]]:
+    """(name, parameter names) of every function or method named in
+    ``names``, nested ones included."""
+    return [(node.name, [a.arg for a in ast.walk(node.args)
+                         if isinstance(a, ast.arg)])
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef) and node.name in names}
+            if isinstance(node, ast.FunctionDef) and node.name in names]
 
 
 def test_each_query_states_its_reads_once():
@@ -146,10 +146,10 @@ def test_each_query_states_its_reads_once():
     # and ``probe_bounds`` is their sum, so no kind restates them
     assert parameters_of("def f(a, *b, c=1, **d):\n    def g(e):\n"
                          "        pass\n", {"f", "g"}) \
-        == {"1:f": ["a", "b", "c", "d"], "2:g": ["e"]}
-    assert [(path.name, where) for path in sorted(SRC.glob("*.py"))
-            for where, args in parameters_of(
-                path.read_text(), {"_kernel", "multiply", "mult"}).items()
+        == [("f", ["a", "b", "c", "d"]), ("g", ["e"])]
+    assert [(path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name, args in parameters_of(
+                path.read_text(), {"_kernel", "multiply", "mult"})
             if "ledger" in args] == []
     assert {where for _, where in package_call_sites("ledger.count")} \
         == {"_count", "apply_power"}

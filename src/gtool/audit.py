@@ -2,7 +2,7 @@
 
 Space is counted in slots: stored integers, each conceptually one
 machine word of ceil(log2(n+1)) bits.  Structures physically hold 8- to
-64-bit cells; reports carry the conceptual width and the widest cell.
+64-bit cells; reports carry the conceptual width.
 Probes are array reads grouped by family so each structure's query
 contract is directly assertable.
 """
@@ -10,8 +10,6 @@ contract is directly assertable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 PROBE_FAMILIES = ("word_index", "mult_array", "forward", "backward",
                   "action", "table")
@@ -38,8 +36,7 @@ class ProbeLedger:
 class SpaceReport:
     """Exact slot ledger of one representation.
 
-    ``bits_per_slot`` is the conceptual word width ceil(log2(n+1));
-    ``physical_bits_per_slot`` is what the arrays actually use in memory.
+    ``bits_per_slot`` is the conceptual word width ceil(log2(n+1)).
     ``ratio`` compares against the n^2-slot baseline of the raw table.
     """
 
@@ -49,7 +46,6 @@ class SpaceReport:
     slots: int
     by_array: dict[str, int]
     bits_per_slot: int
-    physical_bits_per_slot: int
     probes_min: int
     probes_max: int
 
@@ -88,13 +84,10 @@ def measure(rep) -> SpaceReport:
     by_array = dict(rep.space_slots())
     n = getattr(rep, "n_", None) or rep.n
     pmin, pmax = rep.probe_bounds()
-    widths = [arr.dtype.itemsize * 8 for arr in vars(rep).values()
-              if isinstance(arr, np.ndarray)]
-    physical = max(widths, default=64)
     return SpaceReport(
         rep_type=rep.rep_kind, n=int(n), params=_params_string(rep),
         slots=sum(by_array.values()), by_array=by_array,
-        bits_per_slot=word_bits(int(n)), physical_bits_per_slot=physical,
+        bits_per_slot=word_bits(int(n)),
         probes_min=int(pmin), probes_max=int(pmax))
 
 

@@ -1,4 +1,5 @@
-"""Shared estimator plumbing: errors, parameter handling, input validation."""
+"""Shared estimator plumbing: errors, parameter handling, input validation,
+and the binding of each structure's query to its arrays (``_Cached``)."""
 
 from __future__ import annotations
 
@@ -75,16 +76,20 @@ def id_dtype(n: int) -> np.dtype:
                     np.uint16 if bits <= 16 else np.uint32)
 
 
-def check_element_id(x, n: int) -> int:
-    """Validate a 1-based element id against group order ``n``.
-
-    Python ints and numpy integer scalars are accepted; bools, floats and
-    anything else non-integral are rejected, never truncated.
-    """
+def check_integer(x, what: str = "element id") -> int:
+    """``x`` as a Python int: numpy integer scalars are accepted; bools,
+    floats and anything else non-integral are rejected, never truncated."""
     if type(x) is not int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValidationError(f"element id must be an integer, got {x!r}")
+            raise ValidationError(f"{what} must be an integer, got {x!r}")
         x = int(x)
+    return x
+
+
+def check_element_id(x, n: int) -> int:
+    """Validate a 1-based element id against group order ``n``, by the
+    type rule of :func:`check_integer`."""
+    x = check_integer(x)
     if not 1 <= x <= n:
         raise ValidationError(f"element id {x} out of range [1, {n}]")
     return x
@@ -140,10 +145,16 @@ class Estimator:
         return f"{type(self).__name__}({args})"
 
 
-# what a structure caches for its queries: its view twin, and the closures
-# bound in the place of ``multiply`` and ``_kernel``; none is state, and
-# none pickles
-_CACHED = ("_twin", "multiply", "_kernel")
+def _view(a):
+    """A read-only memoryview of ``a``'s buffer, so that no data is copied:
+    a read gives a Python int, and arithmetic on it stays in Python ints,
+    which costs less than on numpy scalars."""
+    return memoryview(a).toreadonly()
+
+
+# the closures a structure binds in the place of ``multiply`` and
+# ``_kernel``; neither is state, and neither pickles
+_CACHED = ("multiply", "_kernel")
 
 
 class _Cached:
@@ -151,15 +162,17 @@ class _Cached:
     attribute drops them, as ``fit``, ``set_params`` and loading do, and
     no pickle or copy carries them.
 
-    A structure writes its query once, as ``_bound_kernel()``: a closure
-    over its arrays, on Python ints or int64 arrays alike.  ``_reads``
-    maps each array family to the reads of one query; the query itself
-    counts nothing.  The first call of ``_kernel`` or ``multiply`` binds
-    ``_bound_kernel()`` or ``_bound_multiply()`` in the method's place,
-    so that a later lookup returns the closure itself.
+    A structure writes its query once, as ``_bound_kernel(view)``: a
+    closure over ``view`` of each of its arrays, on Python ints or int64
+    arrays alike, that passes the same ``view`` to the binders of its
+    parts.  ``_reads`` maps each array family to the reads of one query;
+    the query itself counts nothing.  The first call of ``_kernel`` binds
+    ``_bound_kernel(np.asarray)``, the fitted ndarrays themselves, and the
+    first ``multiply`` binds ``_bound_multiply()``, by default
+    ``_bound_kernel(_view)``, each in the method's place, so that a later
+    lookup returns the closure itself.
     """
 
-    _twin = None
     _reads: dict = {}
 
     def __setattr__(self, name, value):
@@ -176,8 +189,11 @@ class _Cached:
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
     def _kernel(self, x, y):
-        kernel = self.__dict__["_kernel"] = self._bound_kernel()
+        kernel = self.__dict__["_kernel"] = self._bound_kernel(np.asarray)
         return kernel(x, y)
+
+    def _bound_multiply(self):
+        return self._bound_kernel(_view)
 
     def multiply(self, x, y):
         """One query, answered in Python ints."""
@@ -195,13 +211,13 @@ class Representation(_Cached, Estimator):
     array of (x, y) pairs to products.  All fitted state is immutable, so
     concurrent queries are safe.
 
-    Each kind writes its query once, as ``_bound_kernel()``, and ``_kernel``
-    runs it (:class:`_Cached`).  ``predict`` runs ``_kernel`` on int64
-    arrays, so its first call binds the closure over the fitted arrays.
-    The first ``multiply`` builds a view twin (:func:`_view_twin`), on
-    which every read gives a Python int rather than a numpy scalar, and
-    binds a closure that checks the ids and runs the twin's kernel.  Twin
-    and closures are dropped whenever an attribute is set or deleted.
+    Each kind writes its query once, as ``_bound_kernel(view)``, and
+    ``_kernel`` runs it (:class:`_Cached`).  ``predict`` runs ``_kernel``
+    on int64 arrays, so its first call binds the closure over the fitted
+    arrays.  The first ``multiply`` binds a closure that checks the ids
+    and runs the kernel bound on read-only memoryviews (:func:`_view`),
+    on which every read gives a Python int rather than a numpy scalar.
+    Both closures are dropped whenever an attribute is set or deleted.
     ``_count`` counts one query's reads, ``_reads``, beside the kernel,
     and ``probe_bounds`` is their sum.
     """
@@ -212,11 +228,10 @@ class Representation(_Cached, Estimator):
         raise NotImplementedError
 
     def _bound_multiply(self):
-        """A checked scalar query on the view twin: a Python int id in
-        range skips the general id check."""
+        """A checked scalar query on views: a Python int id in range
+        skips the general id check."""
         self._require_fitted("n_")
-        twin = self.__dict__["_twin"] = _view_twin(self, {})
-        kernel, n = twin._kernel, self.n_
+        kernel, n = super()._bound_multiply(), self.n_
 
         def multiply(x, y):
             if type(x) is not int or not 1 <= x <= n:
@@ -251,34 +266,3 @@ class Representation(_Cached, Estimator):
             if not hasattr(self, a):
                 raise NotFittedError(
                     f"{type(self).__name__} is not fitted; call fit() first")
-
-
-# the parts of a structure that hold its arrays (a labeler's ``scheme`` is
-# its estimator's ``scheme_``)
-PARTS = ("cyclic_", "scheme_", "labeler_", "scheme", "abelian", "cycle")
-
-
-def _view_twin(obj, memo: dict):
-    """Shallow copy of ``obj`` and of its parts in which every ndarray is a
-    read-only memoryview of the same buffer, so that no data is copied.
-
-    A memoryview read gives a Python int, and the kernel's arithmetic on it
-    then stays in Python ints, which costs less than on numpy scalars.  A
-    kind's ``_bound_kernel``, a kernel over the twin's views, becomes the
-    twin's ``_kernel``.
-    ``memo`` maps ``id`` of a part to its twin, so a shared part has one.
-    """
-    twin = memo.get(id(obj))
-    if twin is None:
-        twin = memo[id(obj)] = object.__new__(type(obj))
-        for name, value in vars(obj).items():
-            if name in _CACHED:
-                continue
-            if isinstance(value, np.ndarray):
-                value = memoryview(value).toreadonly()
-            elif name in PARTS and value is not None:
-                value = _view_twin(value, memo)
-            twin.__dict__[name] = value
-        if hasattr(twin, "_bound_kernel"):
-            twin.__dict__["_kernel"] = twin._bound_kernel()
-    return twin

@@ -77,7 +77,7 @@ class BlockRep(Representation):
     j-th subset product of block i.  Entry j = 0 is the empty product, so
     ``mult_arrays_[g-1, i, 0] == g`` always.  ``mult_arrays_`` is held at
     the id width ``id_dtype(n)``.  The query is one expression per (m, l),
-    compiled on first use; the view twin holds it bound to its own views.
+    compiled on first use and bound to the arrays through ``view``.
     """
 
     rep_kind = "block"
@@ -141,11 +141,11 @@ class BlockRep(Representation):
     def _reads(self) -> dict:
         return {"word_index": 1, "mult_array": self.m_}
 
-    def _bound_kernel(self):
+    def _bound_kernel(self, view):
         """The query bound to these arrays, compiled once per (m, l)."""
         bind = _generated(("block", self.m_, self.l_), _kernel_source,
                           self.m_, self.l_)
-        return bind(self.mult_arrays_, self.word_index_)
+        return bind(view(self.mult_arrays_), view(self.word_index_))
 
     # -- ledgers -------------------------------------------------------------
 

@@ -8,14 +8,15 @@ function of (store, label, label), so a serialized store reproduces
 queries exactly.  ``multiply`` checks nothing, so its labels must come
 from a labeler's ``label`` or from ``multiply``.
 
-Each scheme writes its query once, as ``_bound_kernel()``: a closure over
-the store's arrays, whose label components may be Python ints or int64
-arrays alike, and states the store's fixed reads once, as ``_reads``.
-``_kernel`` runs the closure; ``multiply`` runs the closure of a view twin
-(``base._view_twin``), bound at its first call, so that every read gives
-a Python int.  An id-level estimator's closure runs the labeler's
-``labels``, the scheme's closure and the labeler's ``elements``, and it
-reads what the scheme reads.
+Each scheme writes its query once, as ``_bound_kernel(view)``: a closure
+over ``view`` of each of the store's arrays, whose label components may be
+Python ints or int64 arrays alike, and states the store's fixed reads
+once, as ``_reads``.  ``_kernel`` runs the closure bound on the arrays
+themselves; ``multiply`` runs the closure bound on read-only memoryviews
+(``base._view``) at its first call, so that every read gives a Python
+int.  An id-level estimator's closure runs the labeler's ``labels``, the
+scheme's closure and the labeler's ``elements``, each bound through the
+same ``view``, and it reads what the scheme reads.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -28,8 +29,8 @@ import math
 
 import numpy as np
 
-from .base import (Representation, ValidationError, _Cached, _view_twin,
-                   check_element_id, id_dtype)
+from .base import (Representation, ValidationError, _Cached, _view,
+                   check_element_id, check_integer, id_dtype)
 from .groups import Q8_TABLE, as_group
 from .structure import (AbelianCoordinates, MixedRadix, _prime_factors,
                         find_hamiltonian_decomposition,
@@ -48,10 +49,10 @@ def _frozen(arr, dtype=np.int64) -> np.ndarray:
 class _Labeler:
     """Outside-user labeling of a group's elements.
 
-    Each labeling writes its maps once, as ``_bound_maps()``: a pair of
-    closures over its arrays, ``labels`` from ids to label components and
-    ``elements`` from label components back to ids.  Both take Python
-    ints or int64 arrays alike and check nothing.  ``label`` and
+    Each labeling writes its maps once, as ``_bound_maps(view)``: a pair
+    of closures over ``view`` of its arrays, ``labels`` from ids to label
+    components and ``elements`` from label components back to ids.  Both
+    take Python ints or int64 arrays alike and check nothing.  ``label`` and
     ``element`` are their checked one-element forms, with Python ints
     throughout: ``element`` takes exactly the tuples that ``label`` or a
     scheme's ``multiply`` returns, and ``codecs[i]`` bounds component i
@@ -63,7 +64,7 @@ class _Labeler:
     codecs: tuple[MixedRadix, ...]
 
     def label(self, x: int) -> FMLabel:
-        labels, _ = self._bound_maps()
+        labels, _ = self._bound_maps(np.asarray)
         return tuple(int(v) for v in labels(check_element_id(x, self.n)))
 
     def element(self, lab: FMLabel) -> int:
@@ -73,7 +74,7 @@ class _Labeler:
                 and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
                 for v, c in zip(lab, self.codecs)):
             lab = tuple(map(int, lab))
-            x = int(self._bound_maps()[1](lab))
+            x = int(self._bound_maps(np.asarray)[1](lab))
             if self.label(x) == lab:
                 return x
         raise ValidationError(f"{lab!r} is not a label of this group")
@@ -83,18 +84,9 @@ def _fields(*sizes) -> tuple[MixedRadix, ...]:
     return tuple(MixedRadix((s,)) for s in sizes)
 
 
-class _Scheme(_Cached):
-    """A QPU store.  Its query is ``_bound_kernel()``, a closure over the
-    store's arrays; ``_reads`` are its array reads.  ``multiply(l1, l2)``
-    gives the product label in Python ints: it is the view twin's kernel."""
-
-    def _bound_multiply(self):
-        return _view_twin(self, {})._kernel
-
-
 # -- abelian ------------------------------------------------------------------
 
-class AbelianScheme(MixedRadix, _Scheme):
+class AbelianScheme(MixedRadix, _Cached):
     """QPU store for an abelian group: the cyclic factor orders alone.
 
     A label is one packed word of exponents, the mixed-radix codec over the
@@ -111,7 +103,7 @@ class AbelianScheme(MixedRadix, _Scheme):
                 raise ValidationError(f"factor order {d} is not a prime power")
         self.orders = orders
 
-    def _bound_kernel(self):
+    def _bound_kernel(self, view):
         add = self.add
 
         def multiply(l1, l2):
@@ -133,9 +125,10 @@ class AbelianLabeler(_Labeler):
         self.n = len(self.packed)
         self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
 
-    def _bound_maps(self):
-        packed, element_of_flat, index = (self.packed, self.element_of_flat,
-                                          self.scheme.index)
+    def _bound_maps(self, view):
+        packed, element_of_flat = map(view, (self.packed,
+                                             self.element_of_flat))
+        index = self.scheme.index
 
         def labels(x):
             return (packed[x - 1],)
@@ -153,7 +146,7 @@ def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
 
 # -- Hamiltonian ----------------------------------------------------------------
 
-class HamiltonianScheme(_Scheme):
+class HamiltonianScheme(_Cached):
     """QPU store for Q8 x C: the fixed 8 x 8 quaternion table plus the
     abelian store for C.  A label packs the quaternion index minus one
     (three high bits) above the abelian label of the C part.  Labels are
@@ -165,8 +158,9 @@ class HamiltonianScheme(_Scheme):
         self.abelian = abelian
         self.q8_table = Q8_TABLE
 
-    def _bound_kernel(self):
-        q8, add, bits = self.q8_table, self.abelian.add, self.abelian.bits
+    def _bound_kernel(self, view):
+        q8, add, bits = (view(self.q8_table), self.abelian.add,
+                         self.abelian.bits)
 
         def multiply(l1, l2):
             w1, w2 = l1[0], l2[0]
@@ -195,9 +189,9 @@ class HamiltonianLabeler(_Labeler):
         self.n = len(q_of) - 1
         self.by_flat = _frozen(by_flat, id_dtype(self.n))
 
-    def _bound_maps(self):
-        q_of, c_of, c_labels, by_flat = (self.q_of, self.c_of, self.c_labels,
-                                         self.by_flat)
+    def _bound_maps(self, view):
+        q_of, c_of, c_labels, by_flat = map(view, (
+            self.q_of, self.c_of, self.c_labels, self.by_flat))
         bits, index = self.scheme.abelian.bits, self.scheme.abelian.index
 
         def labels(x):
@@ -235,7 +229,7 @@ def _table_max(value) -> int:
 _ZGROUP_MAX_M = math.isqrt((1 << 63) - 1)
 
 
-class ZGroupScheme(_Scheme):
+class ZGroupScheme(_Cached):
     """QPU store for C_m x| C_d: the two orders and the action multiplier.
 
     A label is (i, s, j) for the element a**i * b**j, where s indexes the
@@ -269,11 +263,11 @@ class ZGroupScheme(_Scheme):
     def _reads(self) -> dict:
         return {} if self.sigma_table is None else {"table": 1}
 
-    def _bound_sigma(self):
+    def _bound_sigma(self, view):
         """sigma1**j mod m for exponents j in [0, d), given as Python ints
         or int64 arrays: a read of the table, or a closure over m."""
         if self.sigma_table is not None:
-            return self.sigma_table.__getitem__
+            return view(self.sigma_table).__getitem__
         m, s1, steps = self.m, self.sigma1, (self.d - 1).bit_length()
 
         def sigma(j):
@@ -285,8 +279,8 @@ class ZGroupScheme(_Scheme):
             return out
         return sigma
 
-    def _bound_kernel(self):
-        m, d, sigma = self.m, self.d, self._bound_sigma()
+    def _bound_kernel(self, view):
+        m, d, sigma = self.m, self.d, self._bound_sigma(view)
 
         def multiply(l1, l2):
             i1, s1, j1 = l1
@@ -314,9 +308,9 @@ class ZGroupLabeler(_Labeler):
         self.n = len(i_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def _bound_maps(self):
-        i_of, j_of, pairing = self.i_of, self.j_of, self.pairing
-        sigma = self.scheme._bound_sigma()
+    def _bound_maps(self, view):
+        i_of, j_of, pairing = map(view, (self.i_of, self.j_of, self.pairing))
+        sigma = self.scheme._bound_sigma(view)
 
         def labels(x):
             j = j_of[x]
@@ -380,28 +374,32 @@ class CycleStructure:
         """Each cycle's points in order, starting at its least point."""
         return np.split(self.flat_, self.offsets_[1:])
 
-    def apply_power(self, g: int, d: int, ledger=None) -> int:
-        """pi**d applied to g; exactly two array reads plus one modulo."""
+    def apply_power(self, g: int, d: int) -> int:
+        """pi**d applied to g; exactly two array reads plus one modulo,
+        in Python ints, so that any integer exponent is answered exactly."""
         g = check_element_id(g, self.n_points)
+        d = check_integer(d, "exponent")
         if d < 0:
             raise ValidationError("negative powers are rejected; normalize "
                                   "exponents into [0, m) first")
-        if ledger is not None:
-            ledger.count("forward")
-            ledger.count("backward")
-        return int(self._bound_power()(g, d))
+        return self._bound_power(_view)(g, d)
 
-    def _bound_power(self):
-        """Unchecked ``apply_power``, counting no ledger, for points and
-        exponents given as Python ints or int64 arrays.
+    def _count(self, ledger) -> None:
+        """Count the reads of one ``apply_power``."""
+        ledger.count("forward")
+        ledger.count("backward")
+
+    def _bound_power(self, view):
+        """Unchecked ``apply_power`` for points and exponents given as
+        Python ints or int64 arrays.
 
         The reads are the position lookup and the shifted cycle entry; a
         cycle's offset and length are its handle, as the start and length
         of a stored list would be.
         """
-        index, flat, offsets, lengths, n = (
-            self.index_, self.flat_, self.offsets_, self.lengths_,
-            self.n_points)
+        index, flat, offsets, lengths = map(view, (
+            self.index_, self.flat_, self.offsets_, self.lengths_))
+        n = self.n_points
 
         def power(g, d):
             j, r = divmod(index[g - 1], n)
@@ -417,7 +415,7 @@ class CycleStructure:
 
 # -- semidirect A x| C_m with abelian A ---------------------------------------------
 
-class SemidirectScheme(_Scheme):
+class SemidirectScheme(_Cached):
     """QPU store for G = A x| C_m with A abelian: the generator's action as
     a cycle structure, A's abelian store, the label of every A element,
     and the dense label-to-index inverse.
@@ -440,11 +438,11 @@ class SemidirectScheme(_Scheme):
     def a_order(self) -> int:
         return len(self.labels_of_a)
 
-    def _bound_kernel(self):
-        power, add, flat_index = (self.cycle._bound_power(), self.abelian.add,
-                                  self.abelian.index)
-        labels_of_a, index_of_label, m = (self.labels_of_a,
-                                          self.index_of_label, self.m)
+    def _bound_kernel(self, view):
+        power, add, flat_index = (self.cycle._bound_power(view),
+                                  self.abelian.add, self.abelian.index)
+        labels_of_a, index_of_label, m = (view(self.labels_of_a),
+                                          view(self.index_of_label), self.m)
 
         def multiply(l1, l2):
             la1, _, k1 = l1
@@ -477,9 +475,9 @@ class SemidirectLabeler(_Labeler):
         self.n = len(a_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def _bound_maps(self):
-        a_of, j_of, pairing = self.a_of, self.j_of, self.pairing
-        labels_of_a = self.scheme.labels_of_a
+    def _bound_maps(self, view):
+        a_of, j_of, pairing = map(view, (self.a_of, self.j_of, self.pairing))
+        labels_of_a = view(self.scheme.labels_of_a)
 
         def labels(x):
             a = a_of[x]
@@ -528,9 +526,9 @@ class _FMBase(Representation):
     def _reads(self) -> dict:
         return self.scheme_._reads
 
-    def _bound_kernel(self):
-        labels, elements = self.labeler_._bound_maps()
-        multiply = self.scheme_._bound_kernel()
+    def _bound_kernel(self, view):
+        labels, elements = self.labeler_._bound_maps(view)
+        multiply = self.scheme_._bound_kernel(view)
 
         def kernel(x, y):
             return elements(multiply(labels(x), labels(y)))

@@ -24,8 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fm
-from .base import (PARTS, ParseError, PreconditionError, ValidationError,
-                   id_dtype)
+from .base import ParseError, PreconditionError, ValidationError, id_dtype
 from .blockrep import BlockRep
 from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import MixedRadix
@@ -60,6 +59,11 @@ def _check(ok: Callable, what: str) -> Callable:
             raise ValidationError(f"corrupt artifact: {what}")
         return ()
     return item
+
+
+# the parts of a structure that hold its arrays (a labeler's ``scheme`` is
+# its estimator's ``scheme_``)
+PARTS = ("cyclic_", "scheme_", "labeler_", "scheme", "abelian", "cycle")
 
 
 class _Names(dict):

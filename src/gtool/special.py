@@ -60,8 +60,8 @@ class CyclicRep(Representation):
 
     _reads = {"forward": 2, "backward": 1}
 
-    def _bound_kernel(self):
-        F, B, n = self.F_, self.B_, self.n_
+    def _bound_kernel(self, view):
+        F, B, n = view(self.F_), view(self.B_), self.n_
 
         def kernel(x, y):
             return B[(F[x - 1] + F[y - 1]) % n]
@@ -144,12 +144,13 @@ class CompositeRep(Representation):
 
     _reads = {"forward": 2, "action": 1, "backward": 1}
 
-    def _bound_kernel(self):
+    def _bound_kernel(self, view):
         A = self.codec_
         pack, unflat, index, add, bits = (A.pack, A.unflat, A.index, A.add,
                                           A.bits)
-        forward, backward, action, d = (self.forward_, self.backward_,
-                                        self.action_, self.d_)
+        forward, backward, action, d = (view(self.forward_),
+                                        view(self.backward_),
+                                        view(self.action_), self.d_)
 
         def kernel(x, y):
             w1 = forward[x - 1]
@@ -229,12 +230,12 @@ class SimpleRep(Representation):
         self.M_ = M
         return self
 
-    def _bound_kernel(self):
+    def _bound_kernel(self, view):
         """The fold along y's path, for one pair of ids: ``predict``
         folds arrays of pairs itself."""
         if self.cyclic_ is not None:
-            return self.cyclic_._bound_kernel()
-        path, path_len, M = self.path_, self.path_len_, self.M_
+            return self.cyclic_._bound_kernel(view)
+        path, path_len, M = map(view, (self.path_, self.path_len_, self.M_))
         wl = self.label_bits_
         mask = (1 << wl) - 1
 

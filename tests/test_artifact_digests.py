@@ -65,7 +65,8 @@ def test_artifact_bytes_match_golden(name, kind, params):
     golden = json.loads(GOLDEN.read_text())[_case_id(name, kind, params)]
     rep = _build(name, kind, params)
     assert _digest(rep) == golden
-    # scalar queries read through a view twin; the bytes must not change
+    # scalar queries read through views of the arrays; the bytes must not
+    # change
     for x in range(1, rep.n_ + 1):
         rep.multiply(x, rep.n_ + 1 - x)
     assert _digest(rep) == golden

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gtool as gt
 from gtool.audit import measure, probe_counted_multiply
-from gtool.base import CapacityError, NotFittedError, ValidationError
+from gtool.base import CapacityError, NotFittedError, ValidationError, _view
 from gtool.blockrep import BlockRep, choose_block_length, parse_delta, tradeoff_table
 from gtool.cubegen import greedy_cube_sequence
 from gtool.verify import verify_exhaustive, verify_random
@@ -179,19 +179,22 @@ def _same(got, want) -> bool:
        shape=st.sampled_from([(), (0,), (7,), (2, 3)]))
 def test_unrolled_kernel_matches_loop_reference(m, l, n, dtype, seed, shape):
     # random arrays, not a group: the kernel only indexes.  Shape () runs
-    # Python ints on memoryviews, as multiply's twin does; any other shape
-    # int64 arrays on ndarrays of the id width, as predict does
+    # Python ints on views of the arrays, as multiply does; every shape
+    # runs on the ndarrays of the id width, as predict does
     rng = np.random.default_rng(seed)
     A = rng.integers(1, n, size=(n, m, 1 << l), dtype=dtype, endpoint=True)
     W = rng.integers(0, 1 << 63, size=n, dtype=np.int64)    # up to 63 bits
     x, y = (rng.integers(1, n, size=shape, dtype=np.int64, endpoint=True)
             for _ in range(2))
-    if shape == ():
-        A, W, x, y = memoryview(A).toreadonly(), memoryview(W), int(x), int(y)
     rep = BlockRep(l=l)
-    rep.m_, rep.l_, rep.mult_arrays_, rep.word_index_ = m, l, A, W
+    rep.n_, rep.m_, rep.l_, rep.mult_arrays_, rep.word_index_ = n, m, l, A, W
+    if shape == ():
+        x, y = int(x), int(y)
+        want = loop_block_kernel(_view(A), _view(W), m, l, x, y)
+        assert _same(rep._bound_kernel(_view)(x, y), want)
+        assert _same(rep.multiply(x, y), want)
     want = loop_block_kernel(A, W, m, l, x, y)
-    assert _same(rep._bound_kernel()(x, y), want)
+    assert _same(rep._bound_kernel(np.asarray)(x, y), want)
     assert _same(rep._kernel(x, y), want)
 
 

@@ -10,8 +10,7 @@ import gtool as gt
 from gtool import fm
 from gtool import serialize as ser
 from gtool.audit import ProbeLedger, probe_counted_multiply
-from gtool.base import (GtoolError, PreconditionError, ValidationError,
-                        _view_twin)
+from gtool.base import GtoolError, PreconditionError, ValidationError
 from gtool.corpus import make_metacyclic
 from gtool.verify import verify_exhaustive
 
@@ -213,7 +212,7 @@ def test_zgroup_virtual_large():
     # table: the id i*d + j + 1 names a**i * b**j
     scheme = fm.ZGroupScheme(8191, 2, 8190)
     assert fm.qpu_space(scheme) <= 80
-    d, sigma = scheme.d, scheme._bound_sigma()
+    d, sigma = scheme.d, scheme._bound_sigma(np.asarray)
 
     def label(x):
         i, j = divmod(x - 1, d)
@@ -302,8 +301,10 @@ def test_cycle_structure_partition_invariant():
 def test_cycle_structure_probe_count():
     cs = fm.CycleStructure(np.array([3, 1, 2, 4]))
     ledger = ProbeLedger()
-    cs.apply_power(2, 9, ledger=ledger)
+    assert cs.apply_power(2, 9) == iterate_permutation([3, 1, 2, 4], 2, 9)
+    cs._count(ledger)
     assert ledger.total() == 2
+    assert ledger.counts["forward"] == ledger.counts["backward"] == 1
 
 
 def test_cycle_structure_rejects():
@@ -314,6 +315,28 @@ def test_cycle_structure_rejects():
         cs.apply_power(3, 1)
     with pytest.raises(ValidationError):
         cs.apply_power(1, -1)
+
+
+def test_cycle_structure_answers_or_rejects_each_exponent():
+    # an exponent is answered exactly in Python ints, or rejected as an id
+    # is: never truncated, taken for 1, or failed with a non-library error
+    pi = np.array([2, 3, 1, 5, 4])      # cycles (1 2 3)(4 5)
+    cs = fm.CycleStructure(pi)
+    for d in (True, False, 2.5, 2.0, np.float64(2.0), "1", None, [1]):
+        with pytest.raises(ValidationError, match="exponent must be an int"):
+            cs.apply_power(1, d)
+    for d in (-1, np.int64(-1), -(10 ** 30)):
+        with pytest.raises(ValidationError, match="negative powers"):
+            cs.apply_power(1, d)
+    for d in (np.int64(4), np.uint8(4), np.int32(4), np.uint64(4)):
+        got = cs.apply_power(1, d)
+        assert got == 2 and type(got) is int
+    # the cycles have lengths 3 and 2, so powers repeat every 6
+    for d in (10 ** 30, 2 ** 64 + 1, 2 ** 63):
+        for g in range(1, 6):
+            got = cs.apply_power(g, d)
+            assert type(got) is int
+            assert got == iterate_permutation(pi, g, d % 6), (g, d)
 
 
 @settings(max_examples=50, deadline=None)
@@ -479,25 +502,26 @@ def test_scheme_multiply_is_the_kernel_bound_on_a_twin(corpus, name, kind,
     pairs, want = _all_label_pairs(corpus, name, rep)
     sch = rep.scheme_
     _assert_scheme_answers(sch, pairs, want)
-    # the first call bound the twin's closure; a lookup returns it as is,
-    # and no twin, pickle or copy carries it
+    # the first calls bound the closures; a lookup returns each as is, and
+    # no pickle or copy carries them
     bound = vars(sch)["multiply"]
     assert sch.multiply is bound and callable(bound)
-    assert "multiply" not in vars(_view_twin(sch, {}))
+    assert callable(vars(sch)["_kernel"])
     store = ser.fm_store_from_bytes(ser.to_bytes(rep))
     for other in (pickle.loads(pickle.dumps(sch)), copy.copy(sch),
                   copy.deepcopy(sch), pickle.loads(pickle.dumps(rep)).scheme_,
                   store):
-        assert type(other) is type(sch) and "multiply" not in vars(other)
+        assert type(other) is type(sch)
+        assert not {"multiply", "_kernel"} & set(vars(other))
         _assert_scheme_answers(other, pairs, want)
     # setting or deleting any attribute drops the closure
     name0 = next(iter(vars(sch)))
     value = getattr(sch, name0)
     setattr(sch, name0, value)
-    assert "multiply" not in vars(sch)
+    assert not {"multiply", "_kernel"} & set(vars(sch))
     _assert_scheme_answers(sch, pairs, want)
     delattr(sch, name0)
-    assert "multiply" not in vars(sch)
+    assert not {"multiply", "_kernel"} & set(vars(sch))
     setattr(sch, name0, value)
     _assert_scheme_answers(sch, pairs, want)
 
@@ -511,7 +535,8 @@ def test_probe_ledgers_stay_out_of_the_bound_closures(corpus, name, kind,
     G = corpus.table(name)
     rep.multiply(1, G.n)
     rep.scheme_.multiply(rep.labeler_.label(1), rep.labeler_.label(G.n))
-    assert callable(vars(rep._twin.scheme_)["_kernel"])
+    assert callable(vars(rep)["multiply"])
+    assert callable(vars(rep.scheme_)["multiply"])
     lo, hi = rep.probe_bounds()
     for x in range(1, G.n + 1):
         for y in range(1, G.n + 1):

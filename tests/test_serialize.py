@@ -5,7 +5,7 @@ import pytest
 
 import gtool as gt
 from gtool import serialize as ser
-from gtool.base import PARTS, ParseError, ValidationError, id_dtype
+from gtool.base import ParseError, ValidationError, id_dtype
 from gtool.verify import verify_exhaustive
 
 from conftest import build_rep
@@ -42,7 +42,7 @@ def _held_arrays(obj, path: str):
     for name, value in vars(obj).items():
         if isinstance(value, np.ndarray):
             yield f"{path}.{name}", value
-        elif name in PARTS and value is not None:
+        elif name in ser.PARTS and value is not None:
             yield from _held_arrays(value, f"{path}.{name}")
 
 

@@ -108,7 +108,8 @@ def concrete_kinds(root) -> dict[str, bool]:
 
 
 def test_every_representation_binds_its_query():
-    # a kind with no bound kernel would give its twin no closure to run
+    # a kind with no bound kernel would leave multiply and predict no
+    # closure to bind
     class Root:
         rep_kind = "?"
 
@@ -118,7 +119,7 @@ def test_every_representation_binds_its_query():
     class Bound(Abstract):
         rep_kind = "bound"
 
-        def _bound_kernel(self):
+        def _bound_kernel(self, view):
             pass
 
     class Bare(Abstract):
@@ -152,6 +153,19 @@ def test_each_query_states_its_reads_once():
                 path.read_text(), {"_kernel", "multiply", "mult"})
             if "ledger" in args] == []
     assert {where for _, where in package_call_sites("ledger.count")} \
-        == {"_count", "apply_power"}
+        == {"_count"}
     assert [cls.__name__ for cls in subclasses(Representation)
             if "probe_bounds" in vars(cls)] == ["SimpleRep"]
+
+
+def test_every_binder_takes_the_array_wrapper():
+    # each binder reads each of its arrays as view(self.X) and passes the
+    # same view to its parts: np.asarray binds the fitted arrays, and
+    # base._view read-only memoryviews of them, so no copy of a structure
+    # is ever made to bind its scalar query
+    binders = {"_bound_kernel", "_bound_maps", "_bound_sigma", "_bound_power"}
+    found = [(path.name, name, args) for path in sorted(SRC.glob("*.py"))
+             for name, args in parameters_of(path.read_text(), binders)]
+    assert len(found) >= 15
+    assert [site for site in found if site[2] != ["self", "view"]] == []
+    assert package_call_sites("object.__new__") == []

@@ -14,7 +14,7 @@ import gtool as gt
 from gtool import serialize as ser
 from gtool import structure as st
 from gtool.base import (GtoolError, NotFittedError, PreconditionError,
-                        ValidationError, check_element_id)
+                        ValidationError, _view, check_element_id)
 from gtool.fm import AbelianScheme, SemidirectFM
 from gtool.special import CompositeRep
 
@@ -22,7 +22,7 @@ from conftest import _CACHE, small_entries
 from oracles import (LoopMixedRadix, abelian_basis, brute_sylow_cyclic,
                      normality_witness, order_multiset, power_walk,
                      semidirect_split, subgroup_closure)
-from test_serialize import ALL_KINDS
+from test_serialize import ALL_KINDS, _held_arrays
 
 
 def test_abelian_basis_c6():
@@ -546,17 +546,18 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
     assert [other.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)] \
         == [G.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)]
     assert st._COMPILED == compiled
-    # a queried rep holds its twin, which no copy carries
+    # a queried rep holds its bound closures, which no copy carries
     rep, G = reps[0], corpus.table(blocks[0][0])
     pairs = np.array([(x, y) for x in range(1, G.n + 1)
                       for y in range(1, G.n + 1)])
-    assert callable(vars(rep._twin)["_kernel"])     # bound on the twin
-    for twin in (pickle.loads(pickle.dumps(rep)), copy.copy(rep),
-                 copy.deepcopy(rep)):
-        assert "_twin" not in vars(twin) and "_kernel" not in vars(twin)
-        assert [twin.multiply(x, y) for x, y in pairs.tolist()] \
+    rep.predict(pairs)
+    assert callable(vars(rep)["multiply"]) and callable(vars(rep)["_kernel"])
+    for other in (pickle.loads(pickle.dumps(rep)), copy.copy(rep),
+                  copy.deepcopy(rep)):
+        assert not {"multiply", "_kernel"} & set(vars(other))
+        assert [other.multiply(x, y) for x, y in pairs.tolist()] \
             == G.table[pairs[:, 0] - 1, pairs[:, 1] - 1].tolist()
-        assert np.array_equal(twin.predict(pairs), rep.predict(pairs))
+        assert np.array_equal(other.predict(pairs), rep.predict(pairs))
 
 
 def _id_error(x, n) -> str:
@@ -579,12 +580,12 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         type(fitted)(**fitted.get_params()).probe_bounds()
     for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
         assert "multiply" not in vars(rep)
-        # the first query binds the closure; a lookup returns it as is, and
-        # the twin holds its kind's bound kernel
+        # the first query binds the closure, and only it; a lookup returns
+        # it as is
         assert rep.multiply(1, G.n) == G.mult(1, G.n)
         bound = vars(rep)["multiply"]
         assert rep.multiply is bound and callable(bound)
-        assert callable(vars(rep._twin)["_kernel"])
+        assert "_kernel" not in vars(rep)
         got = [bound(x, y) for x, y in pairs]
         assert got == want and all(type(z) is int for z in got)
         # numpy ids answer as ints do; other ids fail as the general check
@@ -614,12 +615,12 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         # no pickle or copy carries the caches
         for other in (pickle.loads(pickle.dumps(rep)), copy.copy(rep),
                       copy.deepcopy(rep)):
-            assert not {"multiply", "_twin", "_kernel"} & set(vars(other))
+            assert not {"multiply", "_kernel"} & set(vars(other))
             assert [other.multiply(x, y) for x, y in pairs] == want
         # setting or deleting any attribute drops them
         if rep.get_params():            # a kind with no parameter sets none
             rep.set_params(**rep.get_params())
-            assert "multiply" not in vars(rep) and "_twin" not in vars(rep)
+            assert not {"multiply", "_kernel"} & set(vars(rep))
             assert [rep.multiply(x, y) for x, y in pairs] == want
         n = rep.n_
         del rep.n_
@@ -631,6 +632,27 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         rep.fit(G)
         assert "multiply" not in vars(rep)
         assert [rep.multiply(x, y) for x, y in pairs] == want
+
+
+@pytest.mark.parametrize("name, kind, params", ALL_KINDS)
+def test_every_held_array_is_bound_through_the_view(corpus, name, kind,
+                                                    params):
+    # each binder passes its view to the binders of its parts, so a query
+    # bound on views reads no ndarray, and answers in Python ints
+    G = corpus.table(name)
+    fitted = corpus.rep(name, kind, **params)
+    for rep in (fitted, ser.from_bytes(ser.to_bytes(fitted))):
+        wrapped = []
+
+        def view(a):
+            assert type(a) is np.ndarray
+            wrapped.append(id(a))
+            return _view(a)
+        kernel = rep._bound_kernel(view)
+        assert set(wrapped) == {id(a) for _, a in _held_arrays(rep, kind)}
+        got = [kernel(x, y) for x in G.elements for y in G.elements]
+        assert all(type(z) is int for z in got)
+        assert got == [G.mult(x, y) for x in G.elements for y in G.elements]
 
 
 @pytest.mark.parametrize("name, kind, params", ALL_KINDS)

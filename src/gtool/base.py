@@ -4,6 +4,7 @@ and the binding of each structure's query to its arrays (``_Cached``)."""
 from __future__ import annotations
 
 import inspect
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -152,25 +153,25 @@ def _view(a):
     return memoryview(a).toreadonly()
 
 
-# the closures a structure binds in the place of ``multiply`` and
-# ``_kernel``; neither is state, and neither pickles
-_CACHED = ("multiply", "_kernel")
+# the binders of ``_Cached`` and its subclasses, by the name each binds
+# in place; no bound closure is state, and none pickles
+_CACHED = ("multiply", "_kernel", "label", "element", "apply_power")
 
 
 class _Cached:
-    """The lifecycle of the caches in ``_CACHED``: setting or deleting any
-    attribute drops them, as ``fit``, ``set_params`` and loading do, and
-    no pickle or copy carries them.
+    """The one binder of closures: each name in ``_CACHED`` is a
+    ``cached_property`` whose first lookup puts its closure in the
+    instance ``__dict__``, where later lookups find it.  Setting or
+    deleting any attribute drops them all, as ``fit``, ``set_params`` and
+    loading do, and no pickle or copy carries them.
 
     A structure writes its query once, as ``_bound_kernel(view)``: a
     closure over ``view`` of each of its arrays, on Python ints or int64
     arrays alike, that passes the same ``view`` to the binders of its
     parts.  ``_reads`` maps each array family to the reads of one query;
-    the query itself counts nothing.  The first call of ``_kernel`` binds
-    ``_bound_kernel(np.asarray)``, the fitted ndarrays themselves, and the
-    first ``multiply`` binds ``_bound_multiply()``, by default
-    ``_bound_kernel(_view)``, each in the method's place, so that a later
-    lookup returns the closure itself.
+    the query itself counts nothing.  ``_kernel`` binds it on the fitted
+    ndarrays themselves (``np.asarray``), and ``multiply`` on read-only
+    memoryviews (:func:`_view`).
     """
 
     _reads: dict = {}
@@ -188,19 +189,14 @@ class _Cached:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
-    def _kernel(self, x, y):
-        kernel = self.__dict__["_kernel"] = self._bound_kernel(np.asarray)
-        return kernel(x, y)
+    @cached_property
+    def _kernel(self):
+        return self._bound_kernel(np.asarray)
 
-    def _bound_multiply(self):
-        return self._bound_kernel(_view)
-
-    def multiply(self, x, y):
+    @cached_property
+    def multiply(self):
         """One query, answered in Python ints."""
-        bound = self.__dict__.get("multiply")
-        if bound is None:
-            bound = self.__dict__["multiply"] = self._bound_multiply()
-        return bound(x, y)
+        return self._bound_kernel(_view)
 
 
 class Representation(_Cached, Estimator):
@@ -217,7 +213,6 @@ class Representation(_Cached, Estimator):
     arrays.  The first ``multiply`` binds a closure that checks the ids
     and runs the kernel bound on read-only memoryviews (:func:`_view`),
     on which every read gives a Python int rather than a numpy scalar.
-    Both closures are dropped whenever an attribute is set or deleted.
     ``_count`` counts one query's reads, ``_reads``, beside the kernel,
     and ``probe_bounds`` is their sum.
     """
@@ -227,11 +222,12 @@ class Representation(_Cached, Estimator):
     def fit(self, group):
         raise NotImplementedError
 
-    def _bound_multiply(self):
-        """A checked scalar query on views: a Python int id in range
-        skips the general id check."""
+    @cached_property
+    def multiply(self):
+        """One query on ids, answered in Python ints: a Python int id in
+        range skips the general id check."""
         self._require_fitted("n_")
-        kernel, n = super()._bound_multiply(), self.n_
+        kernel, n = self._bound_kernel(_view), self.n_
 
         def multiply(x, y):
             if type(x) is not int or not 1 <= x <= n:

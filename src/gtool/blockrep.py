@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .base import (CapacityError, PreconditionError, Representation,
-                   ValidationError, id_dtype)
+                   ValidationError, check_integer, id_dtype)
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
 from .structure import _generated
@@ -96,7 +96,7 @@ class BlockRep(Representation):
             raise PreconditionError("cube sequence belongs to another group")
         k = cube.k
         if self.l is not None:
-            l = int(self.l)
+            l = check_integer(self.l, "l")
             if not 1 <= l <= max(k, 1):
                 raise ValidationError(f"l={l} out of range [1, {max(k, 1)}]")
         elif self.delta is not None:

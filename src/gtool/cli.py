@@ -20,10 +20,6 @@ from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import is_simple, is_z_group
 from .verify import MAX_SEED, verify_exhaustive, verify_random
 
-REP_KINDS = ("block", "cyclic", "zgroup", "simple", "composite",
-             "fm-abelian", "fm-hamiltonian", "fm-zgroup", "fm-semidirect")
-
-
 class UsageError(Exception):
     pass
 
@@ -48,7 +44,7 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("build", help="build and serialize a representation")
     b.add_argument("table", help="Cayley-table file")
-    b.add_argument("kind", choices=REP_KINDS)
+    b.add_argument("kind", choices=_REPS)
     b.add_argument("out", help="output artifact path")
     b.add_argument("--delta", help="exact rational p/q for the block length")
     b.add_argument("--l", type=int, help="block length directly")
@@ -99,38 +95,32 @@ def _gen_group(family: str, params: list[str]) -> GroupTable:
             return build_family("symmetric", {"k": int(params[0])})
         if family == "alternating":
             return build_family("alternating", {"k": int(params[0])})
-        if family == "file":
-            return load_cayley_file(params[0])
+        return load_cayley_file(params[0])      # "file", the last choice
     except GtoolError:
         raise
     except (IndexError, ValueError) as exc:
         raise UsageError(f"bad parameters for family {family}: {exc}") from exc
-    raise UsageError(f"unknown family {family}")
 
 
-def _make_rep(kind: str, args):
-    if kind == "block":
-        if args.l is None and args.delta is None:
-            raise UsageError("block builds need --delta or --l")
-        delta = parse_delta(args.delta) if args.delta is not None else None
-        return BlockRep(l=args.l, delta=delta, max_slots=args.max_slots)
-    if kind == "cyclic":
-        return CyclicRep()
-    if kind == "zgroup":
-        return CompositeRep(mode="zgroup")
-    if kind == "composite":
-        return CompositeRep()
-    if kind == "simple":
-        return SimpleRep()
-    if kind == "fm-abelian":
-        return AbelianFM()
-    if kind == "fm-hamiltonian":
-        return HamiltonianFM()
-    if kind == "fm-zgroup":
-        return ZGroupFM(table_max=args.table_max)
-    if kind == "fm-semidirect":
-        return SemidirectFM()
-    raise UsageError(f"unknown rep kind {kind}")
+def _block_rep(args) -> BlockRep:
+    if args.l is None and args.delta is None:
+        raise UsageError("block builds need --delta or --l")
+    delta = parse_delta(args.delta) if args.delta is not None else None
+    return BlockRep(l=args.l, delta=delta, max_slots=args.max_slots)
+
+
+# each kind the parser accepts, and its estimator from the build options
+_REPS = {
+    "block": _block_rep,
+    "cyclic": lambda args: CyclicRep(),
+    "zgroup": lambda args: CompositeRep(mode="zgroup"),
+    "simple": lambda args: SimpleRep(),
+    "composite": lambda args: CompositeRep(),
+    "fm-abelian": lambda args: AbelianFM(),
+    "fm-hamiltonian": lambda args: HamiltonianFM(),
+    "fm-zgroup": lambda args: ZGroupFM(table_max=args.table_max),
+    "fm-semidirect": lambda args: SemidirectFM(),
+}
 
 
 def _cmd_gen(args) -> int:
@@ -144,7 +134,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     G = load_cayley_file(args.table, strict=args.strict)
-    rep = _make_rep(args.kind, args).fit(G)
+    rep = _REPS[args.kind](args).fit(G)
     serialize.save(rep, args.out)
     report = measure(rep)
     print(SpaceReport.CSV_HEADER)
@@ -156,10 +146,8 @@ def _cmd_query(args) -> int:
     rep = serialize.load(args.rep)
     result, ledger = probe_counted_multiply(rep, args.x, args.y)
     if isinstance(rep, _FMBase):
-        lx = rep.labeler_.label(args.x)
-        ly = rep.labeler_.label(args.y)
-        lz = rep.scheme_.multiply(lx, ly)
-        print(f"{result} label: {','.join(str(v) for v in lz)}")
+        label = rep.labeler_.label(result)
+        print(f"{result} label: {','.join(str(v) for v in label)}")
     else:
         print(result)
     if args.stats:
@@ -222,21 +210,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+_COMMANDS = {"gen": _cmd_gen, "build": _cmd_build, "query": _cmd_query,
+             "verify": _cmd_verify, "bench": _cmd_bench}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise UsageError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -249,7 +231,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

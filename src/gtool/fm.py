@@ -26,6 +26,7 @@ low-order factor in the low bits.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -46,38 +47,51 @@ def _frozen(arr, dtype=np.int64) -> np.ndarray:
     return out
 
 
-class _Labeler:
+class _Labeler(_Cached):
     """Outside-user labeling of a group's elements.
 
     Each labeling writes its maps once, as ``_bound_maps(view)``: a pair
     of closures over ``view`` of its arrays, ``labels`` from ids to label
     components and ``elements`` from label components back to ids.  Both
     take Python ints or int64 arrays alike and check nothing.  ``label`` and
-    ``element`` are their checked one-element forms, with Python ints
-    throughout: ``element`` takes exactly the tuples that ``label`` or a
-    scheme's ``multiply`` returns, and ``codecs[i]`` bounds component i
-    before ``elements`` reads it.  The arrays that ``elements`` reads hold
-    ids, at the id width ``id_dtype(n)``; the others stay int64.
+    ``element`` are their checked one-element forms, bound once on
+    read-only memoryviews (``base._Cached``), so they answer in Python ints:
+    ``element`` takes exactly the tuples that ``label`` or a scheme's
+    ``multiply`` returns, and ``codecs[i]`` bounds component i before
+    ``elements`` reads it.  The arrays that ``elements`` reads hold ids, at
+    the id width ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
     codecs: tuple[MixedRadix, ...]
 
-    def label(self, x: int) -> FMLabel:
-        labels, _ = self._bound_maps(np.asarray)
-        return tuple(int(v) for v in labels(check_element_id(x, self.n)))
+    @cached_property
+    def label(self):
+        """The label of an element id."""
+        labels, n = self._bound_maps(_view)[0], self.n
 
-    def element(self, lab: FMLabel) -> int:
-        if type(lab) is tuple and len(lab) == len(self.codecs) and all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                and 0 <= v < 1 << c.bits
-                and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
-                for v, c in zip(lab, self.codecs)):
-            lab = tuple(map(int, lab))
-            x = int(self._bound_maps(np.asarray)[1](lab))
-            if self.label(x) == lab:
-                return x
-        raise ValidationError(f"{lab!r} is not a label of this group")
+        def label(x: int) -> FMLabel:
+            return labels(check_element_id(x, n))
+        return label
+
+    @cached_property
+    def element(self):
+        """The element id of a label."""
+        label, codecs = self.label, self.codecs
+        elements = self._bound_maps(_view)[1]
+
+        def element(lab: FMLabel) -> int:
+            if type(lab) is tuple and len(lab) == len(codecs) and all(
+                    isinstance(v, (int, np.integer))
+                    and not isinstance(v, bool) and 0 <= v < 1 << c.bits
+                    and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
+                    for v, c in zip(lab, codecs)):
+                lab = tuple(map(int, lab))
+                x = elements(lab)
+                if label(x) == lab:
+                    return x
+            raise ValidationError(f"{lab!r} is not a label of this group")
+        return element
 
 
 def _fields(*sizes) -> tuple[MixedRadix, ...]:
@@ -217,7 +231,7 @@ def compress_hamiltonian(group) -> tuple[HamiltonianScheme, HamiltonianLabeler]:
 
 def _table_max(value) -> int:
     """``value`` as a sigma-table bound, which an artifact holds in 32 bits."""
-    value = int(value)
+    value = check_integer(value, "table_max")
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValidationError(
             f"table_max must be in [0, {0xFFFFFFFF}], got {value}")
@@ -332,7 +346,7 @@ def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLab
 
 # -- permutation powers by cycle position -----------------------------------------
 
-class CycleStructure:
+class CycleStructure(_Cached):
     """Disjoint-cycle storage of a permutation for O(1) powering.
 
     ``cycles[j]`` lists one cycle's points in order, starting at its least
@@ -374,15 +388,20 @@ class CycleStructure:
         """Each cycle's points in order, starting at its least point."""
         return np.split(self.flat_, self.offsets_[1:])
 
-    def apply_power(self, g: int, d: int) -> int:
+    @cached_property
+    def apply_power(self):
         """pi**d applied to g; exactly two array reads plus one modulo,
         in Python ints, so that any integer exponent is answered exactly."""
-        g = check_element_id(g, self.n_points)
-        d = check_integer(d, "exponent")
-        if d < 0:
-            raise ValidationError("negative powers are rejected; normalize "
-                                  "exponents into [0, m) first")
-        return self._bound_power(_view)(g, d)
+        power, n = self._bound_power(_view), self.n_points
+
+        def apply_power(g: int, d: int) -> int:
+            g = check_element_id(g, n)
+            d = check_integer(d, "exponent")
+            if d < 0:
+                raise ValidationError("negative powers are rejected; "
+                                      "normalize exponents into [0, m) first")
+            return power(g, d)
+        return apply_power
 
     def _count(self, ledger) -> None:
         """Count the reads of one ``apply_power``."""

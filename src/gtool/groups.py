@@ -13,7 +13,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .base import ParseError, ValidationError, check_cayley_table, check_element_id
+from .base import (ParseError, ValidationError, check_cayley_table,
+                   check_element_id, check_integer, check_pairs)
 
 
 class GroupTable:
@@ -106,6 +107,7 @@ class GroupTable:
     def power(self, x: int, e: int) -> int:
         """x**e for e >= 0 by square-and-multiply on the table."""
         x = check_element_id(x, self.n)
+        e = check_integer(e, "exponent")
         if e < 0:
             x, e = int(self.inverse[x - 1]), -e
         return int(self._power(x, e))
@@ -175,7 +177,6 @@ class GroupTable:
         return self._abelian
 
     def predict(self, X) -> np.ndarray:
-        from .base import check_pairs
         pairs = check_pairs(X, self.n)
         return self.table[pairs[:, 0] - 1, pairs[:, 1] - 1].astype(np.int64)
 
@@ -440,7 +441,7 @@ def make_dihedral(m: int) -> GroupTable:
 
 def make_abelian(orders) -> GroupTable:
     """Direct product of cyclic groups with the given orders."""
-    orders = [int(d) for d in orders]
+    orders = [check_integer(d, "factor order") for d in orders]
     if not orders:
         raise ValidationError("need at least one cyclic factor")
     G = make_cyclic(orders[0])

@@ -26,7 +26,7 @@ import numpy as np
 from . import fm
 from .base import ParseError, PreconditionError, ValidationError, id_dtype
 from .blockrep import BlockRep
-from .special import CompositeRep, CyclicRep, SimpleRep
+from .special import CompositeRep, CyclicRep, SimpleRep, _label_bits
 from .structure import MixedRadix
 
 
@@ -104,10 +104,6 @@ def _ids(h) -> np.dtype:
 
 
 _n, _pts = attrgetter("n_"), attrgetter("n_points")
-
-
-def _label_bits(s: int) -> int:
-    return max((s - 1).bit_length(), 1)
 
 
 def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,

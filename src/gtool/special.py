@@ -171,6 +171,11 @@ class CompositeRep(Representation):
         }
 
 
+def _label_bits(s: int) -> int:
+    """The width of one edge label of a path over ``s`` generators."""
+    return max((s - 1).bit_length(), 1)
+
+
 class SimpleRep(Representation):
     """Shortest-path representation over a small generating set.
 
@@ -214,7 +219,7 @@ class SimpleRep(Representation):
             raise PreconditionError("no generating pair found")
         diameter, gens = best
 
-        wl = max(int(len(gens) - 1).bit_length(), 1)
+        wl = _label_bits(len(gens))
         dist, path = _bfs_paths(t, G.identity, gens, wl)
         plen = dist.astype(id_dtype(diameter))
         M = np.ascontiguousarray(t[:, np.array(gens, dtype=np.int64) - 1],

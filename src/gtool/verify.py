@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ValidationError
+from .base import ValidationError, check_integer
 from .groups import GroupTable
 
 Counterexample = tuple[int, int, int, int]       # (x, y, got, want)
@@ -45,6 +45,8 @@ def verify_exhaustive(rep, G: GroupTable) -> Counterexample | None:
 def verify_random(rep, G: GroupTable, count: int, seed: int = 0
                   ) -> Counterexample | None:
     """Compare rep.predict with the table on seeded uniform pairs."""
+    count = check_integer(count, "pair count")
+    seed = check_integer(seed, "seed")
     if count < 0:
         raise ValidationError(f"pair count must be >= 0, got {count}")
     if not 0 <= seed <= MAX_SEED:

@@ -114,6 +114,11 @@ def test_not_fitted():
 def test_requires_l_or_delta():
     with pytest.raises(ValidationError):
         BlockRep().fit(gt.make_cyclic(4))
+    # l is an integer: 2.7 is not fitted as 2, nor True as 1
+    for bad in (2.7, True, "2", np.float64(2.0)):
+        with pytest.raises(ValidationError, match="l must be an int"):
+            BlockRep(l=bad).fit(gt.make_cyclic(4))
+    assert BlockRep(l=np.int64(2)).fit(gt.make_cyclic(4)).l_ == 2
 
 
 def test_wrong_cube_rejected():
@@ -153,6 +158,14 @@ def test_random_verify_on_c1024(corpus):
         with pytest.raises(ValidationError, match="seed"):
             verify_random(rep, G, 10, seed=seed)
     assert verify_random(rep, G, 10, seed=(1 << 32) - 1) is None
+    # a count or seed is an integer, never truncated
+    for bad in (2.5, True, "10"):
+        with pytest.raises(ValidationError, match="pair count"):
+            verify_random(rep, G, bad)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValidationError, match="seed"):
+            verify_random(rep, G, 10, seed=bad)
+    assert verify_random(rep, G, np.int64(10), seed=np.uint32(3)) is None
 
 
 def test_trivial_group_block():

@@ -261,7 +261,7 @@ def test_zgroup_orders_whose_products_wrap_int64_are_rejected():
 
 def test_zgroup_table_max_is_range_checked_before_the_search():
     # Klein has no Z-group split: the bound is rejected before the search
-    for bad in (-1, 1 << 32):
+    for bad in (-1, 1 << 32, 64.5, True, "64"):
         with pytest.raises(ValidationError, match="table_max"):
             fm.ZGroupFM(table_max=bad).fit(gt.make_abelian([2, 2]))
         with pytest.raises(ValidationError, match="table_max"):
@@ -524,6 +524,66 @@ def test_scheme_multiply_is_the_kernel_bound_on_a_twin(corpus, name, kind,
     assert not {"multiply", "_kernel"} & set(vars(sch))
     setattr(sch, name0, value)
     _assert_scheme_answers(sch, pairs, want)
+
+
+BOUND = {"label", "element", "apply_power"}
+
+
+def _labels_and_powers(lab, cycle):
+    """Every label, the element of each, and each point's power 0, 1
+    and 5 of the cycle structure."""
+    labels = [lab.label(x) for x in range(1, lab.n + 1)]
+    return labels, [lab.element(v) for v in labels], [
+        cycle.apply_power(g, d)
+        for g in range(1, cycle.n_points + 1) for d in (0, 1, 5)]
+
+
+@pytest.mark.parametrize("name, kind, params, reads", FM_SCHEMES, ids=FM_IDS)
+def test_labeler_and_cycle_maps_are_bound_once(
+        monkeypatch, corpus, name, kind, params, reads):
+    rep = copy.deepcopy(corpus.rep(name, kind, **params))
+    lab = rep.labeler_
+    pi = np.random.RandomState(lab.n).permutation(lab.n) + 1
+    cycle = fm.CycleStructure(pi)
+    runs = {"_bound_maps": 0, "_bound_power": 0}
+    for cls, binder in ((type(lab), "_bound_maps"),
+                        (fm.CycleStructure, "_bound_power")):
+        def counted(self, view, bind=getattr(cls, binder), binder=binder):
+            runs[binder] += 1
+            return bind(self, view)
+        monkeypatch.setattr(cls, binder, counted)
+    want = _labels_and_powers(lab, cycle)
+    labels, elements, powers = want
+    assert elements == list(range(1, lab.n + 1))
+    assert powers == [iterate_permutation(pi, g, d)
+                      for g in range(1, lab.n + 1) for d in (0, 1, 5)]
+    assert all(type(v) is int
+               for v in [*elements, *powers, *(u for t in labels for u in t)])
+    # the first label and element bound the maps, and the first
+    # apply_power the cycle reads; later calls run no binder
+    assert runs == {"_bound_maps": 2, "_bound_power": 1}
+    assert _labels_and_powers(lab, cycle) == want
+    assert runs == {"_bound_maps": 2, "_bound_power": 1}
+    assert set(vars(lab)) >= {"label", "element"}
+    assert "apply_power" in vars(cycle)
+    # no pickle or copy carries a bound closure
+    for obj in (lab, cycle):
+        for other in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                      copy.deepcopy(obj)):
+            assert type(other) is type(obj) and not BOUND & set(vars(other))
+    twins = (pickle.loads(pickle.dumps(lab)), copy.deepcopy(cycle))
+    assert _labels_and_powers(*twins) == want
+    # setting or deleting any attribute drops the closures
+    for obj, name0 in ((lab, "n"), (cycle, "n_points")):
+        value = getattr(obj, name0)
+        setattr(obj, name0, value)
+        assert not BOUND & set(vars(obj))
+        delattr(obj, name0)
+        assert not BOUND & set(vars(obj))
+        setattr(obj, name0, value)
+    assert _labels_and_powers(lab, cycle) == want
+    # the two twins, then the dropped closures, bound once each
+    assert runs == {"_bound_maps": 6, "_bound_power": 3}
 
 
 @pytest.mark.parametrize("name, kind, params, reads", FM_SCHEMES, ids=FM_IDS)

@@ -200,6 +200,11 @@ def test_make_cyclic():
     assert order_multiset(G6.table, G6.identity) == [1, 2, 3, 3, 6, 6]
     with pytest.raises(ValidationError):
         gt.make_cyclic(0)
+    # a factor order is an integer, never truncated
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValidationError, match="factor order"):
+            gt.make_abelian([2, bad])
+    assert gt.make_abelian([np.int64(2), 3]).n == 6
 
 
 def test_make_direct_klein():
@@ -278,6 +283,11 @@ def test_make_quaternion_canonical():
     assert orders.count(2) == 1
     # relations a^4 = e and (ab)^2 = b^2 hold
     assert Q.power(2, 4) == 1
+    assert Q.power(2, np.int64(-1)) == Q.power(2, 3) == 4
+    # an exponent is an integer: never truncated, nor True taken for 1
+    for bad in (2.5, "3", True, np.float64(2.0), None):
+        with pytest.raises(ValidationError, match="exponent must be an int"):
+            Q.power(2, bad)
     assert Q.mult(6, 6) == Q.mult(5, 5)
     Q.check_associativity()
 

@@ -169,3 +169,46 @@ def test_every_binder_takes_the_array_wrapper():
     assert len(found) >= 15
     assert [site for site in found if site[2] != ["self", "view"]] == []
     assert package_call_sites("object.__new__") == []
+
+
+def binder_calls(source: str) -> list[tuple[str, str]]:
+    """(binder, enclosing function) of each call of a ``_bound_*``
+    binder; a function declared ``@cached_property`` is listed as
+    ``@cached_property``, and a call outside any function as
+    ``<module>``."""
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+            if any(ast.unparse(d) == "cached_property"
+                   for d in node.decorator_list):
+                where = "@cached_property"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("_bound_")):
+            calls.append((node.func.attr, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_binders_run_only_in_binders_and_cached_properties():
+    # a closure is bound once, by a cached_property of base._Cached or a
+    # subclass: a binder called from a method or a closure would bind
+    # again on every call
+    assert binder_calls(
+        "class A:\n    @cached_property\n    def f(self):\n"
+        "        x = self._bound_a(v)\n        def g():\n"
+        "            return self._bound_b(v)\n        return g\n"
+        "    def _bound_c(self, view):\n        return self._bound_a(view)\n"
+        "    def h(self):\n        return self._bound_c(v)(1)\n") == [
+        ("_bound_a", "@cached_property"), ("_bound_b", "g"),
+        ("_bound_a", "_bound_c"), ("_bound_c", "h")]
+    calls = [(path.name, binder, where) for path in sorted(SRC.glob("*.py"))
+             for binder, where in binder_calls(path.read_text())]
+    assert {where for *_, where in calls} >= {"@cached_property",
+                                                "_bound_kernel"}
+    assert [call for call in calls if call[2] != "@cached_property"
+            and not call[2].startswith("_bound_")] == []

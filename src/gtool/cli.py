@@ -34,9 +34,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a Cayley-table file")
-    g.add_argument("family", choices=["cyclic", "dihedral", "abelian",
-                                      "quaternion", "direct", "semidirect",
-                                      "symmetric", "alternating", "file"])
+    g.add_argument("family", choices=[*_FAMILIES, "file"])
     g.add_argument("params", nargs="*", help="family parameters")
     g.add_argument("out", help="output table path")
     g.add_argument("--strict", action="store_true",
@@ -75,27 +73,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+# each family ``gen`` builds, and its ``build_family`` parameters from the
+# command's; a missing or non-integer one raises IndexError or ValueError
+_FAMILIES = {
+    "cyclic": lambda p: {"n": int(p[0])},
+    "dihedral": lambda p: {"m": int(p[0])},
+    "abelian": lambda p: {"orders": [int(v) for v in p]},
+    "quaternion": lambda p: {},
+    "direct": lambda p: {"parts": list(p)},
+    "semidirect": lambda p: dict(zip("mda", map(int, p[:3]), strict=True)),
+    "symmetric": lambda p: {"k": int(p[0])},
+    "alternating": lambda p: {"k": int(p[0])},
+}
+
+
 def _gen_group(family: str, params: list[str]) -> GroupTable:
     try:
-        if family == "cyclic":
-            return build_family("cyclic", {"n": int(params[0])})
-        if family == "dihedral":
-            return build_family("dihedral", {"m": int(params[0])})
-        if family == "abelian":
-            return build_family("abelian",
-                                {"orders": [int(v) for v in params]})
-        if family == "quaternion":
-            return build_family("quaternion", {})
-        if family == "direct":
-            return build_family("direct", {"parts": list(params)})
-        if family == "semidirect":
-            m, d, a = (int(v) for v in params[:3])
-            return build_family("semidirect", {"m": m, "d": d, "a": a})
-        if family == "symmetric":
-            return build_family("symmetric", {"k": int(params[0])})
-        if family == "alternating":
-            return build_family("alternating", {"k": int(params[0])})
-        return load_cayley_file(params[0])      # "file", the last choice
+        if family == "file":
+            return load_cayley_file(params[0])
+        return build_family(family, _FAMILIES[family](params))
     except GtoolError:
         raise
     except (IndexError, ValueError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .base import ValidationError
+from .base import ValidationError, check_integer
 from .groups import (GroupTable, SemidirectSpec, load_cayley_table,
                      make_abelian, make_alternating, make_cyclic,
                      make_dihedral, make_direct, make_quaternion,
@@ -49,6 +49,8 @@ def _part(spec: str) -> GroupTable:
 
 def make_metacyclic(m: int, d: int, multiplier: int) -> GroupTable:
     """C_m x| C_d where the complement generator acts as x -> multiplier*x."""
+    m, d, multiplier = map(check_integer, (m, d, multiplier),
+                           ("order m", "order d", "multiplier"))
     if pow(multiplier, d, m) != 1 % m:
         raise ValidationError(
             f"multiplier {multiplier} does not define an order-{d} action mod {m}")

@@ -6,7 +6,8 @@ compresses the group and labels its elements, and a query processing unit
 the QPU store counts toward space; a scheme's ``multiply`` is a pure
 function of (store, label, label), so a serialized store reproduces
 queries exactly.  ``multiply`` checks nothing, so its labels must come
-from a labeler's ``label`` or from ``multiply``.
+from a labeler's ``label`` or from ``multiply``.  A labeler's ``element``
+checks a label by one guarded read and a round trip through ``label``.
 
 Each scheme writes its query once, as ``_bound_kernel(view)``: a closure
 over ``view`` of each of the store's arrays, whose label components may be
@@ -55,15 +56,16 @@ class _Labeler(_Cached):
     components and ``elements`` from label components back to ids.  Both
     take Python ints or int64 arrays alike and check nothing.  ``label`` and
     ``element`` are their checked one-element forms, bound once on
-    read-only memoryviews (``base._Cached``), so they answer in Python ints:
+    read-only memoryviews (``base._Cached``), so they answer in Python ints.
     ``element`` takes exactly the tuples that ``label`` or a scheme's
-    ``multiply`` returns, and ``codecs[i]`` bounds component i before
-    ``elements`` reads it.  The arrays that ``elements`` reads hold ids, at
-    the id width ``id_dtype(n)``; the others stay int64.
+    ``multiply`` returns: one ``elements`` read, guarded against an index
+    past an array's end, then a round trip, exact as labels are canonical.
+    A wrong arity, a negative component that wrapped a read, or bits above
+    a word's fields fail ``label(x) == lab``.  The arrays that ``elements``
+    reads hold ids, at the id width ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
-    codecs: tuple[MixedRadix, ...]
 
     @cached_property
     def label(self):
@@ -77,25 +79,20 @@ class _Labeler(_Cached):
     @cached_property
     def element(self):
         """The element id of a label."""
-        label, codecs = self.label, self.codecs
-        elements = self._bound_maps(_view)[1]
+        label, elements = self.label, self._bound_maps(_view)[1]
 
         def element(lab: FMLabel) -> int:
-            if type(lab) is tuple and len(lab) == len(codecs) and all(
-                    isinstance(v, (int, np.integer))
-                    and not isinstance(v, bool) and 0 <= v < 1 << c.bits
-                    and all(f < s for f, s in zip(c.unpack(int(v)), c.sizes))
-                    for v, c in zip(lab, codecs)):
-                lab = tuple(map(int, lab))
-                x = elements(lab)
-                if label(x) == lab:
-                    return x
+            if type(lab) is tuple:
+                lab = tuple(check_integer(v, "label component") for v in lab)
+                try:
+                    x = elements(lab)
+                except IndexError:      # a short tuple or a read past an end
+                    pass
+                else:
+                    if label(x) == lab:
+                        return x
             raise ValidationError(f"{lab!r} is not a label of this group")
         return element
-
-
-def _fields(*sizes) -> tuple[MixedRadix, ...]:
-    return tuple(MixedRadix((s,)) for s in sizes)
 
 
 # -- abelian ------------------------------------------------------------------
@@ -110,12 +107,11 @@ class AbelianScheme(MixedRadix, _Cached):
     """
 
     def __init__(self, orders):
-        orders = tuple(int(d) for d in orders)
-        super().__init__(orders)    # the 63-bit budget before any factoring
-        for d in orders:
+        super().__init__(orders)    # integers in 63 bits, before any factoring
+        for d in self.sizes:
             if d < 2 or len(_prime_factors(d)) != 1:
                 raise ValidationError(f"factor order {d} is not a prime power")
-        self.orders = orders
+        self.orders = self.sizes
 
     def _bound_kernel(self, view):
         add = self.add
@@ -134,7 +130,6 @@ class AbelianLabeler(_Labeler):
 
     def __init__(self, scheme: AbelianScheme, packed, element_of_flat):
         self.scheme = scheme
-        self.codecs = (scheme,)
         self.packed = _frozen(packed)
         self.n = len(self.packed)
         self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
@@ -195,8 +190,6 @@ class HamiltonianLabeler(_Labeler):
 
     def __init__(self, scheme, q_of, c_of, c_labels, by_flat):
         self.scheme = scheme
-        # C's label, then the quaternion index minus one
-        self.codecs = (MixedRadix(scheme.abelian.sizes + (8,)),)
         self.q_of = _frozen(q_of)
         self.c_of = _frozen(c_of)
         self.c_labels = _frozen(c_labels)
@@ -254,9 +247,8 @@ class ZGroupScheme(_Cached):
     """
 
     def __init__(self, m: int, d: int, sigma1: int, table_max: int = 64):
-        self.m = int(m)
-        self.d = int(d)
-        self.sigma1 = int(sigma1)
+        self.m, self.d, self.sigma1 = map(check_integer, (m, d, sigma1),
+                                          ("order m", "order d", "multiplier"))
         self.table_max = _table_max(table_max)
         if self.m < 1 or self.d < 1:
             raise ValidationError(f"orders m={self.m}, d={self.d} must be >= 1")
@@ -316,7 +308,6 @@ class ZGroupLabeler(_Labeler):
 
     def __init__(self, scheme, i_of, j_of, pairing):
         self.scheme = scheme
-        self.codecs = _fields(scheme.m, scheme.m, scheme.d)
         self.i_of = _frozen(i_of)
         self.j_of = _frozen(j_of)
         self.n = len(i_of) - 1
@@ -356,8 +347,10 @@ class CycleStructure(_Cached):
     """
 
     def __init__(self, pi):
-        pi = np.asarray(pi, dtype=np.int64)
-        n = len(pi)
+        pi = np.asarray(pi)
+        if pi.size and pi.dtype.kind not in "iu":
+            raise ValidationError(f"points must be integers, got {pi.dtype}")
+        pi, n = pi.astype(np.int64), len(pi)
         if n == 0 or not np.array_equal(np.sort(pi), np.arange(1, n + 1)):
             raise ValidationError("input is not a permutation of 1..n")
         self.n_points = n
@@ -447,7 +440,7 @@ class SemidirectScheme(_Cached):
 
     def __init__(self, m: int, cycle: CycleStructure, abelian: AbelianScheme,
                  labels_of_a: np.ndarray, index_of_label: np.ndarray):
-        self.m = int(m)
+        self.m = check_integer(m, "order m")
         self.cycle = cycle
         self.abelian = abelian
         self.labels_of_a = _frozen(labels_of_a)
@@ -487,8 +480,6 @@ class SemidirectLabeler(_Labeler):
 
     def __init__(self, scheme, a_of, j_of, pairing):
         self.scheme = scheme
-        # local A ids are 1-based: 0 is in the box, and no label holds it
-        self.codecs = (scheme.abelian,) + _fields(scheme.a_order + 1, scheme.m)
         self.a_of = _frozen(a_of)
         self.j_of = _frozen(j_of)
         self.n = len(a_of) - 1

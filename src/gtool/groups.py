@@ -305,6 +305,7 @@ def as_group(X) -> GroupTable:
 
 def make_cyclic(n: int) -> GroupTable:
     """Cyclic group of order n; element i+1 represents g**i, identity 1."""
+    n = check_integer(n, "cyclic order")
     if n < 1:
         raise ValidationError(f"cyclic order must be >= 1, got {n}")
     i = np.arange(n, dtype=np.int64)
@@ -472,6 +473,7 @@ def make_symmetric(k: int) -> GroupTable:
 
     Products compose left-to-right as functions: (p*q)(t) = p(q(t)).
     """
+    k = check_integer(k, "symmetric degree")
     if not 1 <= k <= 7:
         raise ValidationError(f"symmetric degree must be in [1, 7], got {k}")
     return _perm_table(np.array(list(permutations(range(k))), dtype=np.int32))
@@ -479,6 +481,7 @@ def make_symmetric(k: int) -> GroupTable:
 
 def make_alternating(k: int) -> GroupTable:
     """Alternating group A_k (even permutations, lexicographic order)."""
+    k = check_integer(k, "alternating degree")
     if not 1 <= k <= 7:
         raise ValidationError(f"alternating degree must be in [1, 7], got {k}")
     perms = np.array(list(permutations(range(k))), dtype=np.int32)
@@ -494,6 +497,7 @@ def make_psl2(p: int) -> GroupTable:
     entry tuple; the identity is numbered 1 and the rest follow in sorted
     order.
     """
+    p = check_integer(p, "prime p")
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValidationError(f"{p} is not prime")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import PreconditionError, ValidationError
+from .base import PreconditionError, ValidationError, check_integer
 from .groups import Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic
 
 
@@ -210,7 +210,7 @@ class MixedRadix:
     """
 
     def __init__(self, sizes):
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(check_integer(s, "size") for s in sizes)
         self.widths = tuple((s - 1).bit_length() for s in self.sizes)
         self.shifts = tuple(sum(self.widths[:i]) for i in range(len(self.sizes)))
         self.bits = sum(self.widths)

@@ -23,6 +23,21 @@ def test_gen_cyclic(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("family, params, order", [
+    ("cyclic", ["5"], 5), ("dihedral", ["4"], 8), ("abelian", ["2", "3"], 6),
+    ("quaternion", [], 8), ("direct", ["q8", "c3"], 24),
+    ("semidirect", ["7", "3", "2"], 21), ("symmetric", ["3"], 6),
+    ("alternating", ["4"], 12)])
+def test_gen_builds_every_family(tmp_path, capsys, family, params, order):
+    out = tmp_path / "g.table"
+    assert run(capsys, "gen", family, *params, str(out))[0] == 0
+    assert gt.load_cayley_file(out).n == order
+    # the table file reads back through the "file" family
+    copy = tmp_path / "copy.table"
+    assert run(capsys, "gen", "file", str(out), str(copy))[0] == 0
+    assert copy.read_text() == out.read_text()
+
+
 def test_gen_quaternion_matches_constructor(tmp_path, capsys):
     out = tmp_path / "q8.table"
     assert run(capsys, "gen", "quaternion", str(out))[0] == 0
@@ -44,6 +59,12 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "semidirect", "7", "3", "3",
                        str(tmp_path / "x"))
     assert code == 2        # 3^3 != 1 mod 7: invalid action
+    # a missing parameter, or a family the parser does not list
+    for argv in (("semidirect", "7", "3"), ("cyclic",), ("symmetric", "3.0"),
+                 ("klein", "4")):
+        code, _, err = run(capsys, "gen", *argv, str(tmp_path / "x"))
+        assert code == 1 and err.startswith("usage error"), argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_block_reports_slots(tmp_path, capsys):

@@ -10,7 +10,7 @@ import gtool as gt
 from gtool import fm
 from gtool import serialize as ser
 from gtool.audit import ProbeLedger, probe_counted_multiply
-from gtool.base import GtoolError, PreconditionError, ValidationError
+from gtool.base import GtoolError, PreconditionError, ValidationError, _view
 from gtool.corpus import make_metacyclic
 from gtool.verify import verify_exhaustive
 
@@ -95,6 +95,10 @@ def test_abelian_virtual_large_orders():
 def test_abelian_from_orders_rejects_composite_factor():
     with pytest.raises(ValidationError):
         fm.AbelianScheme((6,))
+    for bad in ((4.7,), (2, True), ("4",), (np.float64(4),)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            fm.AbelianScheme(bad)
+    assert fm.AbelianScheme((np.int64(4), 3)).orders == (4, 3)
 
 
 def test_abelian_bit_budget_checked_before_factoring(monkeypatch):
@@ -266,6 +270,20 @@ def test_zgroup_table_max_is_range_checked_before_the_search():
             fm.ZGroupFM(table_max=bad).fit(gt.make_abelian([2, 2]))
         with pytest.raises(ValidationError, match="table_max"):
             fm.ZGroupScheme(7, 3, 2, table_max=bad)
+    # so are the orders and the multiplier, never truncated
+    for args in ((7.9, 3, 2), (7, 3.0, 2), (7, 3, 2.9), (7, True, 2),
+                 ("7", 3, 2)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            fm.ZGroupScheme(*args)
+    scheme = fm.SemidirectFM().fit(gt.make_symmetric(3)).scheme_
+    with pytest.raises(ValidationError, match="order m must be an integer"):
+        fm.SemidirectScheme(2.5, scheme.cycle, scheme.abelian,
+                            scheme.labels_of_a, scheme.index_of_label)
+    # make_metacyclic(7, 3, True) built C7 x C3, and (7.0, 3, 2) raised
+    # TypeError
+    for args in ((7, 3, True), (7.0, 3, 2), (7, 3.0, 2), (7, 3, "2")):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make_metacyclic(*args)
     for ok in (0, (1 << 32) - 1):
         rep = fm.ZGroupFM(table_max=ok).fit(gt.make_symmetric(3))
         assert ser.from_bytes(ser.to_bytes(rep)).scheme_.table_max == ok
@@ -310,6 +328,12 @@ def test_cycle_structure_probe_count():
 def test_cycle_structure_rejects():
     with pytest.raises(ValidationError):
         fm.CycleStructure(np.array([1, 1, 3]))
+    # points are integers, never truncated: [2.7, 1] was read as (2, 1)
+    for bad in ([2.7, 1], [2.0, 1.0], [True, False], ["2", "1"], [],
+                [1 << 70, 1]):
+        with pytest.raises(ValidationError):
+            fm.CycleStructure(bad)
+    assert fm.CycleStructure(np.array([2, 1], dtype=np.uint8)).n_points == 2
     cs = fm.CycleStructure(np.array([2, 1]))
     with pytest.raises(ValidationError):
         cs.apply_power(3, 1)
@@ -660,3 +684,27 @@ def test_element_rejects_labels_that_crashed_or_lied(corpus):
         corpus.rep("A4", "fm-semidirect").labeler_.element((0, 0, 0))
     with pytest.raises(ValidationError):
         corpus.rep("S3", "fm-zgroup").labeler_.element((0, 99, 1))
+    # per labeler, the components its elements map indexes with: a short
+    # tuple or a huge component reads past an end, and -1 may wrap a read
+    # onto an element, even the one whose label it imitates; the round
+    # trip rejects every one of them
+    indexed = {"abelian": (0,), "hamiltonian": (0,), "zgroup": (0, 2),
+               "semidirect": (1, 2)}
+    for scheme, components in indexed.items():
+        lab = _labeler(corpus, scheme)
+        elements = lab._bound_maps(_view)[1]
+        for x in (1, lab.n):
+            good = lab.label(x)
+            short = good[:max(components)]
+            with pytest.raises(IndexError):
+                elements(short)
+            bad = [short]
+            for i in components:
+                bad += [good[:i] + (v,) + good[i + 1:] for v in (-1, 1 << 70)]
+            for b in bad:
+                with pytest.raises(ValidationError, match="not a label"):
+                    lab.element(b)
+            assert lab.element(tuple(map(np.int64, good))) == x
+    zgroup = _labeler(corpus, "zgroup")     # C7:C3
+    assert zgroup.label(21) == (6, 4, 2)
+    assert zgroup._bound_maps(_view)[1]((-1, 4, 2)) == 21

@@ -200,6 +200,17 @@ def test_make_cyclic():
     assert order_multiset(G6.table, G6.identity) == [1, 2, 3, 3, 6, 6]
     with pytest.raises(ValidationError):
         gt.make_cyclic(0)
+    # an order or degree is an integer, never truncated: make_cyclic(True)
+    # built the trivial group, and make_symmetric(3.0) raised TypeError
+    for make, bad in ((gt.make_cyclic, (True, 2.5, "6", np.float64(6))),
+                      (gt.make_dihedral, (True, 2.5)),
+                      (gt.make_symmetric, (3.0, True, "3")),
+                      (gt.make_alternating, (True, 4.0)),
+                      (gt.make_psl2, (7.0, True, "7"))):
+        for v in bad:
+            with pytest.raises(ValidationError, match="must be an integer"):
+                make(v)
+    assert gt.make_cyclic(np.int64(6)).n == 6
     # a factor order is an integer, never truncated
     for bad in (2.5, True, "2"):
         with pytest.raises(ValidationError, match="factor order"):

@@ -451,6 +451,10 @@ def test_codec_rejects_sizes_outside_int64():
     for sizes in ((0,), (-3,), (2**63,), (1, 2**32, 2**31)):
         with pytest.raises(PreconditionError, match=r"\[1, 2\*\*63\)"):
             st.MixedRadix(sizes)
+    # a size is an integer, never truncated: (2.5, 3) had sizes (2, 3)
+    for sizes in ((2.5, 3), (True, 3), ("2", 3)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            st.MixedRadix(sizes)
     # the largest boxes on either side still build and answer
     for sizes in (((1 << 63) - 1,), (2**32, 2**31)):
         box, ref = st.MixedRadix(sizes), LoopMixedRadix(sizes)

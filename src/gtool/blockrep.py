@@ -77,7 +77,11 @@ class BlockRep(Representation):
     j-th subset product of block i.  Entry j = 0 is the empty product, so
     ``mult_arrays_[g-1, i, 0] == g`` always.  ``mult_arrays_`` is held at
     the id width ``id_dtype(n)``.  The query is one expression per (m, l),
-    compiled on first use and bound to the arrays through ``view``.
+    compiled on first use and bound to the arrays through ``view``; it
+    reads ``mult_arrays_`` flattened, block i of x at the flat index
+    ``(x - 1) * (m << l) + (i << l) + j``.  On ndarrays that stride is an
+    int64 scalar, so the ids each level returns at the id width are
+    widened before the product, which would wrap at uint16 on D500.
     """
 
     rep_kind = "block"
@@ -145,7 +149,7 @@ class BlockRep(Representation):
         """The query bound to these arrays, compiled once per (m, l)."""
         bind = _generated(("block", self.m_, self.l_), _kernel_source,
                           self.m_, self.l_)
-        return bind(view(self.mult_arrays_), view(self.word_index_))
+        return bind(_flat(view(self.mult_arrays_)), view(self.word_index_))
 
     # -- ledgers -------------------------------------------------------------
 
@@ -158,15 +162,37 @@ class BlockRep(Representation):
         }
 
 
+def _flat(a):
+    """The viewed array ``a`` in one dimension: a reshaped ndarray, or a
+    memoryview cast through bytes.  A zero-size memoryview (m = 0) cannot
+    be cast, and its query reads none of it."""
+    if isinstance(a, np.ndarray):
+        return a.reshape(-1)
+    return a.cast("B").cast(a.format) if a.nbytes else a
+
+
 def _kernel_source(m: int, l: int) -> str:
-    """A binder of the block query to arrays A and W, unrolled over the m
-    blocks with the shifts and masks as literals: for m = 2 the query is
-    ``A[A[x - 1, 0, w & M] - 1, 1, w >> l & M]`` with ``w = W[y - 1]``."""
+    """A binder of the block query to the flattened arrays A and W,
+    unrolled over the m blocks with the shifts, masks and offsets as
+    literals.  Block i reads ``A[(x - 1) * S + (i << l) + (w >> i*l & M)]``
+    with S = m << l, written ``x * S - (S - (i << l)) + ...``; for m = 2,
+    l = 3 the query is ``A[A[x * S - 16 + (w & 7)] * S - 8 + (w >> 3 & 7)]``
+    with ``w = W[y - 1]``.
+
+    S is ``0 * W[0] + (m << l)``: an int64 scalar when W is an ndarray,
+    so that the product with x, which each level returns at the id width,
+    is taken in int64 (under NEP 50, uint16 times a Python int stays
+    uint16 and wraps), and a Python int when W is a memoryview.  One
+    source thus serves both ``predict`` and ``multiply``.
+    """
+    stride = m << l
     expr = "x"
     for i in range(m):
         shift = f" >> {i * l}" if i else ""
-        expr = f"A[{expr} - 1, {i}, w{shift} & {(1 << l) - 1}]"
-    return ("def bind(A, W):\n    def kernel(x, y):\n        w = W[y - 1]\n"
+        expr = (f"A[{expr} * S - {stride - (i << l)}"
+                f" + (w{shift} & {(1 << l) - 1})]")
+    return (f"def bind(A, W):\n    S = 0 * W[0] + {stride}\n\n"
+            "    def kernel(x, y):\n        w = W[y - 1]\n"
             f"        return {expr}\n    return kernel\n")
 
 

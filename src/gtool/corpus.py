@@ -33,18 +33,36 @@ class CorpusEntry:
         return build_family(self.family, self.params)
 
 
-def _part(spec: str) -> GroupTable:
+_PARTS = {"c": make_cyclic, "d": make_dihedral, "s": make_symmetric,
+          "a": make_alternating}
+
+
+def _part(spec) -> GroupTable:
+    """One factor of a direct product: ``q8``, or c, d, s or a and an order."""
     if spec == "q8":
         return make_quaternion()
-    if spec.startswith("c"):
-        return make_cyclic(int(spec[1:]))
-    if spec.startswith("d"):
-        return make_dihedral(int(spec[1:]))
-    if spec.startswith("s"):
-        return make_symmetric(int(spec[1:]))
-    if spec.startswith("a"):
-        return make_alternating(int(spec[1:]))
-    raise ValidationError(f"unknown direct-product part {spec!r}")
+    make = _PARTS.get(spec[:1]) if isinstance(spec, str) else None
+    try:
+        order = int(spec[1:])
+    except (TypeError, ValueError):
+        make = None
+    if make is None:
+        raise ValidationError(f"parts: unknown direct-product part {spec!r}")
+    return make(order)
+
+
+def _direct(parts) -> GroupTable:
+    if not parts:
+        raise ValidationError("parts: a direct product needs a part")
+    G, *rest = map(_part, parts)
+    for P in rest:
+        G = make_direct(G, P)
+    return G
+
+
+def _file(path) -> GroupTable:
+    return load_cayley_table(
+        resources.files("gtool").joinpath("data", path).read_text())
 
 
 def make_metacyclic(m: int, d: int, multiplier: int) -> GroupTable:
@@ -61,32 +79,30 @@ def make_metacyclic(m: int, d: int, multiplier: int) -> GroupTable:
     return make_semidirect(SemidirectSpec(A, B, action))
 
 
+# each family's builder, and the parameters it takes, in order
+_FAMILIES = {
+    "cyclic": (make_cyclic, "n"),
+    "dihedral": (make_dihedral, "m"),
+    "abelian": (make_abelian, "orders"),
+    "quaternion": (make_quaternion,),
+    "direct": (_direct, "parts"),
+    "semidirect": (make_metacyclic, "m", "d", "a"),
+    "symmetric": (make_symmetric, "k"),
+    "alternating": (make_alternating, "k"),
+    "file": (_file, "path"),
+}
+
+
 def build_family(family: str, params: dict) -> GroupTable:
-    if family == "cyclic":
-        return make_cyclic(params["n"])
-    if family == "dihedral":
-        return make_dihedral(params["m"])
-    if family == "abelian":
-        return make_abelian(params["orders"])
-    if family == "quaternion":
-        return make_quaternion()
-    if family == "direct":
-        parts = [_part(p) for p in params["parts"]]
-        G = parts[0]
-        for P in parts[1:]:
-            G = make_direct(G, P)
-        return G
-    if family == "semidirect":
-        return make_metacyclic(params["m"], params["d"], params["a"])
-    if family == "symmetric":
-        return make_symmetric(params["k"])
-    if family == "alternating":
-        return make_alternating(params["k"])
-    if family == "file":
-        text = resources.files("gtool").joinpath(
-            "data", params["path"]).read_text()
-        return load_cayley_table(text)
-    raise ValidationError(f"unknown family {family!r}")
+    """The group of a corpus ``family`` with ``params``; an unknown family,
+    a missing parameter or a bad part raises ``ValidationError``."""
+    if family not in _FAMILIES:
+        raise ValidationError(f"unknown family {family!r}")
+    make, *names = _FAMILIES[family]
+    for name in names:
+        if name not in params:
+            raise ValidationError(f"{family} needs the parameter {name!r}")
+    return make(*(params[name] for name in names))
 
 
 def _is_prime(n: int) -> bool:

@@ -513,3 +513,19 @@ def loop_block_kernel(mult_arrays, word_index, m: int, l: int, x, y):
     for i in range(m):
         cur = mult_arrays[cur - 1, i, (w >> (i * l)) & mask]
     return cur
+
+
+def masked_path_fold(path, path_len, steps, label_bits: int, diameter: int,
+                     pairs):
+    """The simple rep's batch query as a masked fold over all ``diameter``
+    steps: every pair takes every step through the (n, |S|) step table,
+    and keeps its value once its own path has ended (labels past the end
+    are 0 and index a valid column)."""
+    packed = path[pairs[:, 1] - 1]
+    ends = path_len[pairs[:, 1] - 1]
+    mask = (1 << label_bits) - 1
+    cur = pairs[:, 0]
+    for pos in range(diameter):
+        nxt = steps[cur - 1, (packed >> (pos * label_bits)) & mask]
+        cur = np.where(pos < ends, nxt, cur)
+    return cur.astype(np.int64)

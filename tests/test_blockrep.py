@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtool as gt
@@ -190,6 +190,14 @@ def _same(got, want) -> bool:
        dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
        seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from([(), (0,), (7,), (2, 3)]))
+# flat indexes past the id width, n * (m << l) = 153,600 and 245,760 at
+# uint16 and 3,060 at uint8; each seed draws x and y that reach n
+@example(m=2, l=8, n=300, dtype=np.uint16, seed=272, shape=(7,))
+@example(m=12, l=9, n=40, dtype=np.uint16, seed=133, shape=(2, 3))
+@example(m=3, l=2, n=255, dtype=np.uint8, seed=1292, shape=(2, 3))
+# m = 0: a zero-size memoryview, which the query never reads
+@example(m=0, l=3, n=7, dtype=np.uint16, seed=0, shape=())
+@example(m=0, l=1, n=1, dtype=np.uint8, seed=0, shape=())
 def test_unrolled_kernel_matches_loop_reference(m, l, n, dtype, seed, shape):
     # random arrays, not a group: the kernel only indexes.  Shape () runs
     # Python ints on views of the arrays, as multiply does; every shape
@@ -209,6 +217,16 @@ def test_unrolled_kernel_matches_loop_reference(m, l, n, dtype, seed, shape):
     want = loop_block_kernel(A, W, m, l, x, y)
     assert _same(rep._bound_kernel(np.asarray)(x, y), want)
     assert _same(rep._kernel(x, y), want)
+
+
+def test_d500_delta_one_is_exact_past_the_uint16_index():
+    # n = 1000 and m << l = 1024: the flat index reaches 1,024,000, which
+    # wraps in uint16 unless each level widens x to int64
+    G = gt.make_dihedral(500)
+    rep = BlockRep(delta=1).fit(G)
+    assert rep.mult_arrays_.dtype == np.uint16
+    assert rep.n_ * (rep.m_ << rep.l_) == 1_024_000
+    assert verify_exhaustive(rep, G) is None
 
 
 def test_space_report_fields(corpus):

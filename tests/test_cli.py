@@ -4,6 +4,7 @@ import pytest
 import gtool as gt
 from gtool import serialize as ser
 from gtool.cli import main
+from gtool.corpus import build_family
 from gtool.fm import ZGroupFM
 
 
@@ -65,6 +66,28 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
         code, _, err = run(capsys, "gen", *argv, str(tmp_path / "x"))
         assert code == 1 and err.startswith("usage error"), argv
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("direct", {"parts": ["c2.5"]}, "parts"),     # ValueError before
+    ("direct", {"parts": []}, "parts"),           # IndexError before
+    ("direct", {"parts": ["q8", "c"]}, "parts"),
+    ("direct", {"parts": [5]}, "parts"),
+    ("direct", {}, "parts"),
+    ("cyclic", {}, "n"),                          # KeyError before
+    ("semidirect", {"m": 7, "d": 3}, "a"),
+    ("file", {}, "path"),
+    ("klein", {"n": 4}, "family")])
+def test_build_family_names_the_bad_parameter(tmp_path, capsys, family,
+                                              params, name):
+    with pytest.raises(gt.ValidationError, match=name):
+        build_family(family, params)
+    # gen hands a direct product's parts to build_family as they are
+    if family == "direct" and params.get("parts") is not None:
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "gen", "direct", *map(str, params["parts"]),
+                           str(out))
+        assert code == 2 and "parts" in err and not out.exists()
 
 
 def test_build_block_reports_slots(tmp_path, capsys):

@@ -11,7 +11,7 @@ from gtool.base import PreconditionError
 from gtool.special import CompositeRep, CyclicRep, SimpleRep
 from gtool.verify import verify_exhaustive, verify_random
 
-from oracles import fifo_paths, simple_pair_scan
+from oracles import fifo_paths, masked_path_fold, simple_pair_scan
 
 
 # -- cyclic ------------------------------------------------------------------
@@ -249,6 +249,44 @@ def test_simple_large_groups(corpus, name, gens, diameter):
     far = int(np.argmax(rep.path_len_)) + 1
     _, ledger = probe_counted_multiply(rep, 2, far)
     assert ledger.total() == rep.probe_bounds()[1] == 2 + rep.diameter_
+
+
+def _simple_batch(rep, G, batch, rng) -> np.ndarray:
+    """A (q, 2) batch of pairs of one of the named shapes."""
+    q = {"empty": 0, "one": 1}.get(batch, 64)
+    x = rng.integers(1, G.n, size=q, endpoint=True)
+    y = rng.integers(1, G.n, size=q, endpoint=True)
+    if batch == "identity":                     # every path of length 0
+        y[:] = G.identity
+    elif batch == "one length" and rep.cyclic_ is None:
+        length = rng.integers(1, rep.diameter_, endpoint=True)
+        y = rng.choice(np.flatnonzero(rep.path_len_ == length) + 1, size=q)
+    return np.stack([x, y], axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.sampled_from(["empty", "one", "64", "identity",
+                              "one length"]),
+       dtype=st.sampled_from([np.int64, np.int32, np.uint16]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL(2,7)", "C5"])
+def test_simple_predict_matches_the_masked_fold(corpus, name, batch, dtype,
+                                                seed):
+    # predict folds only the pairs whose path is still running, sorted by
+    # path length; the masked fold runs every pair through every step
+    G = corpus.table(name)
+    rep = corpus.rep(name, "simple")
+    pairs = _simple_batch(rep, G, batch,
+                          np.random.default_rng(seed)).astype(dtype)
+    before = pairs.copy()
+    got = rep.predict(pairs)
+    assert got.dtype == np.int64 and got.shape == (len(pairs),)
+    assert np.array_equal(pairs, before) and pairs.dtype == dtype
+    if rep.cyclic_ is None:                     # C5 delegates to CyclicRep
+        assert np.array_equal(got, masked_path_fold(
+            rep.path_, rep.path_len_, rep.M_, rep.label_bits_,
+            rep.diameter_, pairs.astype(np.int64)))
+    assert np.array_equal(got, G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
 
 
 # -- estimator conventions ---------------------------------------------------------

@@ -15,6 +15,7 @@ from gtool import serialize as ser
 from gtool import structure as st
 from gtool.base import (GtoolError, NotFittedError, PreconditionError,
                         ValidationError, _view, check_element_id)
+from gtool.blockrep import _kernel_source
 from gtool.fm import AbelianScheme, SemidirectFM
 from gtool.special import CompositeRep
 
@@ -562,6 +563,32 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
         assert [other.multiply(x, y) for x, y in pairs.tolist()] \
             == G.table[pairs[:, 0] - 1, pairs[:, 1] - 1].tolist()
         assert np.array_equal(other.predict(pairs), rep.predict(pairs))
+
+
+def test_predict_and_multiply_bind_one_block_source_per_m_l(corpus):
+    # S = 0 * W[0] + (m << l) is int64 on ndarrays and a Python int on
+    # memoryviews, so both queries bind one source, with no width flag
+    S4, C1024 = corpus.table("S4"), corpus.table("C1024")
+    C1 = gt.make_cyclic(1)
+    fitted = [(gt.BlockRep(l=l).fit(S4), S4) for l in (1, 2, 5)]
+    fitted += [(gt.BlockRep(delta=1).fit(C1024), C1024),      # uint16 ids
+               (gt.BlockRep(l=1).fit(C1), C1)]                # m = 0
+    reps = [rep for rep, _ in fitted]
+    st._COMPILED.clear()
+    for rep, G in fitted:
+        pairs = np.random.default_rng(rep.l_).integers(1, G.n, (500, 2),
+                                                       endpoint=True)
+        assert np.array_equal(rep.predict(pairs),
+                              G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
+        assert [rep.multiply(x, y) for x, y in pairs[:20].tolist()] \
+            == G.table[pairs[:20, 0] - 1, pairs[:20, 1] - 1].tolist()
+    keys = {(r.m_, r.l_) for r in reps}
+    assert len(keys) == len(reps)
+    assert [key for key in st._COMPILED if key[0] == "block"] \
+        == [("block", r.m_, r.l_) for r in reps]
+    # no ledger enters a block kernel
+    assert [(m, l) for m in range(13) for l in range(1, 11)
+            if "ledger" in _kernel_source(m, l)] == []
 
 
 def _id_error(x, n) -> str:

@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
 
 
 # each family ``gen`` builds, and its ``build_family`` parameters from the
-# command's; a missing or non-integer one raises IndexError or ValueError
+# command's; a missing or non-integer one raises IndexError or ValueError,
+# and ``build_family`` itself rejects missing or malformed direct parts
 _FAMILIES = {
     "cyclic": lambda p: {"n": int(p[0])},
     "dihedral": lambda p: {"m": int(p[0])},

@@ -41,14 +41,9 @@ def _part(spec) -> GroupTable:
     """One factor of a direct product: ``q8``, or c, d, s or a and an order."""
     if spec == "q8":
         return make_quaternion()
-    make = _PARTS.get(spec[:1]) if isinstance(spec, str) else None
-    try:
-        order = int(spec[1:])
-    except (TypeError, ValueError):
-        make = None
-    if make is None:
-        raise ValidationError(f"parts: unknown direct-product part {spec!r}")
-    return make(order)
+    if isinstance(spec, str) and spec[:1] in _PARTS and spec[1:].isdecimal():
+        return _PARTS[spec[0]](int(spec[1:]))
+    raise ValidationError(f"parts: unknown direct-product part {spec!r}")
 
 
 def _direct(parts) -> GroupTable:

@@ -22,6 +22,12 @@ from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
 from .structure import _generated
 
+# The generated query widens ids by multiplying them with an int64 scalar
+# stride; NumPy 1.x casts by value and would keep the product at the id
+# width, where it wraps (see ``_kernel_source``).
+if int(np.__version__.split(".")[0]) < 2:
+    raise ImportError(f"gtool needs numpy>=2.0, found {np.__version__}")
+
 DEFAULT_MAX_SLOTS = 1 << 29      # 512 Mi slots = 2 GiB at 4-byte ids
 
 
@@ -181,9 +187,11 @@ def _kernel_source(m: int, l: int) -> str:
 
     S is ``0 * W[0] + (m << l)``: an int64 scalar when W is an ndarray,
     so that the product with x, which each level returns at the id width,
-    is taken in int64 (under NEP 50, uint16 times a Python int stays
-    uint16 and wraps), and a Python int when W is a memoryview.  One
-    source thus serves both ``predict`` and ``multiply``.
+    is taken in int64, and a Python int when W is a memoryview.  One
+    source thus serves both ``predict`` and ``multiply``.  The widening
+    rests on NumPy 2's promotion rules (NEP 50): uint16 times a Python
+    int stays uint16 and wraps, and so does uint16 times an int64 scalar
+    under NumPy 1.x, which casts scalars by value.
     """
     stride = m << l
     expr = "x"

@@ -13,7 +13,7 @@ from . import serialize
 from .audit import SpaceReport, measure, probe_counted_multiply
 from .base import GtoolError, ParseError, PreconditionError, ValidationError
 from .blockrep import BlockRep, parse_delta, tradeoff_table
-from .corpus import build_family
+from .corpus import _FAMILIES, build_family
 from .fm import AbelianFM, HamiltonianFM, SemidirectFM, ZGroupFM, _FMBase
 from .groups import GroupTable, load_cayley_file
 from .special import CompositeRep, CyclicRep, SimpleRep
@@ -34,7 +34,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a Cayley-table file")
-    g.add_argument("family", choices=[*_FAMILIES, "file"])
+    g.add_argument("family", choices=list(_FAMILIES))
     g.add_argument("params", nargs="*", help="family parameters")
     g.add_argument("out", help="output table path")
     g.add_argument("--strict", action="store_true",
@@ -73,26 +73,23 @@ def _build_parser() -> _Parser:
     return p
 
 
-# each family ``gen`` builds, and its ``build_family`` parameters from the
-# command's; a missing or non-integer one raises IndexError or ValueError,
-# and ``build_family`` itself rejects missing or malformed direct parts
-_FAMILIES = {
-    "cyclic": lambda p: {"n": int(p[0])},
-    "dihedral": lambda p: {"m": int(p[0])},
-    "abelian": lambda p: {"orders": [int(v) for v in p]},
-    "quaternion": lambda p: {},
-    "direct": lambda p: {"parts": list(p)},
-    "semidirect": lambda p: dict(zip("mda", map(int, p[:3]), strict=True)),
-    "symmetric": lambda p: {"k": int(p[0])},
-    "alternating": lambda p: {"k": int(p[0])},
-}
+# the families whose one parameter takes all of ``gen``'s arguments; every
+# other family takes one integer argument per ``build_family`` parameter
+_LISTS = {"abelian": lambda p: [[int(v) for v in p]],
+          "direct": lambda p: [list(p)]}
 
 
 def _gen_group(family: str, params: list[str]) -> GroupTable:
+    """The group ``gen`` names: ``file`` reads a table path, and every other
+    family zips its arguments with ``build_family``'s parameter names.  A
+    wrong count or a non-integer raises ValueError, a usage error;
+    ``build_family`` itself rejects missing or malformed direct parts."""
     try:
         if family == "file":
             return load_cayley_file(params[0])
-        return build_family(family, _FAMILIES[family](params))
+        values = _LISTS.get(family, lambda p: list(map(int, p)))(params)
+        names = _FAMILIES[family][1:]
+        return build_family(family, dict(zip(names, values, strict=True)))
     except GtoolError:
         raise
     except (IndexError, ValueError) as exc:

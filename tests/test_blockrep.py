@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,18 @@ from gtool.cubegen import greedy_cube_sequence
 from gtool.verify import verify_exhaustive, verify_random
 
 from oracles import loop_block_kernel
+
+
+def test_import_refuses_numpy_1():
+    # the kernel's int64 stride widens ids only under NEP 50 promotion
+    src = str(Path(gt.__file__).parents[1])
+    code = ("import numpy; numpy.__version__ = '1.26.4'\n"
+            "try:\n    import gtool.blockrep\n"
+            "except ImportError as exc:\n    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert "numpy>=2.0" in out
 
 
 def test_choose_block_length_examples():

@@ -60,9 +60,9 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "semidirect", "7", "3", "3",
                        str(tmp_path / "x"))
     assert code == 2        # 3^3 != 1 mod 7: invalid action
-    # a missing parameter, or a family the parser does not list
+    # a missing or extra parameter, or a family the parser does not list
     for argv in (("semidirect", "7", "3"), ("cyclic",), ("symmetric", "3.0"),
-                 ("klein", "4")):
+                 ("klein", "4"), ("cyclic", "5", "6"), ("quaternion", "2")):
         code, _, err = run(capsys, "gen", *argv, str(tmp_path / "x"))
         assert code == 1 and err.startswith("usage error"), argv
     assert not (tmp_path / "x").exists()

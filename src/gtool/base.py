@@ -46,7 +46,10 @@ def check_cayley_table(X) -> np.ndarray:
     Only shape and value range are checked here; the group axioms are the
     responsibility of :class:`gtool.groups.GroupTable`.
     """
-    arr = np.asarray(X)
+    try:
+        arr = np.asarray(X)
+    except ValueError:                              # ragged rows
+        raise ValidationError("Cayley table rows differ in length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(
             f"Cayley table must be square, got shape {arr.shape}")

@@ -37,8 +37,6 @@ def _build_parser() -> _Parser:
     g.add_argument("family", choices=list(_FAMILIES))
     g.add_argument("params", nargs="*", help="family parameters")
     g.add_argument("out", help="output table path")
-    g.add_argument("--strict", action="store_true",
-                   help="run the O(n^3) associativity check")
 
     b = sub.add_parser("build", help="build and serialize a representation")
     b.add_argument("table", help="Cayley-table file")
@@ -49,7 +47,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--table-max", type=int, default=64,
                    help="largest stored automorphism-image table for fm-zgroup")
     b.add_argument("--max-slots", type=int, default=1 << 29)
-    b.add_argument("--strict", action="store_true")
 
     q = sub.add_parser("query", help="answer one multiplication query")
     q.add_argument("rep", help="serialized representation")
@@ -119,15 +116,13 @@ _REPS = {
 
 def _cmd_gen(args) -> int:
     G = _gen_group(args.family, args.params)
-    if args.strict:
-        G.check_associativity()
     G.dump(args.out)
     print(f"wrote {args.out}: order {G.n}, identity {G.identity}")
     return 0
 
 
 def _cmd_build(args) -> int:
-    G = load_cayley_file(args.table, strict=args.strict)
+    G = load_cayley_file(args.table)
     rep = _REPS[args.kind](args).fit(G)
     serialize.save(rep, args.out)
     report = measure(rep)

@@ -89,10 +89,12 @@ _FAMILIES = {
 
 
 def build_family(family: str, params: dict) -> GroupTable:
-    """The group of a corpus ``family`` with ``params``; an unknown family,
-    a missing parameter or a bad part raises ``ValidationError``."""
+    """The group of a corpus ``family`` with the dict ``params``; an unknown
+    family, a bad ``params`` or a bad part raises ``ValidationError``."""
     if family not in _FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"{family} parameters must be a dict: {params!r}")
     make, *names = _FAMILIES[family]
     for name in names:
         if name not in params:

@@ -20,13 +20,13 @@ from .base import (ParseError, ValidationError, check_cayley_table,
 class GroupTable:
     """A finite group given by its full n x n multiplication table.
 
-    ``table[x-1, y-1]`` holds the product x*y.  Validation always checks
-    the Latin-square property, a two-sided identity, and two-sided
-    inverses; the O(n^3) associativity check runs only with ``strict=True``
-    (or via :meth:`check_associativity`); ``validate=False`` skips every
-    check, for tables that are groups by construction, and derives the
-    identity and inverses the same way.  Loaded tables may place the
-    identity anywhere; the constructors in this module put it at 1.
+    ``table[x-1, y-1]`` holds the product x*y.  Validation proves it a
+    group: Latin rows, a two-sided identity, two-sided inverses, then
+    Light's associativity test, one n x n pass per kept generator (at most
+    log2 n).  A failure is named after the columns are checked, and a failed
+    Light's test by :meth:`check_associativity`.  ``validate=False`` skips
+    every check, for tables that are groups by construction.  Loaded tables
+    may place the identity anywhere; the constructors here put it at 1.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -34,7 +34,7 @@ class GroupTable:
 
     rep_kind = "cayley"
 
-    def __init__(self, table, *, strict: bool = False, validate: bool = True):
+    def __init__(self, table, *, validate: bool = True):
         self.table = check_cayley_table(table)
         self.table.setflags(write=False)
         self.n = int(self.table.shape[0])
@@ -43,7 +43,7 @@ class GroupTable:
         t = self.table
         ids = np.arange(1, self.n + 1, dtype=np.int32)
         if validate:
-            _check_latin(t, ids)
+            _check_latin(t, ids, "row")
         # in a Latin square at most one row equals the ids: the left identity
         id_rows = np.nonzero((t == ids).all(axis=1))[0]
         self.identity = int(id_rows[0]) + 1 if id_rows.size else 1
@@ -51,9 +51,17 @@ class GroupTable:
         self.inverse.setflags(write=False)
         if not validate:
             return
+        try:
+            self._check_axioms(id_rows.size, ids)
+        except ValidationError as exc:
+            _check_latin(t, ids, "column")
+            if exc.axiom == "associativity":
+                self.check_associativity()
+            raise
 
-        e = self.identity
-        if not id_rows.size:
+    def _check_axioms(self, has_identity, ids) -> None:     # on Latin rows
+        t, e = self.table, self.identity
+        if not has_identity:
             raise ValidationError("no two-sided identity element",
                                   axiom="identity", witness=None)
         bad = np.nonzero(t[:, e - 1] != ids)[0]
@@ -74,11 +82,15 @@ class GroupTable:
                 f"{inv[x]}*{x + 1} = {left[x]}",
                 axiom="inverse", witness=(x + 1, int(inv[x]), int(left[x])))
 
-        if strict:
-            self.check_associativity()
+        # Light's test: the g with (x*g)*y = x*(g*y) are closed under products
+        for g in walk_generators(self, self.elements, [e]):
+            for r in range(0, self.n, 64):
+                if not np.array_equal(t[t[r:r + 64, g - 1] - 1],
+                                      np.take(t[r:r + 64], t[g - 1] - 1, axis=1)):
+                    raise ValidationError(f"fails at {g}", axiom="associativity")
 
     def check_associativity(self) -> None:
-        """O(n^3) check of (x*y)*z = x*(y*z); raises with the first witness."""
+        """O(n^3) scan; raises at the first (x*y)*z != x*(y*z)."""
         t0 = self.table.astype(np.intp) - 1
         for x in range(self.n):
             left = self.table[t0[x], :]          # (y, z) -> (x*y)*z
@@ -204,36 +216,66 @@ class GroupTable:
         return f"GroupTable(n={self.n}, identity={self.identity})"
 
 
-def _check_latin(t, ids) -> None:
-    """Raise at the first row, else the first column, that is not a
-    permutation of ``ids``.  Rows of ``t`` and then of ``t.T`` are sorted
-    64 at a time, which bounds the sort's copy at 64 lines."""
+def _check_latin(t, ids, kind: str) -> None:
+    """Raise at the first row (``kind`` "row") or column ("column") that is
+    not a permutation of ``ids``.  Lines are sorted 64 at a time, which
+    bounds the sort's copy at 64 lines."""
     n = len(ids)
-    for kind, across, axiom, lines in (("row", "columns", "latin-row", t),
-                                       ("column", "rows", "latin-col", t.T)):
-        for i0 in range(0, n, 64):
-            bad = np.nonzero((np.sort(lines[i0:i0 + 64]) != ids).any(axis=1))[0]
-            if bad.size:
-                i = i0 + int(bad[0])
-                a, b = _duplicate_positions(lines[i])
-                raise ValidationError(
-                    f"{kind} {i + 1} is not a permutation of 1..{n}: "
-                    f"{across} {a + 1} and {b + 1} both hold {lines[i, a]}",
-                    axiom=axiom, witness=(i + 1, a + 1, b + 1) if kind == "row"
-                    else (a + 1, b + 1, i + 1))
+    across, axiom, lines = (("columns", "latin-row", t) if kind == "row"
+                            else ("rows", "latin-col", t.T))
+    for i0 in range(0, n, 64):
+        bad = np.nonzero((np.sort(lines[i0:i0 + 64]) != ids).any(axis=1))[0]
+        if bad.size:
+            i = i0 + int(bad[0])
+            a, b = _duplicate_positions(lines[i])
+            raise ValidationError(
+                f"{kind} {i + 1} is not a permutation of 1..{n}: "
+                f"{across} {a + 1} and {b + 1} both hold {lines[i, a]}",
+                axiom=axiom, witness=(i + 1, a + 1, b + 1) if kind == "row"
+                else (a + 1, b + 1, i + 1))
 
 
 def _duplicate_positions(vec) -> tuple[int, int]:
     seen = {}
-    for j, v in enumerate(vec):
-        v = int(v)
+    for j, v in enumerate(vec.tolist()):
         if v in seen:
             return seen[v], j
         seen[v] = j
     raise AssertionError("no duplicate found in non-permutation row")
 
 
-def load_cayley_table(text, *, strict: bool = False) -> GroupTable:
+def walk_generators(G: GroupTable, gens, elems: list[int]):
+    """Grow ``elems`` = [identity] to <gens> by right multiplication, and
+    yield each generator not yet reached before keeping it (at most log2 n)."""
+    seen = bytearray(G.n + 1)
+    seen[G.identity] = 1
+    cols = []                       # cols[i][x - 1] = x * (i-th kept gen)
+    for g in gens:
+        g = int(g)
+        if seen[g]:
+            continue
+        yield g
+        cols.append(G.table[:, g - 1].tolist())
+        work = list(elems)
+        while work:
+            x = work.pop()
+            for col in cols:
+                y = col[x - 1]
+                if not seen[y]:
+                    seen[y] = 1
+                    work.append(y)
+                    elems.append(y)
+
+
+def subgroup_closure(G: GroupTable, gens) -> list[int]:
+    """Elements of <gens>, ascending."""
+    elems = [G.identity]
+    for _ in walk_generators(G, gens, elems):
+        pass
+    return sorted(elems)
+
+
+def load_cayley_table(text) -> GroupTable:
     """Parse the text interchange format.
 
     Line 1 holds n; lines 2..n+1 hold n whitespace-separated ids in
@@ -242,13 +284,15 @@ def load_cayley_table(text, *, strict: bool = False) -> GroupTable:
     by numpy as int64, so a token must be an optional sign and ASCII
     digits: a token that Python's ``int()`` accepts but numpy does not
     (``0_1``, non-ASCII digits) is a :class:`ParseError`, as is one
-    outside the int64 range.
+    outside the int64 range, as is input that is not ``str`` or ``bytes``.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not ASCII: {exc}") from None
+    if not isinstance(text, str):
+        raise ParseError(f"input must be str or bytes, got {type(text).__name__}")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -270,7 +314,7 @@ def load_cayley_table(text, *, strict: bool = False) -> GroupTable:
     if table is None or table.shape != (n, n):
         # numpy skips blank lines and names no row; find the first bad one
         raise ParseError(_row_fault(rows, n))
-    return GroupTable(table, strict=strict)
+    return GroupTable(table)
 
 
 _INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -289,9 +333,9 @@ def _row_fault(rows: list[str], n: int) -> str:
     return "table body is not an n x n integer array"
 
 
-def load_cayley_file(path, *, strict: bool = False) -> GroupTable:
+def load_cayley_file(path) -> GroupTable:
     with open(path, "rb") as fh:
-        return load_cayley_table(fh.read(), strict=strict)
+        return load_cayley_table(fh.read())
 
 
 def as_group(X) -> GroupTable:
@@ -431,6 +475,7 @@ Q8_TABLE.setflags(write=False)
 
 def make_dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m as the split extension of C_m by inversion."""
+    m = check_integer(m, "dihedral parameter")
     if m < 1:
         raise ValidationError(f"dihedral parameter must be >= 1, got {m}")
     A = make_cyclic(m)
@@ -442,6 +487,8 @@ def make_dihedral(m: int) -> GroupTable:
 
 def make_abelian(orders) -> GroupTable:
     """Direct product of cyclic groups with the given orders."""
+    if not hasattr(orders, "__iter__"):
+        raise ValidationError(f"factor orders must be iterable, got {orders!r}")
     orders = [check_integer(d, "factor order") for d in orders]
     if not orders:
         raise ValidationError("need at least one cyclic factor")

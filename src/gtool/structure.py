@@ -14,38 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import PreconditionError, ValidationError, check_integer
-from .groups import Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic
+from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic,
+                     subgroup_closure)
 
 
 # -- subgroup machinery -----------------------------------------------------
-
-def subgroup_closure(G: GroupTable, gens) -> list[int]:
-    """Elements of <gens>, ascending.
-
-    A generator already in the closure adds nothing and is skipped; each
-    new one re-walks the closure so far with the generators kept, whose
-    number is at most log2 of the group order.
-    """
-    seen = bytearray(G.n + 1)
-    seen[G.identity] = 1
-    elems = [G.identity]
-    cols = []                       # cols[i][x - 1] = x * (i-th kept gen)
-    for g in gens:
-        g = int(g)
-        if seen[g]:
-            continue
-        cols.append(G.table[:, g - 1].tolist())
-        work = list(elems)
-        while work:
-            x = work.pop()
-            for col in cols:
-                y = col[x - 1]
-                if not seen[y]:
-                    seen[y] = 1
-                    work.append(y)
-                    elems.append(y)
-    return sorted(elems)
-
 
 def subtable(G: GroupTable, elements) -> tuple[GroupTable, list[int]]:
     """Reindex a multiplicatively closed subset as its own group.

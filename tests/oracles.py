@@ -86,6 +86,78 @@ def first_assoc_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
+# loops: Latin squares with a two-sided identity and two-sided inverses
+# that are not associative.  The order-6 one is commutative, the smallest
+# such loop; in the commutative order-8 one squaring 2, 3 or 7 cycles
+# without reaching the identity
+LOOPS = {
+    5: [[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 5, 1, 2, 4], [4, 3, 5, 1, 2],
+        [5, 4, 2, 3, 1]],
+    6: [[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
+        [4, 3, 6, 5, 2, 1], [5, 6, 1, 2, 4, 3], [6, 5, 2, 1, 3, 4]],
+    8: [[1, 2, 3, 4, 5, 6, 7, 8], [2, 4, 7, 3, 8, 5, 6, 1],
+        [3, 7, 8, 2, 1, 4, 5, 6], [4, 3, 2, 7, 6, 8, 1, 5],
+        [5, 8, 1, 6, 4, 7, 3, 2], [6, 5, 4, 8, 7, 1, 2, 3],
+        [7, 6, 5, 1, 3, 2, 8, 4], [8, 1, 6, 5, 2, 3, 4, 7]],
+}
+
+
+def validate_reference(table) -> tuple[str, tuple | None, str] | None:
+    """The first group axiom a square integer ``table`` breaks, as
+    (axiom, witness, message), or None for a group.
+
+    Plain loops, in this order: every entry in [1, n]; each row, then each
+    column, a permutation (named by its first repeated value); a row equal
+    to 1..n whose column is too (the identity); for each x, the first y
+    with x*y = e also has y*x = e; then the lexicographically first
+    (x, y, z) with (x*y)*z != x*(y*z).
+    """
+    t = np.asarray(table).tolist()
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            if not 1 <= t[i][j] <= n:
+                return ("range", (i + 1, j + 1),
+                        f"entry at row {i + 1}, column {j + 1} is outside [1, {n}]")
+    cols = [[t[i][j] for i in range(n)] for j in range(n)]
+    for kind, across, axiom, lines in (("row", "columns", "latin-row", t),
+                                       ("column", "rows", "latin-col", cols)):
+        for i, line in enumerate(lines):
+            first = {}
+            for b, v in enumerate(line):
+                if v in first:
+                    a = first[v]
+                    return (axiom, (i + 1, a + 1, b + 1) if kind == "row"
+                            else (a + 1, b + 1, i + 1),
+                            f"{kind} {i + 1} is not a permutation of 1..{n}: "
+                            f"{across} {a + 1} and {b + 1} both hold {v}")
+                first[v] = b
+    ids = list(range(1, n + 1))
+    e = next((r + 1 for r in range(n) if t[r] == ids), None)
+    if e is None:
+        return ("identity", None, "no two-sided identity element")
+    for x in range(1, n + 1):
+        if t[x - 1][e - 1] != x:
+            v = t[x - 1][e - 1]
+            return ("identity", (x, e, v),
+                    f"element {e} is a left identity but {x}*{e} = {v}")
+    for x in range(1, n + 1):
+        y = t[x - 1].index(e) + 1
+        if t[y - 1][x - 1] != e:
+            v = t[y - 1][x - 1]
+            return ("inverse", (x, y, v),
+                    f"right inverse of {x} is {y} but {y}*{x} = {v}")
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            xy = t[x - 1][y - 1]
+            for z in range(1, n + 1):
+                left, right = t[xy - 1][z - 1], t[x - 1][t[y - 1][z - 1] - 1]
+                if left != right:
+                    return ("associativity", (x, y, z),
+                            f"({x}*{y})*{z} = {left} but {x}*({y}*{z}) = {right}")
+    return None
+
+
 def subset_products(table: np.ndarray, identity: int,
                     gens: tuple[int, ...]) -> set[int]:
     """All 2^k left-to-right subset products, by direct enumeration."""

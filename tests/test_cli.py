@@ -7,6 +7,8 @@ from gtool.cli import main
 from gtool.corpus import build_family
 from gtool.fm import ZGroupFM
 
+from oracles import LOOPS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -47,11 +49,41 @@ def test_gen_quaternion_matches_constructor(tmp_path, capsys):
 
 def test_gen_semidirect_order21(tmp_path, capsys):
     out = tmp_path / "g21.table"
-    code, _, _ = run(capsys, "gen", "semidirect", "7", "3", "2", str(out),
-                     "--strict")
+    code, _, _ = run(capsys, "gen", "semidirect", "7", "3", "2", str(out))
     assert code == 0
-    G = gt.load_cayley_file(out, strict=True)
+    G = gt.load_cayley_file(out)
     assert G.n == 21
+
+
+def test_build_rejects_a_loop_and_keeps_out(tmp_path, capsys):
+    # Latin, with an identity and two-sided inverses, but not associative
+    table = tmp_path / "loop5.table"
+    table.write_text("5\n" + "".join(" ".join(map(str, r)) + "\n"
+                                     for r in LOOPS[5]))
+    good = tmp_path / "c5.table"
+    run(capsys, "gen", "cyclic", "5", str(good))
+    out = tmp_path / "c5.gta"
+    assert run(capsys, "build", str(good), "block", str(out), "--delta", "1")[0] == 0
+    before = out.read_bytes()
+    code, _, err = run(capsys, "build", str(table), "block", str(out),
+                       "--delta", "1")
+    assert code == 2
+    assert err == "precondition failure: (2*2)*3 = 3 but 2*(2*3) = 5\n"
+    assert out.read_bytes() == before
+    with pytest.raises(gt.ValidationError) as exc:
+        gt.load_cayley_file(table)
+    assert (exc.value.axiom, exc.value.witness) == ("associativity", (2, 2, 3))
+
+
+def test_strict_flag_is_gone(tmp_path, capsys):
+    table = tmp_path / "c5.table"
+    assert run(capsys, "gen", "cyclic", "5", str(table))[0] == 0
+    for argv in (("gen", "cyclic", "5", str(tmp_path / "x"), "--strict"),
+                 ("build", str(table), "cyclic", str(tmp_path / "x"),
+                  "--strict")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "--strict" in err, argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_rejects_bad_params(tmp_path, capsys):
@@ -77,7 +109,9 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     ("cyclic", {}, "n"),                          # KeyError before
     ("semidirect", {"m": 7, "d": 3}, "a"),
     ("file", {}, "path"),
-    ("klein", {"n": 4}, "family")])
+    ("klein", {"n": 4}, "family"),
+    ("cyclic", None, "must be a dict"),           # TypeError before
+    ("abelian", {"orders": 5}, "orders")])        # TypeError before
 def test_build_family_names_the_bad_parameter(tmp_path, capsys, family,
                                               params, name):
     with pytest.raises(gt.ValidationError, match=name):

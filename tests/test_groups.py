@@ -3,16 +3,17 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import gtool as gt
 from gtool.base import GtoolError, ParseError, ValidationError
 
-from conftest import LARGE_SIMPLE
-from oracles import (even_permutations, find_identity, first_assoc_violation,
-                     naive_order, order_multiset, parse_table_rows,
-                     perm_table_loops, psl2_loops)
+from conftest import _CACHE, LARGE_SIMPLE, small_entries
+from oracles import (LOOPS, even_permutations, find_identity,
+                     first_assoc_violation, naive_order, order_multiset,
+                     parse_table_rows, perm_table_loops, psl2_loops,
+                     validate_reference)
 
 
 def test_load_c2():
@@ -119,32 +120,93 @@ def test_load_rejects_nonassociative_perturbation():
     assert exc.value.axiom == "range"
 
 
-def test_strict_catches_nonassociative_loop():
+def test_default_load_rejects_nonassociative_loop():
     # a commutative loop of order 6 (smallest with two-sided inverses that
     # is not a group), found by exhaustive search; symmetry makes left and
-    # right inverses agree, so only the strict pass can reject it
-    rows = [
-        [1, 2, 3, 4, 5, 6],
-        [2, 1, 4, 3, 6, 5],
-        [3, 4, 5, 6, 1, 2],
-        [4, 3, 6, 5, 2, 1],
-        [5, 6, 1, 2, 4, 3],
-        [6, 5, 2, 1, 3, 4],
-    ]
+    # right inverses agree, so only the associativity check can reject it
+    rows = LOOPS[6]
     arr = np.array(rows)
     assert find_identity(arr) == 1
     witness = first_assoc_violation(arr)
     assert witness == (3, 3, 5)
     text = "6\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
-    loose = gt.load_cayley_table(text)            # passes non-strict checks
+    loose = gt.GroupTable(arr, validate=False)
     assert loose.identity == 1
     # no divisor of 6 resolves elements 4 and 5 here; they take the walk
     assert loose.element_orders().tolist() == [1, 2, 3, 6, 6, 3] == \
         [loose.element_order(x) for x in loose.elements]
     with pytest.raises(ValidationError) as exc:
-        gt.load_cayley_table(text, strict=True)
+        gt.load_cayley_table(text)
     assert exc.value.axiom == "associativity"
     assert exc.value.witness == witness
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: gt.GroupTable([[1, 2], [2]]), ValidationError, "differ in length"),
+    (lambda: gt.load_cayley_table(None), ParseError, "NoneType"),
+    (lambda: gt.load_cayley_table(3), ParseError, "int"),
+    (lambda: gt.make_abelian(5), ValidationError, "iterable"),
+    (lambda: gt.make_dihedral("3"), ValidationError, "must be an integer"),
+], ids=["ragged", "none-text", "int-text", "abelian-int", "dihedral-str"])
+def test_hostile_inputs_raise_gtool_errors(call, error, match):
+    # none escapes as a bare numpy or Python error
+    with pytest.raises(error, match=match):
+        call()
+
+
+_CHANGES = ("none", "row-entries", "rows", "columns", "intercalate",
+            "overwrite")
+
+
+@st.composite
+def _near_groups(draw):
+    """A relabelled corpus group of order <= 24 or loop, with one change:
+    two entries of a row, two rows or two columns swapped, an intercalate
+    (a 2 x 2 subsquare a b / b a, whose swap keeps the table Latin)
+    swapped, or one entry overwritten with a value in [0, n + 1]."""
+    name = draw(st.sampled_from([e.name for e in small_entries(24)]
+                                 + list(LOOPS)))
+    t = np.array(LOOPS[name]) if name in LOOPS else _CACHE.table(name).table
+    n = len(t)
+    perm = np.array(draw(st.permutations(range(1, n + 1))))
+    r = np.empty((n, n), dtype=np.int64)
+    r[np.ix_(perm - 1, perm - 1)] = perm[t - 1]
+    i, j, a, b = (draw(st.integers(0, n - 1)) for _ in range(4))
+    change = draw(st.sampled_from(_CHANGES))
+    if change == "row-entries":
+        r[i, [a, b]] = r[i, [b, a]]
+    elif change == "rows":
+        r[[i, j]] = r[[j, i]]
+    elif change == "columns":
+        r[:, [a, b]] = r[:, [b, a]]
+    elif change == "intercalate":
+        # r[i, k] = r[j, l] and r[i, l] = r[j, k]; at k, i's right inverse,
+        # the swap breaks inverses
+        k = int(np.argmax(r[i] == perm[0])) if draw(st.booleans()) else a
+        l = int(np.argmax(r[i] == r[j, k]))
+        if k != l and r[j, l] == r[i, k]:
+            r[[i, j], k], r[[i, j], l] = r[[i, j], l], r[[i, j], k]
+    elif change == "overwrite":
+        r[i, a] = draw(st.integers(0, n + 1))
+    return r
+
+
+@settings(max_examples=1000, deadline=None)
+@example(np.array(LOOPS[5]))
+@example(np.array(LOOPS[6]))
+@example(np.array(LOOPS[8]))
+@given(_near_groups())
+def test_validation_matches_the_reference(t):
+    # a table loads exactly when the reference finds no fault, else the
+    # first fault is named the same: axiom, witness and message
+    want = validate_reference(t)
+    event(want[0] if want else "loaded")
+    try:
+        gt.GroupTable(t)
+    except ValidationError as exc:
+        assert (exc.axiom, exc.witness, str(exc)) == want
+    else:
+        assert want is None
 
 
 def test_latin_violation_witness():

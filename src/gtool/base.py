@@ -1,5 +1,6 @@
 """Shared estimator plumbing: errors, parameter handling, input validation,
-and the binding of each structure's query to its arrays (``_Cached``)."""
+and the rendering of each structure's query template in its two forms,
+batch and scalar, bound to its arrays (``_Cached``)."""
 
 from __future__ import annotations
 
@@ -156,28 +157,36 @@ def _view(a):
     return memoryview(a).toreadonly()
 
 
-# the binders of ``_Cached`` and its subclasses, by the name each binds
-# in place; no bound closure is state, and none pickles
+# each form of a query, by the array wrapper it is bound through
+_VIEWS = {"batch": np.asarray, "scalar": _view}
+
+# the cached rendered queries of ``_Cached`` and its subclasses, by the
+# name each is bound to; no rendered function is state, and none pickles
 _CACHED = ("multiply", "_kernel", "label", "element", "apply_power")
 
 
 class _Cached:
-    """The one binder of closures: each name in ``_CACHED`` is a
-    ``cached_property`` whose first lookup puts its closure in the
+    """The one owner of rendered queries: each name in ``_CACHED`` is a
+    ``cached_property`` whose first lookup puts its function in the
     instance ``__dict__``, where later lookups find it.  Setting or
     deleting any attribute drops them all, as ``fit``, ``set_params`` and
     loading do, and no pickle or copy carries them.
 
-    A structure writes its query once, as ``_bound_kernel(view)``: a
-    closure over ``view`` of each of its arrays, on Python ints or int64
-    arrays alike, that passes the same ``view`` to the binders of its
-    parts.  ``_reads`` maps each array family to the reads of one query;
-    the query itself counts nothing.  ``_kernel`` binds it on the fitted
-    ndarrays themselves (``np.asarray``), and ``multiply`` on read-only
-    memoryviews (:func:`_view`).
+    A structure writes its query once, as a template: ``_template()``
+    gives the key of what its source depends on (the kind and shape
+    parameters) and the lines that compute it from ``_args``, in which
+    each part's own template is inlined in place of a call.  The lines
+    read names that ``_bound_arrays(view)`` maps to ``view`` of each array
+    and to scalars, its parts' included; they run on Python ints or int64
+    arrays alike.  ``_reads`` maps each array family to the reads of one
+    query; the query itself counts nothing.  ``structure._rendered``
+    compiles each (key, form) once: ``_kernel`` is the batch form, bound
+    on the fitted ndarrays themselves (``np.asarray``), and ``multiply``
+    the scalar form, bound on read-only memoryviews (:func:`_view`).
     """
 
     _reads: dict = {}
+    _args: tuple = ()
 
     def __setattr__(self, name, value):
         for key in _CACHED:
@@ -192,14 +201,24 @@ class _Cached:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
+    def _render(self, key, args, lines, form="scalar", n=None):
+        """The query ``lines`` compute from ``args``, in ``form``, bound to
+        this object's arrays through that form's view; ``n`` checks every
+        argument as an element id (``structure._rendered``)."""
+        from .structure import _rendered     # structure imports this module
+        return _rendered(key + (form,), args, lines,
+                         self._bound_arrays(_VIEWS[form]), n)
+
     @cached_property
     def _kernel(self):
-        return self._bound_kernel(np.asarray)
+        key, lines = self._template()
+        return self._render(key, self._args, lines, "batch")
 
     @cached_property
     def multiply(self):
         """One query, answered in Python ints."""
-        return self._bound_kernel(_view)
+        key, lines = self._template()
+        return self._render(key, self._args, lines)
 
 
 class Representation(_Cached, Estimator):
@@ -210,35 +229,28 @@ class Representation(_Cached, Estimator):
     array of (x, y) pairs to products.  All fitted state is immutable, so
     concurrent queries are safe.
 
-    Each kind writes its query once, as ``_bound_kernel(view)``, and
-    ``_kernel`` runs it (:class:`_Cached`).  ``predict`` runs ``_kernel``
-    on int64 arrays, so its first call binds the closure over the fitted
-    arrays.  The first ``multiply`` binds a closure that checks the ids
-    and runs the kernel bound on read-only memoryviews (:func:`_view`),
-    on which every read gives a Python int rather than a numpy scalar.
-    ``_count`` counts one query's reads, ``_reads``, beside the kernel,
-    and ``probe_bounds`` is their sum.
+    Each kind writes its query of ids ``x`` and ``y`` once, as a template
+    (:class:`_Cached`).  ``predict`` runs its batch form, ``_kernel``, on
+    int64 arrays.  ``multiply`` is its scalar form, one Python frame with
+    the id check inlined at its top and every part inlined, bound on
+    read-only memoryviews, on which every read gives a Python int rather
+    than a numpy scalar.  ``_count`` counts one query's reads,
+    ``_reads``, beside the query, and ``probe_bounds`` is their sum.
     """
 
     rep_kind: str = "?"
+    _args = ("x", "y")
 
     def fit(self, group):
         raise NotImplementedError
 
     @cached_property
     def multiply(self):
-        """One query on ids, answered in Python ints: a Python int id in
-        range skips the general id check."""
+        """One query on ids in one frame, answered in Python ints: a Python
+        int id in range skips the general id check."""
         self._require_fitted("n_")
-        kernel, n = self._bound_kernel(_view), self.n_
-
-        def multiply(x, y):
-            if type(x) is not int or not 1 <= x <= n:
-                x = check_element_id(x, n)
-            if type(y) is not int or not 1 <= y <= n:
-                y = check_element_id(y, n)
-            return kernel(x, y)
-        return multiply
+        key, lines = self._template()
+        return self._render(key, self._args, lines, n=self.n_)
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")

@@ -20,7 +20,6 @@ from .base import (CapacityError, PreconditionError, Representation,
                    ValidationError, check_integer, id_dtype)
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
-from .structure import _generated
 
 # The generated query widens ids by multiplying them with an int64 scalar
 # stride; NumPy 1.x casts by value and would keep the product at the id
@@ -82,12 +81,13 @@ class BlockRep(Representation):
     of shape (n, m, 2^l) with ``mult_arrays_[g-1, i, j]`` = g times the
     j-th subset product of block i.  Entry j = 0 is the empty product, so
     ``mult_arrays_[g-1, i, 0] == g`` always.  ``mult_arrays_`` is held at
-    the id width ``id_dtype(n)``.  The query is one expression per (m, l),
-    compiled on first use and bound to the arrays through ``view``; it
-    reads ``mult_arrays_`` flattened, block i of x at the flat index
-    ``(x - 1) * (m << l) + (i << l) + j``.  On ndarrays that stride is an
-    int64 scalar, so the ids each level returns at the id width are
-    widened before the product, which would wrap at uint16 on D500.
+    the id width ``id_dtype(n)``.  The query is one template per (m, l),
+    rendered in each form on first use and bound to the arrays through
+    that form's view; it reads ``mult_arrays_`` flattened, block i of x at
+    the flat index ``(x - 1) * (m << l) + (i << l) + j``.  On ndarrays
+    that stride is an int64 scalar, so the ids each level returns at the
+    id width are widened before the product, which would wrap at uint16
+    on D500.
     """
 
     rep_kind = "block"
@@ -151,11 +151,15 @@ class BlockRep(Representation):
     def _reads(self) -> dict:
         return {"word_index": 1, "mult_array": self.m_}
 
-    def _bound_kernel(self, view):
-        """The query bound to these arrays, compiled once per (m, l)."""
-        bind = _generated(("block", self.m_, self.l_), _kernel_source,
-                          self.m_, self.l_)
-        return bind(_flat(view(self.mult_arrays_)), view(self.word_index_))
+    def _bound_arrays(self, view):
+        # S is the stride m << l, an int64 scalar when W is an ndarray
+        # (see _kernel_source)
+        W = view(self.word_index_)
+        return {"A": _flat(view(self.mult_arrays_)), "W": W,
+                "S": 0 * W[0] + (self.m_ << self.l_)}
+
+    def _template(self):
+        return ("block", self.m_, self.l_), _kernel_source(self.m_, self.l_)
 
     # -- ledgers -------------------------------------------------------------
 
@@ -177,21 +181,21 @@ def _flat(a):
     return a.cast("B").cast(a.format) if a.nbytes else a
 
 
-def _kernel_source(m: int, l: int) -> str:
-    """A binder of the block query to the flattened arrays A and W,
-    unrolled over the m blocks with the shifts, masks and offsets as
-    literals.  Block i reads ``A[(x - 1) * S + (i << l) + (w >> i*l & M)]``
-    with S = m << l, written ``x * S - (S - (i << l)) + ...``; for m = 2,
-    l = 3 the query is ``A[A[x * S - 16 + (w & 7)] * S - 8 + (w >> 3 & 7)]``
+def _kernel_source(m: int, l: int) -> list[str]:
+    """The block query's lines, on the flattened arrays A and W, unrolled
+    over the m blocks with the shifts, masks and offsets as literals.
+    Block i reads ``A[(x - 1) * S + (i << l) + (w >> i*l & M)]`` with
+    S = m << l, written ``x * S - (S - (i << l)) + ...``; for m = 2, l = 3
+    the query is ``A[A[x * S - 16 + (w & 7)] * S - 8 + (w >> 3 & 7)]``
     with ``w = W[y - 1]``.
 
-    S is ``0 * W[0] + (m << l)``: an int64 scalar when W is an ndarray,
-    so that the product with x, which each level returns at the id width,
-    is taken in int64, and a Python int when W is a memoryview.  One
-    source thus serves both ``predict`` and ``multiply``.  The widening
-    rests on NumPy 2's promotion rules (NEP 50): uint16 times a Python
-    int stays uint16 and wraps, and so does uint16 times an int64 scalar
-    under NumPy 1.x, which casts scalars by value.
+    S is bound as ``0 * W[0] + (m << l)``: an int64 scalar when W is an
+    ndarray, so that the product with x, which each level returns at the
+    id width, is taken in int64 in the batch form, and a Python int in
+    the scalar form.  The widening rests on NumPy 2's promotion rules
+    (NEP 50): uint16 times a Python int stays uint16 and wraps, and so
+    does uint16 times an int64 scalar under NumPy 1.x, which casts
+    scalars by value.
     """
     stride = m << l
     expr = "x"
@@ -199,9 +203,7 @@ def _kernel_source(m: int, l: int) -> str:
         shift = f" >> {i * l}" if i else ""
         expr = (f"A[{expr} * S - {stride - (i << l)}"
                 f" + (w{shift} & {(1 << l) - 1})]")
-    return (f"def bind(A, W):\n    S = 0 * W[0] + {stride}\n\n"
-            "    def kernel(x, y):\n        w = W[y - 1]\n"
-            f"        return {expr}\n    return kernel\n")
+    return ["w = W[y - 1]", f"return {expr}"]
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    tokens = [tok for tok in args.deltas.split(",") if tok]
+    if not tokens:
+        raise UsageError(f"--deltas needs at least one delta, got "
+                         f"{args.deltas!r}")
     G = load_cayley_file(args.table)
-    deltas = [parse_delta(tok) for tok in args.deltas.split(",") if tok]
+    deltas = [parse_delta(tok) for tok in tokens]
     lines = ["delta,l,m,slots,probes"]
     for row in tradeoff_table(G, deltas):
         if row.error:

@@ -9,15 +9,20 @@ queries exactly.  ``multiply`` checks nothing, so its labels must come
 from a labeler's ``label`` or from ``multiply``.  A labeler's ``element``
 checks a label by one guarded read and a round trip through ``label``.
 
-Each scheme writes its query once, as ``_bound_kernel(view)``: a closure
-over ``view`` of each of the store's arrays, whose label components may be
-Python ints or int64 arrays alike, and states the store's fixed reads
-once, as ``_reads``.  ``_kernel`` runs the closure bound on the arrays
-themselves; ``multiply`` runs the closure bound on read-only memoryviews
-(``base._view``) at its first call, so that every read gives a Python
-int.  An id-level estimator's closure runs the labeler's ``labels``, the
-scheme's closure and the labeler's ``elements``, each bound through the
-same ``view``, and it reads what the scheme reads.
+Each scheme writes its label query once, as a template: ``_query()``
+gives the lines that compute the product label's components (named by
+``_label`` with suffix 3) from those of the two operands (suffixes 1 and
+2), with its codec terms, ``ZGroupScheme``'s sigma and
+``CycleStructure``'s power inlined in place of calls.  The lines read
+names that ``_bound_arrays(view)`` maps to ``view`` of the store's
+arrays and to its scalars, run on Python ints or int64 arrays alike, and
+the store's fixed reads are stated once, as ``_reads``.  ``multiply`` is
+the template rendered in the scalar form, bound on read-only memoryviews
+(``base._view``) so that every read gives a Python int, and ``_kernel``
+in the batch form (``base._Cached``).  An id-level estimator's query
+inlines the labeler's ``_labels`` of both ids, the scheme's query and
+the labeler's ``_elements`` in one frame, with the id check at its top,
+and it reads what the scheme reads.
 
 Labels are tuples of at most four unsigned integers.  Abelian labels pack
 the exponent tuple over the prime-power basis into one word,
@@ -31,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import (Representation, ValidationError, _Cached, _view,
+from .base import (Representation, ValidationError, _Cached,
                    check_element_id, check_integer, id_dtype)
 from .groups import Q8_TABLE, as_group
 from .structure import (AbelianCoordinates, MixedRadix, _prime_factors,
@@ -51,42 +56,48 @@ def _frozen(arr, dtype=np.int64) -> np.ndarray:
 class _Labeler(_Cached):
     """Outside-user labeling of a group's elements.
 
-    Each labeling writes its maps once, as ``_bound_maps(view)``: a pair
-    of closures over ``view`` of its arrays, ``labels`` from ids to label
-    components and ``elements`` from label components back to ids.  Both
-    take Python ints or int64 arrays alike and check nothing.  ``label`` and
-    ``element`` are their checked one-element forms, bound once on
-    read-only memoryviews (``base._Cached``), so they answer in Python ints.
-    ``element`` takes exactly the tuples that ``label`` or a scheme's
-    ``multiply`` returns: one ``elements`` read, guarded against an index
-    past an array's end, then a round trip, exact as labels are canonical.
-    A wrong arity, a negative component that wrapped a read, or bits above
-    a word's fields fail ``label(x) == lab``.  The arrays that ``elements``
-    reads hold ids, at the id width ``id_dtype(n)``; the others stay int64.
+    Each labeling writes its maps once, as templates over the names its
+    scheme gives the label components: ``_labels(x, k)`` gives the lines
+    that compute the label of the id ``x`` into the components with
+    suffix ``k``, and ``_elements(k)`` the id of that label, as one
+    expression.  Both read names that ``_bound_arrays(view)`` binds, the
+    scheme's included, run on Python ints or int64 arrays alike, and check
+    nothing.  ``label`` and ``element`` are their checked one-element
+    forms, rendered once in the scalar form (``base._Cached``), so they
+    answer in Python ints.  ``element`` takes exactly the tuples that
+    ``label`` or a scheme's ``multiply`` returns: one ``elements`` read,
+    guarded against an index past an array's end, then a round trip,
+    exact as labels are canonical.  A negative component that wrapped a
+    read, or bits above a word's fields, fail ``label(x) == lab``.  The
+    arrays that ``elements`` reads hold ids, at the id width
+    ``id_dtype(n)``; the others stay int64.
     """
 
     n: int
 
+    def _key(self, name: str) -> tuple:
+        return (type(self).__name__, name, *self.scheme._shape)
+
     @cached_property
     def label(self):
         """The label of an element id."""
-        labels, n = self._bound_maps(_view)[0], self.n
-
-        def label(x: int) -> FMLabel:
-            return labels(check_element_id(x, n))
-        return label
+        return self._render(self._key("label"), ("x",), [
+            *self._labels("x", 1), f"return {self.scheme._tuple(1)}"],
+            n=self.n)
 
     @cached_property
     def element(self):
         """The element id of a label."""
-        label, elements = self.label, self._bound_maps(_view)[1]
+        label, arity = self.label, len(self.scheme._label)
+        elements = self._render(self._key("elements"), ("lab",), [
+            f"{self.scheme._tuple(1)} = lab", f"return {self._elements(1)}"])
 
         def element(lab: FMLabel) -> int:
-            if type(lab) is tuple:
+            if type(lab) is tuple and len(lab) == arity:
                 lab = tuple(check_integer(v, "label component") for v in lab)
                 try:
                     x = elements(lab)
-                except IndexError:      # a short tuple or a read past an end
+                except IndexError:      # a read past an array's end
                     pass
                 else:
                     if label(x) == lab:
@@ -95,9 +106,32 @@ class _Labeler(_Cached):
         return element
 
 
+class _Scheme(_Cached):
+    """A QPU store whose ``multiply`` takes two labels and returns theirs.
+
+    ``_label`` names the label components; ``_shape`` is what the query's
+    source depends on beyond the kind, and ``_query()`` the lines that
+    compute the components with suffix 3 from those with suffixes 1 and
+    2.  Labels are not checked.
+    """
+
+    _args = ("l1", "l2")
+    _label: tuple = ()
+    _shape: tuple = ()
+
+    def _tuple(self, k) -> str:
+        """The label with suffix ``k``, as a tuple display."""
+        return "(" + "".join(f"{c}{k}, " for c in self._label) + ")"
+
+    def _template(self):
+        return (type(self).__name__, *self._shape), [
+            f"{self._tuple(1)} = l1", f"{self._tuple(2)} = l2",
+            *self._query(), f"return {self._tuple(3)}"]
+
+
 # -- abelian ------------------------------------------------------------------
 
-class AbelianScheme(MixedRadix, _Cached):
+class AbelianScheme(MixedRadix, _Scheme):
     """QPU store for an abelian group: the cyclic factor orders alone.
 
     A label is one packed word of exponents, the mixed-radix codec over the
@@ -106,6 +140,8 @@ class AbelianScheme(MixedRadix, _Cached):
     operations on the packed fields.  Labels are not checked.
     """
 
+    _label = ("w",)
+
     def __init__(self, orders):
         super().__init__(orders)    # integers in 63 bits, before any factoring
         for d in self.sizes:
@@ -113,12 +149,15 @@ class AbelianScheme(MixedRadix, _Cached):
                 raise ValidationError(f"factor order {d} is not a prime power")
         self.orders = self.sizes
 
-    def _bound_kernel(self, view):
-        add = self.add
+    @property
+    def _shape(self) -> tuple:
+        return self.sizes
 
-        def multiply(l1, l2):
-            return (add(l1[0], l2[0]),)
-        return multiply
+    def _bound_arrays(self, view):
+        return {}
+
+    def _query(self):
+        return [f"w3 = {self.expr('add', 'w1', 'w2')}"]
 
     def space_slots(self) -> dict[str, int]:
         return {"orders": len(self.orders), "meta": 1}
@@ -134,17 +173,15 @@ class AbelianLabeler(_Labeler):
         self.n = len(self.packed)
         self.element_of_flat = _frozen(element_of_flat, id_dtype(self.n))
 
-    def _bound_maps(self, view):
-        packed, element_of_flat = map(view, (self.packed,
-                                             self.element_of_flat))
-        index = self.scheme.index
+    def _bound_arrays(self, view):
+        return {**self.scheme._bound_arrays(view), "packed": view(self.packed),
+                "element_of_flat": view(self.element_of_flat)}
 
-        def labels(x):
-            return (packed[x - 1],)
+    def _labels(self, x, k):
+        return [f"w{k} = packed[{x} - 1]"]
 
-        def elements(lab):
-            return element_of_flat[index(lab[0])]
-        return labels, elements
+    def _elements(self, k):
+        return f"element_of_flat[{self.scheme.expr('index', f'w{k}')}]"
 
 
 def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
@@ -155,26 +192,30 @@ def compress_abelian(group) -> tuple[AbelianScheme, AbelianLabeler]:
 
 # -- Hamiltonian ----------------------------------------------------------------
 
-class HamiltonianScheme(_Cached):
+class HamiltonianScheme(_Scheme):
     """QPU store for Q8 x C: the fixed 8 x 8 quaternion table plus the
     abelian store for C.  A label packs the quaternion index minus one
     (three high bits) above the abelian label of the C part.  Labels are
     not checked."""
 
     _reads = {"table": 1}
+    _label = ("w",)
 
     def __init__(self, abelian: AbelianScheme):
         self.abelian = abelian
         self.q8_table = Q8_TABLE
 
-    def _bound_kernel(self, view):
-        q8, add, bits = (view(self.q8_table), self.abelian.add,
-                         self.abelian.bits)
+    @property
+    def _shape(self) -> tuple:
+        return self.abelian.sizes
 
-        def multiply(l1, l2):
-            w1, w2 = l1[0], l2[0]
-            return (((q8[w1 >> bits, w2 >> bits] - 1) << bits) | add(w1, w2),)
-        return multiply
+    def _bound_arrays(self, view):
+        return {"q8": view(self.q8_table)}
+
+    def _query(self):
+        bits = self.abelian.bits
+        return [f"w3 = ((q8[w1 >> {bits}, w2 >> {bits}] - 1) << {bits})"
+                f" | {self.abelian.expr('add', 'w1', 'w2')}"]
 
     def space_slots(self) -> dict[str, int]:
         slots = {"q8_table": 64}
@@ -196,17 +237,19 @@ class HamiltonianLabeler(_Labeler):
         self.n = len(q_of) - 1
         self.by_flat = _frozen(by_flat, id_dtype(self.n))
 
-    def _bound_maps(self, view):
-        q_of, c_of, c_labels, by_flat = map(view, (
-            self.q_of, self.c_of, self.c_labels, self.by_flat))
-        bits, index = self.scheme.abelian.bits, self.scheme.abelian.index
+    def _bound_arrays(self, view):
+        return {**self.scheme._bound_arrays(view), "q_of": view(self.q_of),
+                "c_of": view(self.c_of), "c_labels": view(self.c_labels),
+                "by_flat": view(self.by_flat)}
 
-        def labels(x):
-            return (((q_of[x] - 1) << bits) | c_labels[c_of[x] - 1],)
+    def _labels(self, x, k):
+        bits = self.scheme.abelian.bits
+        return [f"w{k} = ((q_of[{x}] - 1) << {bits})"
+                f" | c_labels[c_of[{x}] - 1]"]
 
-        def elements(lab):
-            return by_flat[lab[0] >> bits, index(lab[0])]
-        return labels, elements
+    def _elements(self, k):
+        bits, index = self.scheme.abelian.bits, self.scheme.abelian.expr
+        return f"by_flat[w{k} >> {bits}, {index('index', f'w{k}')}]"
 
 
 def compress_hamiltonian(group) -> tuple[HamiltonianScheme, HamiltonianLabeler]:
@@ -236,7 +279,7 @@ def _table_max(value) -> int:
 _ZGROUP_MAX_M = math.isqrt((1 << 63) - 1)
 
 
-class ZGroupScheme(_Cached):
+class ZGroupScheme(_Scheme):
     """QPU store for C_m x| C_d: the two orders and the action multiplier.
 
     A label is (i, s, j) for the element a**i * b**j, where s indexes the
@@ -245,6 +288,8 @@ class ZGroupScheme(_Cached):
     (one probe) and otherwise recomputed by modular exponentiation in
     O(log d) word operations.  Labels are not checked.
     """
+
+    _label = ("i", "s", "j")
 
     def __init__(self, m: int, d: int, sigma1: int, table_max: int = 64):
         self.m, self.d, self.sigma1 = map(check_integer, (m, d, sigma1),
@@ -269,31 +314,35 @@ class ZGroupScheme(_Cached):
     def _reads(self) -> dict:
         return {} if self.sigma_table is None else {"table": 1}
 
-    def _bound_sigma(self, view):
-        """sigma1**j mod m for exponents j in [0, d), given as Python ints
-        or int64 arrays: a read of the table, or a closure over m."""
+    @property
+    def _shape(self) -> tuple:
+        return ("table",) if self.sigma_table is not None else (
+            (self.d - 1).bit_length(),)
+
+    def _bound_arrays(self, view):
+        binds = {"m": self.m, "d": self.d, "sigma1": self.sigma1}
         if self.sigma_table is not None:
-            return view(self.sigma_table).__getitem__
-        m, s1, steps = self.m, self.sigma1, (self.d - 1).bit_length()
+            binds["sigma_table"] = view(self.sigma_table)
+        return binds
 
-        def sigma(j):
-            out, sq = 1 % m, s1 % m
-            for k in range(steps):
-                # multiply by sq exactly when bit k of j is set
-                out = out * (1 + (sq - 1) * ((j >> k) & 1)) % m
-                sq = sq * sq % m
-            return out
-        return sigma
+    def _sigma(self, out, j):
+        """Lines that set ``out`` to sigma1**j mod m for the exponent ``j``
+        in [0, d): a read of the table, or the exponentiation by squaring,
+        unrolled over the bits of d - 1."""
+        if self.sigma_table is not None:
+            return [f"{out} = sigma_table[{j}]"]
+        lines = [f"{out} = 1 % m", "q = sigma1 % m"]
+        for k in range((self.d - 1).bit_length()):
+            if k:
+                lines.append("q = q * q % m")
+            # multiply by q = sigma1**(2**k) exactly when bit k of j is set
+            bit = f"{j} >> {k} & 1" if k else f"{j} & 1"
+            lines.append(f"{out} = {out} * (1 + (q - 1) * ({bit})) % m")
+        return lines
 
-    def _bound_kernel(self, view):
-        m, d, sigma = self.m, self.d, self._bound_sigma(view)
-
-        def multiply(l1, l2):
-            i1, s1, j1 = l1
-            i2, _, j2 = l2
-            j3 = (j1 + j2) % d
-            return ((i1 + s1 * i2) % m, sigma(j3), j3)
-        return multiply
+    def _query(self):
+        return ["j3 = (j1 + j2) % d", "i3 = (i1 + s1 * i2) % m",
+                *self._sigma("s3", "j3")]
 
     def space_slots(self) -> dict[str, int]:
         slots = {"meta": 3}            # m, d, sigma1
@@ -313,17 +362,16 @@ class ZGroupLabeler(_Labeler):
         self.n = len(i_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def _bound_maps(self, view):
-        i_of, j_of, pairing = map(view, (self.i_of, self.j_of, self.pairing))
-        sigma = self.scheme._bound_sigma(view)
+    def _bound_arrays(self, view):
+        return {**self.scheme._bound_arrays(view), "i_of": view(self.i_of),
+                "j_of": view(self.j_of), "pairing": view(self.pairing)}
 
-        def labels(x):
-            j = j_of[x]
-            return (i_of[x], sigma(j), j)
+    def _labels(self, x, k):
+        return [f"j{k} = j_of[{x}]", f"i{k} = i_of[{x}]",
+                *self.scheme._sigma(f"s{k}", f"j{k}")]
 
-        def elements(lab):
-            return pairing[lab[0], lab[2]]
-        return labels, elements
+    def _elements(self, k):
+        return f"pairing[i{k}, j{k}]"
 
 
 def compress_zgroup(group, table_max: int = 64) -> tuple[ZGroupScheme, ZGroupLabeler]:
@@ -385,7 +433,9 @@ class CycleStructure(_Cached):
     def apply_power(self):
         """pi**d applied to g; exactly two array reads plus one modulo,
         in Python ints, so that any integer exponent is answered exactly."""
-        power, n = self._bound_power(_view), self.n_points
+        power = self._render(("CycleStructure",), ("g", "d"),
+                             [*self._power("p", "g", "d"), "return p"])
+        n = self.n_points
 
         def apply_power(g: int, d: int) -> int:
             g = check_element_id(g, n)
@@ -401,22 +451,21 @@ class CycleStructure(_Cached):
         ledger.count("forward")
         ledger.count("backward")
 
-    def _bound_power(self, view):
-        """Unchecked ``apply_power`` for points and exponents given as
-        Python ints or int64 arrays.
+    def _bound_arrays(self, view):
+        return {"index": view(self.index_), "flat": view(self.flat_),
+                "offsets": view(self.offsets_), "lengths": view(self.lengths_),
+                "n_points": self.n_points}
+
+    @staticmethod
+    def _power(out, g, d):
+        """Lines that set ``out`` to pi**d applied to ``g``, unchecked.
 
         The reads are the position lookup and the shifted cycle entry; a
         cycle's offset and length are its handle, as the start and length
         of a stored list would be.
         """
-        index, flat, offsets, lengths = map(view, (
-            self.index_, self.flat_, self.offsets_, self.lengths_))
-        n = self.n_points
-
-        def power(g, d):
-            j, r = divmod(index[g - 1], n)
-            return flat[offsets[j] + (r + d) % lengths[j]]
-        return power
+        return [f"c = index[{g} - 1]", "j = c // n_points", "r = c % n_points",
+                f"{out} = flat[offsets[j] + (r + {d}) % lengths[j]]"]
 
     def space_slots(self) -> dict[str, int]:
         # contents + position index + the stored length per cycle + the
@@ -427,7 +476,7 @@ class CycleStructure(_Cached):
 
 # -- semidirect A x| C_m with abelian A ---------------------------------------------
 
-class SemidirectScheme(_Cached):
+class SemidirectScheme(_Scheme):
     """QPU store for G = A x| C_m with A abelian: the generator's action as
     a cycle structure, A's abelian store, the label of every A element,
     and the dense label-to-index inverse.
@@ -437,6 +486,7 @@ class SemidirectScheme(_Cached):
     read.  Labels are not checked."""
 
     _reads = {"forward": 2, "backward": 2}
+    _label = ("la", "ia", "k")
 
     def __init__(self, m: int, cycle: CycleStructure, abelian: AbelianScheme,
                  labels_of_a: np.ndarray, index_of_label: np.ndarray):
@@ -450,17 +500,22 @@ class SemidirectScheme(_Cached):
     def a_order(self) -> int:
         return len(self.labels_of_a)
 
-    def _bound_kernel(self, view):
-        power, add, flat_index = (self.cycle._bound_power(view),
-                                  self.abelian.add, self.abelian.index)
-        labels_of_a, index_of_label, m = (view(self.labels_of_a),
-                                          view(self.index_of_label), self.m)
+    @property
+    def _shape(self) -> tuple:
+        return self.abelian.sizes
 
-        def multiply(l1, l2):
-            la1, _, k1 = l1
-            la4 = add(la1, labels_of_a[power(l2[1], k1) - 1])
-            return (la4, index_of_label[flat_index(la4)], (k1 + l2[2]) % m)
-        return multiply
+    def _bound_arrays(self, view):
+        return {**self.cycle._bound_arrays(view), "m": self.m,
+                "labels_of_a": view(self.labels_of_a),
+                "index_of_label": view(self.index_of_label)}
+
+    def _query(self):
+        A = self.abelian
+        return [*self.cycle._power("p", "ia2", "k1"),
+                "b = labels_of_a[p - 1]",
+                f"la3 = {A.expr('add', 'la1', 'b')}",
+                f"ia3 = index_of_label[{A.expr('index', 'la3')}]",
+                "k3 = (k1 + k2) % m"]
 
     def space_slots(self) -> dict[str, int]:
         slots = {"labels_of_a": self.a_order,
@@ -485,17 +540,16 @@ class SemidirectLabeler(_Labeler):
         self.n = len(a_of) - 1
         self.pairing = _frozen(pairing, id_dtype(self.n))
 
-    def _bound_maps(self, view):
-        a_of, j_of, pairing = map(view, (self.a_of, self.j_of, self.pairing))
-        labels_of_a = view(self.scheme.labels_of_a)
+    def _bound_arrays(self, view):
+        return {**self.scheme._bound_arrays(view), "a_of": view(self.a_of),
+                "j_of": view(self.j_of), "pairing": view(self.pairing)}
 
-        def labels(x):
-            a = a_of[x]
-            return (labels_of_a[a], a + 1, j_of[x])
+    def _labels(self, x, k):
+        return [f"a{k} = a_of[{x}]", f"la{k} = labels_of_a[a{k}]",
+                f"ia{k} = a{k} + 1", f"k{k} = j_of[{x}]"]
 
-        def elements(lab):
-            return pairing[lab[1] - 1, lab[2]]
-        return labels, elements
+    def _elements(self, k):
+        return f"pairing[ia{k} - 1, k{k}]"
 
 
 def compress_semidirect(group) -> tuple[SemidirectScheme, SemidirectLabeler]:
@@ -520,8 +574,8 @@ class _FMBase(Representation):
     """Adapter exposing a scheme + labeler pair as an id-level estimator.
 
     A query labels both ids, multiplies the labels with the pure QPU
-    scheme and maps the product label back to an id; it reads what the
-    scheme reads.  ``space_slots``
+    scheme and maps the product label back to an id, the three templates
+    inlined in one body; it reads what the scheme reads.  ``space_slots``
     reports the QPU store alone, since the labeling cost belongs to the
     outside user in this model.
     """
@@ -536,13 +590,14 @@ class _FMBase(Representation):
     def _reads(self) -> dict:
         return self.scheme_._reads
 
-    def _bound_kernel(self, view):
-        labels, elements = self.labeler_._bound_maps(view)
-        multiply = self.scheme_._bound_kernel(view)
+    def _bound_arrays(self, view):
+        return self.labeler_._bound_arrays(view)
 
-        def kernel(x, y):
-            return elements(multiply(labels(x), labels(y)))
-        return kernel
+    def _template(self):
+        lab, sch = self.labeler_, self.scheme_
+        return (self.rep_kind, *sch._shape), [
+            *lab._labels("x", 1), *lab._labels("y", 2), *sch._query(),
+            f"return {lab._elements(3)}"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("scheme_")

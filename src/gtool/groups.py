@@ -7,14 +7,16 @@ against.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .base import (ParseError, ValidationError, check_cayley_table,
-                   check_element_id, check_integer, check_pairs)
+from .base import (CapacityError, ParseError, ValidationError,
+                   check_cayley_table, check_element_id, check_integer,
+                   check_pairs)
 
 
 class GroupTable:
@@ -347,11 +349,25 @@ def as_group(X) -> GroupTable:
 
 # -- constructions ---------------------------------------------------------
 
+# The largest order that make_cyclic, make_dihedral, make_abelian and
+# make_psl2 build.  Its table of int32 ids is 256 MiB, and a construction
+# holds int64 temporaries of the table's shape, so a larger order raises
+# CapacityError before anything is allocated.
+MAX_ORDER = 1 << 13
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise CapacityError(f"order {n} is past the constructors' capacity "
+                            f"of {MAX_ORDER}")
+
+
 def make_cyclic(n: int) -> GroupTable:
     """Cyclic group of order n; element i+1 represents g**i, identity 1."""
     n = check_integer(n, "cyclic order")
     if n < 1:
         raise ValidationError(f"cyclic order must be >= 1, got {n}")
+    _check_order(n)
     i = np.arange(n, dtype=np.int64)
     table = (i[:, None] + i[None, :]) % n + 1
     return GroupTable(table)
@@ -478,6 +494,7 @@ def make_dihedral(m: int) -> GroupTable:
     m = check_integer(m, "dihedral parameter")
     if m < 1:
         raise ValidationError(f"dihedral parameter must be >= 1, got {m}")
+    _check_order(2 * m)
     A = make_cyclic(m)
     B = make_cyclic(2)
     inversion = 1 + (-np.arange(m, dtype=np.int64)) % m
@@ -492,6 +509,10 @@ def make_abelian(orders) -> GroupTable:
     orders = [check_integer(d, "factor order") for d in orders]
     if not orders:
         raise ValidationError("need at least one cyclic factor")
+    if min(orders) < 1:             # before any factor is built
+        raise ValidationError(
+            f"cyclic order must be >= 1, got {min(orders)}")
+    _check_order(math.prod(orders))
     G = make_cyclic(orders[0])
     for d in orders[1:]:
         G = make_direct(G, make_cyclic(d))
@@ -545,6 +566,7 @@ def make_psl2(p: int) -> GroupTable:
     order.
     """
     p = check_integer(p, "prime p")
+    _check_order(p * (p * p - 1) // 2)      # before the trial division
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValidationError(f"{p} is not prime")
 

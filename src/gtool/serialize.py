@@ -355,6 +355,10 @@ _KINDS = {
 
 
 def _load(data: bytes, store_only: bool = False):
+    # bytes() of anything else would read an int as that many zero bytes
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValidationError("an artifact must be bytes, bytearray or "
+                              f"memoryview, got {type(data).__name__}")
     data = bytes(data)
     kind = next((k.store if store_only else k for k in _KINDS.values()
                  if data.startswith(k.magic)), None)

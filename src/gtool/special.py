@@ -60,12 +60,11 @@ class CyclicRep(Representation):
 
     _reads = {"forward": 2, "backward": 1}
 
-    def _bound_kernel(self, view):
-        F, B, n = view(self.F_), view(self.B_), self.n_
+    def _bound_arrays(self, view):
+        return {"F": view(self.F_), "B": view(self.B_), "n": self.n_}
 
-        def kernel(x, y):
-            return B[(F[x - 1] + F[y - 1]) % n]
-        return kernel
+    def _template(self):
+        return ("cyclic",), ["return B[(F[x - 1] + F[y - 1]) % n]"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("F_")
@@ -144,22 +143,23 @@ class CompositeRep(Representation):
 
     _reads = {"forward": 2, "action": 1, "backward": 1}
 
-    def _bound_kernel(self, view):
-        A = self.codec_
-        pack, unflat, index, add, bits = (A.pack, A.unflat, A.index, A.add,
-                                          A.bits)
-        forward, backward, action, d = (view(self.forward_),
-                                        view(self.backward_),
-                                        view(self.action_), self.d_)
+    def _bound_arrays(self, view):
+        return {"forward": view(self.forward_),
+                "backward": view(self.backward_),
+                "action": view(self.action_), "d": self.d_}
 
-        def kernel(x, y):
-            w1 = forward[x - 1]
-            w2 = forward[y - 1]
-            j1 = w1 >> bits
+    def _template(self):
+        A = self.codec_
+        return ("composite", A.sizes), [
+            "w1 = forward[x - 1]",
+            "w2 = forward[y - 1]",
+            f"j1 = w1 >> {A.bits}",
             # the action maps flat A indices; its image is added packed
-            a3 = pack(unflat(action[j1, index(w2)]))
-            return backward[index(add(w1, a3)) * d + (j1 + (w2 >> bits)) % d]
-        return kernel
+            f"f3 = action[j1, {A.expr('index', 'w2')}]",
+            f"a3 = {A.expr('pack', A.terms('unflat', 'f3'))}",
+            f"w3 = {A.expr('add', 'w1', 'a3')}",
+            f"return backward[{A.expr('index', 'w3')} * d"
+            f" + (j1 + (w2 >> {A.bits})) % d]"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("forward_")
@@ -235,22 +235,24 @@ class SimpleRep(Representation):
         self.M_ = M
         return self
 
-    def _bound_kernel(self, view):
+    def _bound_arrays(self, view):
+        if self.cyclic_ is not None:
+            return self.cyclic_._bound_arrays(view)
+        return {"path": view(self.path_), "path_len": view(self.path_len_),
+                "M": view(self.M_)}
+
+    def _template(self):
         """The fold along y's path, for one pair of ids: ``predict``
         folds arrays of pairs itself."""
         if self.cyclic_ is not None:
-            return self.cyclic_._bound_kernel(view)
-        path, path_len, M = map(view, (self.path_, self.path_len_, self.M_))
+            return self.cyclic_._template()
         wl = self.label_bits_
-        mask = (1 << wl) - 1
-
-        def kernel(x, y):
-            packed = path[y - 1]
-            for _ in range(path_len[y - 1]):
-                x = M[x - 1, packed & mask]
-                packed >>= wl
-            return x
-        return kernel
+        return ("simple", wl), [
+            "packed = path[y - 1]",
+            "for _ in range(path_len[y - 1]):",
+            f"    x = M[x - 1, packed & {(1 << wl) - 1}]",
+            f"    packed >>= {wl}",
+            "return x"]
 
     def predict(self, X) -> np.ndarray:
         """Batch queries by a fold over the pairs sorted by path length.

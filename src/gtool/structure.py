@@ -9,11 +9,14 @@ searches use fixed iteration orders so results are reproducible.
 from __future__ import annotations
 
 import math
+import re
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import PreconditionError, ValidationError, check_integer
+from .base import (PreconditionError, ValidationError, check_element_id,
+                   check_integer)
 from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic,
                      subgroup_closure)
 
@@ -213,6 +216,43 @@ class MixedRadix:
         # rebuilt from the sizes: a generated function does not pickle
         return type(self), (self.sizes,)
 
+    def terms(self, name: str, *args) -> list[str]:
+        """The per-field terms of the method ``name`` applied to ``args``,
+        with the fields' shifts, masks, sizes and strides as literals and
+        no term that shifts by 0 or multiplies by 1.  ``pack`` and ``flat``
+        take one sequence of field expressions, the others names."""
+        params, term, op = _CODEC_TERMS[name]
+        if params == "fields":
+            fields, x, y = [_atom(f) for f in args[0]], "", ""
+        else:
+            fields, (x, y) = (), ([_atom(w) for w in args] + [""])[:2]
+        return [term.format(
+            field=fields[i] if fields else "", arg=x, size=size,
+            shl=f" << {s}" if s else "",
+            times=f" * {st}" if st > 1 else "",
+            div=f" // {st}" if st > 1 else "",
+            a=f"({x} >> {s} & {mask})" if s else f"({x} & {mask})",
+            b=f"({y} >> {s} & {mask})" if s else f"({y} & {mask})")
+            for i, ((s, mask, size), st) in enumerate(zip(self._fields,
+                                                          self.strides))
+            # index and add skip the 0-bit fields, which hold only 0
+            if mask or op == ", " or params == "fields"]
+
+    def expr(self, name: str, *args) -> str:
+        """The method ``name`` applied to ``args`` as one parenthesized
+        expression of its ``terms``, to inline in a query template;
+        ``unpack`` and ``unflat`` give a tuple, and no input is the
+        result."""
+        params, _, op = _CODEC_TERMS[name]
+        terms = self.terms(name, *args)
+        if op == ", ":
+            return "(" + "".join(t + ", " for t in terms) + ")"
+        if params == "fields" and len(terms) == 1 and terms[0] == args[0][0]:
+            return f"(+{terms[0]})"     # a new value, not the input field
+        # with no term: 0, or a zero shaped like the first word
+        return _atom(op.join(terms) or ("0" if params == "fields"
+                                        else f"{_atom(args[0])} & 0"))
+
     def holds(self, words) -> bool:
         """True iff every word of the nonempty array ``words`` (>= 0) packs
         a tuple of the box: each field is below its size, and no bit is
@@ -223,51 +263,73 @@ class MixedRadix:
             ((words >> s) & mask).max() < size for s, mask, size in low)
 
 
-# per method: its arguments, the term of field i, and how terms join (a
-# tuple for ", "); {word}, {w1}, {w2} are the field's bits in that word,
-# and {shl}, {times}, {div} its shift and stride, each omitted when a no-op
+# per method: its parameters, the term of field i, and how terms join (a
+# tuple for ", "); {field} is field i of a field sequence, {arg} the first
+# argument, {a} and {b} the field's bits in the first and second word, and
+# {shl}, {times}, {div} its shift and stride, each omitted when a no-op
 _CODEC_TERMS = {
-    "pack": ("fields", "fields[{i}]{shl}", " | "),
-    "unpack": ("word", "{word}", ", "),
-    "flat": ("fields", "fields[{i}]{times}", " + "),
-    "unflat": ("index", "index{div} % {size}", ", "),
-    "index": ("word", "{word}{times}", " + "),
-    "add": ("w1, w2", "({w1} + {w2}) % {size}{shl}", " | "),
+    "pack": ("fields", "{field}{shl}", " | "),
+    "unpack": ("word", "{a}", ", "),
+    "flat": ("fields", "{field}{times}", " + "),
+    "unflat": ("index", "{arg}{div} % {size}", ", "),
+    "index": ("word", "{a}{times}", " + "),
+    "add": ("w1, w2", "({a} + {b}) % {size}{shl}", " | "),
 }
 _COMPILED: dict = {}        # key -> generated function
+# the only globals of generated code: what the rendered id check and the
+# SimpleRep fold call, and no builtins
+_SCOPE = {"__builtins__": {}, "type": type, "int": int, "range": range,
+          "check_element_id": check_element_id}
 
 
 def _generated(key, source, *args):
     """The one function defined by the code ``source(*args)`` returns,
-    compiled once per ``key`` with no builtins; a hit builds no source."""
+    compiled once per ``key`` in ``_SCOPE``; a hit builds no source."""
     if key not in _COMPILED:
         namespace = {}
-        exec(source(*args), {"__builtins__": {}}, namespace)
+        exec(source(*args), dict(_SCOPE), namespace)
         (_COMPILED[key],) = namespace.values()
     return _COMPILED[key]
 
 
+def _atom(expr: str) -> str:
+    """``expr``, parenthesized unless it is a name or a subscript of one."""
+    return expr if re.fullmatch(r"\w+(\[\w+\])?", expr) else f"({expr})"
+
+
 def _codec_source(box: MixedRadix, name: str) -> str:
-    """``box``'s method ``name`` as one expression with the fields' shifts,
-    masks, sizes and strides as literals, no term that shifts by 0 or
-    multiplies by 1, and no input as its result."""
-    args, term, op = _CODEC_TERMS[name]
-    terms = [term.format(
-        i=i, size=size, shl=f" << {s}" if s else "",
-        times=f" * {st}" if st > 1 else "", div=f" // {st}" if st > 1 else "",
-        **{w: f"({w} >> {s} & {mask})" if s else f"({w} & {mask})"
-           for w in ("word", "w1", "w2")})
-        for i, ((s, mask, size), st) in enumerate(zip(box._fields, box.strides))
-        # index and add skip the 0-bit fields, which hold only 0
-        if mask or op == ", " or args == "fields"]
-    if op == ", ":
-        expr = "(" + "".join(t + ", " for t in terms) + ")"
-    elif len(terms) == 1 and args == "fields":
-        expr = "+" + terms[0]       # a new value, not the input field
-    else:   # with no term: 0, or a zero shaped like the first word
-        expr = op.join(terms) or ("0" if args == "fields"
-                                  else args.split(",")[0] + " & 0")
-    return f"def {name}({args}):\n    return {expr}\n"
+    """``box``'s method ``name`` as one function of one expression."""
+    params = _CODEC_TERMS[name][0]
+    args = ([f"fields[{i}]" for i in range(len(box.sizes))],) \
+        if params == "fields" else params.split(", ")
+    return f"def {name}({params}):\n    return {box.expr(name, *args)}\n"
+
+
+def _rendered(key, args, lines, binds, n=None):
+    """The query that ``lines`` compute from the arguments ``args``, bound
+    to ``binds``, which map each other name ``lines`` read to a viewed
+    array or a scalar.  The code is compiled once per ``key``, the
+    (kind, shape parameters, form) it depends on; with the group order
+    ``n``, every argument is an element id, checked at the top as
+    :func:`check_element_id` checks it, after a Python int in range."""
+    if n is not None:
+        binds = dict(binds, n=n)
+    bind = _generated(key, _query_source, tuple(binds), args, n is not None,
+                      lines)
+    return bind(**binds)
+
+
+def _query_source(names, args, checked: bool, lines) -> str:
+    """A binder of the names ``names`` that returns one query of ``args``,
+    whose body is ``lines``, after the id check of each argument if
+    ``checked``."""
+    head = [f"if type({a}) is not int or not 1 <= {a} <= n:\n"
+            f"    {a} = check_element_id({a}, n)" for a in args] \
+        if checked else []
+    body = textwrap.indent("\n".join(head + list(lines)), " " * 8)
+    return (f"def bind({', '.join(names)}):\n"
+            f"    def query({', '.join(args)}):\n{body}\n"
+            "    return query\n")
 
 
 class AbelianCoordinates:

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import tracemalloc
 
@@ -179,11 +180,12 @@ def test_scalar_queries_copy_no_arrays(corpus):
             rep.multiply(2, 3)
             assert measure(rep) == before, (name, kind)
     # binding the first query allocates a few views and a closure (1.3 KB
-    # here), not a copy of the 2 MB of arrays; predict compiles the kernel
+    # here), not a copy of the 2 MB of arrays; a copy's query compiles
+    # the scalar form first
     G = gt.make_cyclic(1024)
     rep = gt.BlockRep(delta=1).fit(G)
     held = rep.mult_arrays_.nbytes + rep.word_index_.nbytes
-    rep.predict(np.array([[1, 1]]))
+    copy.deepcopy(rep).multiply(1, 1)
     tracemalloc.start()
     try:
         assert rep.multiply(2, 3) == G.mult(2, 3)

@@ -86,6 +86,18 @@ def test_strict_flag_is_gone(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_gen_refuses_orders_past_capacity(tmp_path, capsys):
+    # numpy's _ArrayMemoryError ended this in a traceback and exit 1
+    for argv, order in ((("cyclic", "100000"), 100000),
+                        (("dihedral", "5000"), 10000),
+                        (("abelian", "100", "100"), 10000)):
+        code, stdout, err = run(capsys, "gen", *argv, str(tmp_path / "x"))
+        assert (code, stdout) == (2, ""), argv
+        assert err == (f"precondition failure: order {order} is past the "
+                       "constructors' capacity of 8192\n"), argv
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_rejects_bad_params(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "cyclic", "zero", str(tmp_path / "x"))
     assert code == 1
@@ -308,6 +320,13 @@ def test_bench_csv_regimes(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(table), str(out),
                        "--deltas", "1/2,1/x")
     assert code == 2 and "delta" in err
+    # no delta at all is a usage error, and writes nothing
+    for deltas in (",", "", ",,,"):
+        fresh = tmp_path / "none.csv"
+        code, stdout, err = run(capsys, "bench", str(table), str(fresh),
+                                "--deltas", deltas)
+        assert code == 1 and err.startswith("usage error") and not stdout
+        assert "--deltas" in err and not fresh.exists()
 
 
 def test_build_artifacts_byte_identical(tmp_path, capsys):

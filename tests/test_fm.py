@@ -216,17 +216,18 @@ def test_zgroup_virtual_large():
     # table: the id i*d + j + 1 names a**i * b**j
     scheme = fm.ZGroupScheme(8191, 2, 8190)
     assert fm.qpu_space(scheme) <= 80
-    d, sigma = scheme.d, scheme._bound_sigma(np.asarray)
+    d = scheme.d
 
     def label(x):
         i, j = divmod(x - 1, d)
-        return (i, sigma(j), j)
+        return (i, pow(8190, j, 8191), j)
 
     rng = np.random.RandomState(5)
     for _ in range(300):
         x, y = (int(v) for v in rng.randint(1, 8191 * 2 + 1, 2))
-        i, _, j = scheme.multiply(label(x), label(y))
+        i, s, j = scheme.multiply(label(x), label(y))
         assert i * d + j + 1 == metacyclic_product(8191, d, 8190, x, y)
+        assert s == pow(8190, j, 8191)
 
 
 def test_zgroup_action_consistency_checked():
@@ -569,13 +570,15 @@ def test_labeler_and_cycle_maps_are_bound_once(
     lab = rep.labeler_
     pi = np.random.RandomState(lab.n).permutation(lab.n) + 1
     cycle = fm.CycleStructure(pi)
-    runs = {"_bound_maps": 0, "_bound_power": 0}
-    for cls, binder in ((type(lab), "_bound_maps"),
-                        (fm.CycleStructure, "_bound_power")):
-        def counted(self, view, bind=getattr(cls, binder), binder=binder):
-            runs[binder] += 1
+    # the binders of this labeler and this cycle structure, by the class
+    # whose binder runs; a semidirect scheme binds a cycle of its own
+    runs = {"labeler": 0, "cycle": 0}
+    for cls, who in ((type(lab), "labeler"), (fm.CycleStructure, "cycle")):
+        def counted(self, view, bind=cls._bound_arrays, who=who):
+            runs[who] += self in (lab, cycle) or self in twins
             return bind(self, view)
-        monkeypatch.setattr(cls, binder, counted)
+        monkeypatch.setattr(cls, "_bound_arrays", counted)
+    twins = []
     want = _labels_and_powers(lab, cycle)
     labels, elements, powers = want
     assert elements == list(range(1, lab.n + 1))
@@ -585,9 +588,9 @@ def test_labeler_and_cycle_maps_are_bound_once(
                for v in [*elements, *powers, *(u for t in labels for u in t)])
     # the first label and element bound the maps, and the first
     # apply_power the cycle reads; later calls run no binder
-    assert runs == {"_bound_maps": 2, "_bound_power": 1}
+    assert runs == {"labeler": 2, "cycle": 1}
     assert _labels_and_powers(lab, cycle) == want
-    assert runs == {"_bound_maps": 2, "_bound_power": 1}
+    assert runs == {"labeler": 2, "cycle": 1}
     assert set(vars(lab)) >= {"label", "element"}
     assert "apply_power" in vars(cycle)
     # no pickle or copy carries a bound closure
@@ -595,7 +598,7 @@ def test_labeler_and_cycle_maps_are_bound_once(
         for other in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
                       copy.deepcopy(obj)):
             assert type(other) is type(obj) and not BOUND & set(vars(other))
-    twins = (pickle.loads(pickle.dumps(lab)), copy.deepcopy(cycle))
+    twins += (pickle.loads(pickle.dumps(lab)), copy.deepcopy(cycle))
     assert _labels_and_powers(*twins) == want
     # setting or deleting any attribute drops the closures
     for obj, name0 in ((lab, "n"), (cycle, "n_points")):
@@ -607,7 +610,7 @@ def test_labeler_and_cycle_maps_are_bound_once(
         setattr(obj, name0, value)
     assert _labels_and_powers(lab, cycle) == want
     # the two twins, then the dropped closures, bound once each
-    assert runs == {"_bound_maps": 6, "_bound_power": 3}
+    assert runs == {"labeler": 6, "cycle": 3}
 
 
 @pytest.mark.parametrize("name, kind, params, reads", FM_SCHEMES, ids=FM_IDS)
@@ -684,21 +687,17 @@ def test_element_rejects_labels_that_crashed_or_lied(corpus):
         corpus.rep("A4", "fm-semidirect").labeler_.element((0, 0, 0))
     with pytest.raises(ValidationError):
         corpus.rep("S3", "fm-zgroup").labeler_.element((0, 99, 1))
-    # per labeler, the components its elements map indexes with: a short
-    # tuple or a huge component reads past an end, and -1 may wrap a read
-    # onto an element, even the one whose label it imitates; the round
-    # trip rejects every one of them
+    # per labeler, the components its elements map indexes with: a huge
+    # component reads past an end, and -1 may wrap a read onto an element,
+    # even the one whose label it imitates; a tuple of another arity is
+    # refused before any read, and the round trip rejects the others
     indexed = {"abelian": (0,), "hamiltonian": (0,), "zgroup": (0, 2),
                "semidirect": (1, 2)}
     for scheme, components in indexed.items():
         lab = _labeler(corpus, scheme)
-        elements = lab._bound_maps(_view)[1]
         for x in (1, lab.n):
             good = lab.label(x)
-            short = good[:max(components)]
-            with pytest.raises(IndexError):
-                elements(short)
-            bad = [short]
+            bad = [good[:-1], good + (0,)]
             for i in components:
                 bad += [good[:i] + (v,) + good[i + 1:] for v in (-1, 1 << 70)]
             for b in bad:
@@ -707,4 +706,10 @@ def test_element_rejects_labels_that_crashed_or_lied(corpus):
             assert lab.element(tuple(map(np.int64, good))) == x
     zgroup = _labeler(corpus, "zgroup")     # C7:C3
     assert zgroup.label(21) == (6, 4, 2)
-    assert zgroup._bound_maps(_view)[1]((-1, 4, 2)) == 21
+    # (-1, 4, 2) reads pairing[-1, 2], which is 21 on the array and its
+    # view alike, and the round trip rejects it
+    assert zgroup.pairing[-1, 2] == _view(zgroup.pairing)[-1, 2] == 21
+    with pytest.raises(ValidationError, match="not a label"):
+        zgroup.element((-1, 4, 2))
+    with pytest.raises(IndexError):
+        _view(zgroup.pairing)[1 << 70, 2]

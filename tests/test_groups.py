@@ -7,7 +7,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import gtool as gt
-from gtool.base import GtoolError, ParseError, ValidationError
+from gtool.base import (CapacityError, GtoolError, ParseError,
+                        PreconditionError, ValidationError)
+from gtool.groups import MAX_ORDER
 
 from conftest import _CACHE, LARGE_SIMPLE, small_entries
 from oracles import (LOOPS, even_permutations, find_identity,
@@ -278,6 +280,41 @@ def test_make_cyclic():
         with pytest.raises(ValidationError, match="factor order"):
             gt.make_abelian([2, bad])
     assert gt.make_abelian([np.int64(2), 3]).n == 6
+
+
+def test_constructors_refuse_orders_past_capacity_before_allocating():
+    # one stated capacity: past it, CapacityError comes before the n x n
+    # int64 temporaries (and, for PSL(2, p), before the p**4 enumeration
+    # and the trial division), so nothing near a table is allocated
+    cap = MAX_ORDER
+    assert cap == 8192
+    calls = [(gt.make_cyclic, cap + 1, cap + 1),
+             (gt.make_cyclic, 100_000, 100_000),
+             (gt.make_dihedral, cap // 2 + 1, cap + 2),
+             (gt.make_dihedral, 10 ** 15, 2 * 10 ** 15),
+             (gt.make_abelian, [cap, 2], 2 * cap),
+             (gt.make_abelian, [1000, 3, 1000], 3 * 10 ** 6),
+             (gt.make_psl2, 29, 12180),
+             (gt.make_psl2, 10 ** 18 + 9, (10 ** 18 + 9) * ((10 ** 18 + 9) ** 2
+                                                        - 1) // 2)]
+    tracemalloc.start()
+    try:
+        for make, arg, order in calls:
+            with pytest.raises(CapacityError) as err:
+                make(arg)
+            assert str(err.value) == (f"order {order} is past the "
+                                      f"constructors' capacity of {cap}")
+        # a factor below 1 is refused before the factors before it are
+        # built: [2048, 0] built C2048's 64 MB of temporaries first
+        for orders in ([2048, 0], [2048, -3, 5]):
+            with pytest.raises(ValidationError, match="cyclic order"):
+                gt.make_abelian(orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # CapacityError is a PreconditionError, which the CLI reports
+    assert issubclass(CapacityError, PreconditionError)
 
 
 def test_make_direct_klein():

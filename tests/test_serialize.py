@@ -401,3 +401,20 @@ def test_save_load_files(tmp_path, corpus):
     ser.save(rep, path)
     back = ser.load(path)
     assert verify_exhaustive(back, corpus.table("S3")) is None
+
+
+def test_loaders_take_only_bytes_like_input(corpus):
+    # bytes(data) read 5 as five zero bytes ("unknown artifact magic") and
+    # raised TypeError for a str or None; a bytes-like artifact loads
+    rep = corpus.rep("C7:C3", "fm-zgroup")
+    data = ser.to_bytes(rep)
+    for load in (ser.from_bytes, ser.fm_store_from_bytes):
+        for bad in ("abc", None, 5, 0, 2.5, [1, 2], np.zeros(4, np.uint8)):
+            with pytest.raises(ValidationError,
+                               match=f"got {type(bad).__name__}$"):
+                load(bad)
+        for good in (data, bytearray(data), memoryview(data)):
+            back = load(good)
+            assert type(back) is type(rep if load is ser.from_bytes
+                                      else rep.scheme_)
+    assert ser.to_bytes(ser.from_bytes(memoryview(data))) == data

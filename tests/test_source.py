@@ -102,14 +102,15 @@ def subclasses(root) -> list[type]:
 
 def concrete_kinds(root) -> dict[str, bool]:
     """Each concrete subclass of ``root``, one that names its ``rep_kind``,
-    by kind: whether it has a ``_bound_kernel``."""
-    return {cls.rep_kind: hasattr(cls, "_bound_kernel")
+    by kind: whether it has a ``_template`` and a ``_bound_arrays``."""
+    return {cls.rep_kind: hasattr(cls, "_template")
+            and hasattr(cls, "_bound_arrays")
             for cls in subclasses(root) if cls.rep_kind != root.rep_kind}
 
 
 def test_every_representation_binds_its_query():
-    # a kind with no bound kernel would leave multiply and predict no
-    # closure to bind
+    # a kind with no template or no binder would leave multiply and
+    # predict nothing to render
     class Root:
         rep_kind = "?"
 
@@ -119,7 +120,10 @@ def test_every_representation_binds_its_query():
     class Bound(Abstract):
         rep_kind = "bound"
 
-        def _bound_kernel(self, view):
+        def _template(self):
+            pass
+
+        def _bound_arrays(self, view):
             pass
 
     class Bare(Abstract):
@@ -162,19 +166,21 @@ def test_every_binder_takes_the_array_wrapper():
     # each binder reads each of its arrays as view(self.X) and passes the
     # same view to its parts: np.asarray binds the fitted arrays, and
     # base._view read-only memoryviews of them, so no copy of a structure
-    # is ever made to bind its scalar query
-    binders = {"_bound_kernel", "_bound_maps", "_bound_sigma", "_bound_power"}
+    # is ever made to bind its scalar query.  The 15 binders of closures
+    # became 14 binders of names: ZGroupScheme's sigma binds its table
+    # with the scheme's other names
     found = [(path.name, name, args) for path in sorted(SRC.glob("*.py"))
-             for name, args in parameters_of(path.read_text(), binders)]
-    assert len(found) >= 15
+             for name, args in parameters_of(path.read_text(),
+                                             {"_bound_arrays"})]
+    assert len(found) >= 14
     assert [site for site in found if site[2] != ["self", "view"]] == []
     assert package_call_sites("object.__new__") == []
 
 
 def binder_calls(source: str) -> list[tuple[str, str]]:
-    """(binder, enclosing function) of each call of a ``_bound_*``
-    binder; a function declared ``@cached_property`` is listed as
-    ``@cached_property``, and a call outside any function as
+    """(binder, enclosing function) of each call of a ``_bound_*`` binder
+    or of ``_render``; a function declared ``@cached_property`` is listed
+    as ``@cached_property``, and a call outside any function as
     ``<module>``."""
     calls = []
 
@@ -185,7 +191,8 @@ def binder_calls(source: str) -> list[tuple[str, str]]:
                    for d in node.decorator_list):
                 where = "@cached_property"
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr.startswith("_bound_")):
+                and (node.func.attr.startswith("_bound_")
+                     or node.func.attr == "_render")):
             calls.append((node.func.attr, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -195,20 +202,21 @@ def binder_calls(source: str) -> list[tuple[str, str]]:
 
 
 def test_binders_run_only_in_binders_and_cached_properties():
-    # a closure is bound once, by a cached_property of base._Cached or a
-    # subclass: a binder called from a method or a closure would bind
-    # again on every call
+    # a query is rendered and bound once, by a cached_property of
+    # base._Cached or a subclass, through ``_render``: a binder or a
+    # render called from a method or a closure would bind again on every
+    # call
     assert binder_calls(
         "class A:\n    @cached_property\n    def f(self):\n"
         "        x = self._bound_a(v)\n        def g():\n"
         "            return self._bound_b(v)\n        return g\n"
         "    def _bound_c(self, view):\n        return self._bound_a(view)\n"
-        "    def h(self):\n        return self._bound_c(v)(1)\n") == [
+        "    def h(self):\n        return self._render(v)(1)\n") == [
         ("_bound_a", "@cached_property"), ("_bound_b", "g"),
-        ("_bound_a", "_bound_c"), ("_bound_c", "h")]
+        ("_bound_a", "_bound_c"), ("_render", "h")]
     calls = [(path.name, binder, where) for path in sorted(SRC.glob("*.py"))
              for binder, where in binder_calls(path.read_text())]
-    assert {where for *_, where in calls} >= {"@cached_property",
-                                                "_bound_kernel"}
-    assert [call for call in calls if call[2] != "@cached_property"
-            and not call[2].startswith("_bound_")] == []
+    binds = {where for _, binder, where in calls if binder != "_render"}
+    assert binds == {"_render", "_bound_arrays"}
+    assert {where for _, binder, where in calls if binder == "_render"} \
+        == {"@cached_property"}

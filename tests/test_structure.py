@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import signal
+import sys
 import tracemalloc
 from functools import partial
 
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gtool as gt
+from gtool import cli
 from gtool import serialize as ser
 from gtool import structure as st
-from gtool.base import (GtoolError, NotFittedError, PreconditionError,
-                        ValidationError, _view, check_element_id)
+from gtool.base import (_VIEWS, GtoolError, NotFittedError,
+                        PreconditionError, ValidationError, _view,
+                        check_element_id)
 from gtool.blockrep import _kernel_source
 from gtool.fm import AbelianScheme, SemidirectFM
 from gtool.special import CompositeRep
@@ -476,17 +479,31 @@ def test_codec_pickles_and_copies():
                  scheme.multiply((words,), (words[::-1],)))
 
 
-# the codec methods a first scalar query compiles, over which box
-FIRST_QUERY = {
-    "composite": ("codec_", {"pack", "unflat", "index", "add"}),
-    "zgroup": ("codec_", {"pack", "unflat", "index", "add"}),
-    "fm-abelian": ("scheme_", {"index", "add"}),
-    "fm-hamiltonian": ("scheme_.abelian", {"index", "add"}),
-    "fm-semidirect": ("scheme_.abelian", {"index", "add"}),
-}
+def scalar_key(rep) -> tuple:
+    """The key of ``rep``'s scalar query: its kind and the shape
+    parameters its source depends on; a SimpleRep of prime order renders
+    its cyclic delegate's query."""
+    kind = rep.rep_kind
+    if kind == "simple":
+        return (("cyclic", "scalar") if rep.cyclic_ is not None
+                else ("simple", rep.label_bits_, "scalar"))
+    shape = {
+        "block": lambda: (rep.m_, rep.l_),
+        "cyclic": lambda: (),
+        "composite": lambda: (rep.codec_.sizes,),
+        "fm-abelian": lambda: rep.scheme_.sizes,
+        "fm-hamiltonian": lambda: rep.scheme_.abelian.sizes,
+        "fm-zgroup": lambda: (("table",) if rep.scheme_.sigma_table is not None
+                              else ((rep.scheme_.d - 1).bit_length(),)),
+        "fm-semidirect": lambda: rep.scheme_.abelian.sizes,
+    }[kind]()
+    return (kind, *shape, "scalar")
 
 
 def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
+    # the codec terms are inlined in the queries: decoding compiles only
+    # the composite index that its check reads, and a first query only
+    # its own scalar key, no codec method
     artifacts = [(kind, ser.to_bytes(corpus.rep(name, kind, **params)))
                  for name, kind, params in ALL_KINDS]
     st._COMPILED.clear()
@@ -507,13 +524,9 @@ def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
     for kind, rep in reps:
         before = set(st._COMPILED)
         rep.multiply(1, rep.n_)
-        path, names = FIRST_QUERY.get(kind, ("", set()))
-        box = rep
-        for attr in filter(None, path.split(".")):
-            box = getattr(box, attr)
-        want = ({("block", rep.m_, rep.l_)} if kind == "block"
-                else {(box.sizes, name) for name in names})
-        assert set(st._COMPILED) - before <= want <= set(st._COMPILED), kind
+        assert set(st._COMPILED) - before <= {scalar_key(rep)} \
+            <= set(st._COMPILED), kind
+        assert all(type(key[0]) is str for key in set(st._COMPILED) - before)
 
 
 def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
@@ -528,8 +541,8 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
         G = corpus.table(name)
         before = set(st._COMPILED)
         assert rep.multiply(2, 3) == G.multiply(2, 3)
-        assert set(st._COMPILED) - before <= {("block", rep.m_, rep.l_)} \
-            <= set(st._COMPILED)
+        assert set(st._COMPILED) - before \
+            <= {("block", rep.m_, rep.l_, "scalar")} <= set(st._COMPILED)
     # the first query compiled one kernel per (m, l); a second structure
     # with the same (m, l), from another group, adds no miss
     assert len(st._COMPILED) == len({(r.m_, r.l_) for r in reps})
@@ -554,30 +567,59 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
         assert np.array_equal(other.predict(pairs), rep.predict(pairs))
 
 
-def test_predict_and_multiply_bind_one_block_source_per_m_l(corpus):
-    # S = 0 * W[0] + (m << l) is int64 on ndarrays and a Python int on
-    # memoryviews, so both queries bind one source, with no width flag
+def test_predict_and_multiply_render_one_block_template_per_m_l(
+        corpus, monkeypatch):
+    # one template per (m, l), rendered in two forms: the scalar form is
+    # the batch form's body under the id check, and each is compiled once
     S4, C1024 = corpus.table("S4"), corpus.table("C1024")
     C1 = gt.make_cyclic(1)
     fitted = [(gt.BlockRep(l=l).fit(S4), S4) for l in (1, 2, 5)]
     fitted += [(gt.BlockRep(delta=1).fit(C1024), C1024),      # uint16 ids
                (gt.BlockRep(l=1).fit(C1), C1)]                # m = 0
     reps = [rep for rep, _ in fitted]
+    sources = {}
+    generated = st._generated
+
+    def recorded(key, source, *args):
+        if key not in st._COMPILED:
+            assert key not in sources           # compiled once per key
+            sources[key] = source(*args)
+        return generated(key, source, *args)
+    monkeypatch.setattr(st, "_generated", recorded)
     st._COMPILED.clear()
     for rep, G in fitted:
         pairs = np.random.default_rng(rep.l_).integers(1, G.n, (500, 2),
                                                        endpoint=True)
-        assert np.array_equal(rep.predict(pairs),
-                              G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
-        assert [rep.multiply(x, y) for x, y in pairs[:20].tolist()] \
-            == G.table[pairs[:20, 0] - 1, pairs[:20, 1] - 1].tolist()
-    keys = {(r.m_, r.l_) for r in reps}
-    assert len(keys) == len(reps)
-    assert [key for key in st._COMPILED if key[0] == "block"] \
-        == [("block", r.m_, r.l_) for r in reps]
-    # no ledger enters a block kernel
+        for _ in range(2):
+            assert np.array_equal(rep.predict(pairs),
+                                  G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
+            assert [rep.multiply(x, y) for x, y in pairs[:20].tolist()] \
+                == G.table[pairs[:20, 0] - 1, pairs[:20, 1] - 1].tolist()
+        # a copy binds the compiled forms again and compiles nothing
+        twin = copy.deepcopy(rep)
+        twin.predict(pairs[:5])
+        twin.multiply(1, 1)
+    keys = [(r.m_, r.l_) for r in reps]
+    assert len(set(keys)) == len(reps)
+    assert sorted(key for key in st._COMPILED if key[0] == "block") \
+        == sorted(sources) == sorted(("block", m, l, form) for m, l in keys
+                                     for form in ("batch", "scalar"))
+    for m, l in keys:
+        body = "".join(f"        {line}\n" for line in _kernel_source(m, l))
+        batch, scalar = (sources["block", m, l, form]
+                         for form in ("batch", "scalar"))
+        assert batch.endswith(body + "    return query\n")
+        assert scalar.endswith(body + "    return query\n")
+        assert "check_element_id" in scalar and "check" not in batch
+    # the batch form widens the ids through the int64 stride S; the
+    # scalar form's S is a Python int
+    rep = reps[3]
+    assert rep.m_ << rep.l_ == 1024 and rep.mult_arrays_.dtype == np.uint16
+    assert type(rep._bound_arrays(np.asarray)["S"]) is np.int64
+    assert type(rep._bound_arrays(_view)["S"]) is int
+    # no ledger enters a block template
     assert [(m, l) for m in range(13) for l in range(1, 11)
-            if "ledger" in _kernel_source(m, l)] == []
+            if "ledger" in "".join(_kernel_source(m, l))] == []
 
 
 def _id_error(x, n) -> str:
@@ -654,23 +696,137 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
         assert [rep.multiply(x, y) for x, y in pairs] == want
 
 
+# every kind, and a Z-group store whose sigma is recomputed (d = 3 > 1)
+SCALAR_CASES = ALL_KINDS + [("C7:C3", "fm-zgroup", {"table_max": 1})]
+SCALAR_IDS = [f"{name}-{kind}{'-' if params else ''}"
+              f"{','.join(f'{k}={v}' for k, v in params.items())}"
+              for name, kind, params in SCALAR_CASES]
+# per case: the reads of one query, the probe bounds, and what
+# ``gtool query ART 3 n --stats`` prints, as the closure binders gave them
+PINNED = [
+    ({"forward": 2, "backward": 1}, (3, 3),
+     "2\nprobes: 3 backward=1 forward=2\n"),
+    ({"word_index": 1, "mult_array": 3}, (4, 4),
+     "22\nprobes: 4 mult_array=3 word_index=1\n"),
+    ({"forward": 2, "action": 1, "backward": 1}, (4, 4),
+     "5\nprobes: 4 action=1 backward=1 forward=2\n"),
+    ({"forward": 2, "action": 1, "backward": 1}, (4, 4),
+     "8\nprobes: 4 action=1 backward=1 forward=2\n"),
+    ({}, (2, 8), "45\nprobes: 8 forward=2 table=6\n"),
+    ({}, (3, 3), "2\nprobes: 3 backward=1 forward=2\n"),
+    ({}, (0, 0), "65 label: 15\nprobes: 0\n"),
+    ({"table": 1}, (1, 1), "23 label: 29\nprobes: 1 table=1\n"),
+    ({"table": 1}, (1, 1), "11 label: 3,2,1\nprobes: 1 table=1\n"),
+    ({"forward": 2, "backward": 2}, (4, 4),
+     "8 label: 2,3,2\nprobes: 4 backward=2 forward=2\n"),
+    ({}, (0, 0), "11 label: 3,2,1\nprobes: 0\n"),
+]
+
+
+def _frames(query, *args):
+    """The names of the Python frames that ``query(*args)`` opens, and
+    its answer."""
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        z = query(*args)
+    finally:
+        sys.setprofile(None)
+    return frames, z
+
+
+@pytest.mark.parametrize("case, pinned", zip(SCALAR_CASES, PINNED),
+                         ids=SCALAR_IDS)
+def test_scalar_multiply_is_one_frame_with_the_id_check(corpus, tmp_path,
+                                                        capsys, case, pinned):
+    name, kind, params = case
+    G = corpus.table(name)
+    pairs = [(x, y) for x in G.elements for y in G.elements]
+    want = [G.mult(x, y) for x, y in pairs]
+    fitted = corpus.rep(name, kind, **params)
+    for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
+        query = rep.multiply
+        # one in-range query on Python ints runs one frame, the rendered
+        # query itself: no check, kernel, codec, labeler or scheme frame
+        assert _frames(query, 2, G.n) == (["query"], G.mult(2, G.n))
+        got = [query(x, y) for x, y in pairs]
+        batch = rep.predict(np.array(pairs))
+        assert got == want == batch.tolist()
+        assert all(type(z) is int for z in got) and batch.dtype == np.int64
+        assert query(np.int64(G.n), np.uint8(1)) == G.mult(G.n, 1)
+        for bad in (True, False, 1.0, 2.5, np.int64(0), np.int64(G.n + 1),
+                    0, G.n + 1, 2 ** 70, "1", None):
+            for args in ((bad, 1), (1, bad)):
+                with pytest.raises(ValidationError) as err:
+                    query(*args)
+                assert str(err.value) == _id_error(bad, G.n), (kind, bad)
+        if kind.startswith("fm-"):
+            # the label query and the checked label are one frame each
+            lab = rep.labeler_
+            l1, l2 = lab.label(2), lab.label(G.n)
+            frames, z = _frames(rep.scheme_.multiply, l1, l2)
+            assert frames == ["query"] and lab.element(z) == G.mult(2, G.n)
+            assert _frames(lab.label, 2) == (["query"], l1)
+        # the stated reads, the bounds and the counted CLI query stand
+        reads, bounds, stats = pinned
+        assert dict(rep._reads) == reads and rep.probe_bounds() == bounds
+    art = tmp_path / "rep.gta"
+    ser.save(fitted, art)
+    capsys.readouterr()
+    assert cli.main(["query", str(art), "3", str(G.n), "--stats"]) == 0
+    assert capsys.readouterr().out == stats
+
+
+def test_no_ledger_enters_a_rendered_query(corpus, monkeypatch):
+    # every query path renders through one source builder, and none of
+    # its sources counts: the reads are counted beside the query
+    sources = []
+    build = st._query_source
+
+    def recorded(*args):
+        sources.append(build(*args))
+        return sources[-1]
+    monkeypatch.setattr(st, "_query_source", recorded)
+    st._COMPILED.clear()
+    for name, kind, params in SCALAR_CASES:
+        rep = copy.deepcopy(corpus.rep(name, kind, **params))
+        rep.multiply(1, rep.n_)
+        rep.predict(np.array([[1, rep.n_]]))
+        if kind.startswith("fm-"):
+            lab, sch = rep.labeler_, rep.scheme_
+            label = lab.label(rep.n_)
+            assert sch.multiply(label, label) == sch._kernel(label, label)
+            assert lab.element(label) == rep.n_
+            if kind == "fm-semidirect":
+                sch.cycle.apply_power(1, 2)
+    # a codec method's key starts with its sizes, a query's with its kind
+    queries = [key for key in st._COMPILED if type(key[0]) is str]
+    assert len(sources) == len(queries) >= 2 * len(SCALAR_CASES)
+    assert [src for src in sources if "ledger" in src] == []
+
+
 @pytest.mark.parametrize("name, kind, params", ALL_KINDS)
 def test_every_held_array_is_bound_through_the_view(corpus, name, kind,
-                                                    params):
+                                                    params, monkeypatch):
     # each binder passes its view to the binders of its parts, so a query
     # bound on views reads no ndarray, and answers in Python ints
     G = corpus.table(name)
     fitted = corpus.rep(name, kind, **params)
-    for rep in (fitted, ser.from_bytes(ser.to_bytes(fitted))):
-        wrapped = []
+    wrapped = []
 
-        def view(a):
-            assert type(a) is np.ndarray
-            wrapped.append(id(a))
-            return _view(a)
-        kernel = rep._bound_kernel(view)
+    def view(a):
+        assert type(a) is np.ndarray
+        wrapped.append(id(a))
+        return _view(a)
+    monkeypatch.setitem(_VIEWS, "scalar", view)
+    for rep in (copy.deepcopy(fitted), ser.from_bytes(ser.to_bytes(fitted))):
+        wrapped.clear()
+        got = [rep.multiply(x, y) for x in G.elements for y in G.elements]
         assert set(wrapped) == {id(a) for _, a in _held_arrays(rep, kind)}
-        got = [kernel(x, y) for x in G.elements for y in G.elements]
         assert all(type(z) is int for z in got)
         assert got == [G.mult(x, y) for x in G.elements for y in G.elements]
 

@@ -5,6 +5,7 @@ batch and scalar, bound to its arrays (``_Cached``)."""
 from __future__ import annotations
 
 import inspect
+import textwrap
 from functools import cached_property
 from typing import Any
 
@@ -157,6 +158,49 @@ def _view(a):
     return memoryview(a).toreadonly()
 
 
+_COMPILED: dict = {}        # key -> generated function
+# the only globals of generated code: what the rendered id check and the
+# SimpleRep fold call, and no builtins
+_SCOPE = {"__builtins__": {}, "type": type, "int": int, "range": range,
+          "check_element_id": check_element_id}
+
+
+def _generated(key, source, *args):
+    """The one function defined by the code ``source(*args)`` returns,
+    compiled once per ``key`` in ``_SCOPE``; a hit builds no source."""
+    if key not in _COMPILED:
+        namespace = {}
+        exec(source(*args), dict(_SCOPE), namespace)
+        (_COMPILED[key],) = namespace.values()
+    return _COMPILED[key]
+
+
+def _rendered(args, lines, binds, n=None):
+    """The query that ``lines`` compute from the arguments ``args``, bound
+    to ``binds``, which map each other name ``lines`` read to a viewed
+    array or a scalar.  With the group order ``n``, every argument is an
+    element id, checked at the top as :func:`check_element_id` checks it,
+    after a Python int in range.  The code is compiled once per key, the
+    parts its source is made from, so equal sources share one function."""
+    if n is not None:
+        binds = dict(binds, n=n)
+    parts = (tuple(binds), tuple(args), n is not None, tuple(lines))
+    return _generated(parts, _query_source, *parts)(**binds)
+
+
+def _query_source(names, args, checked: bool, lines) -> str:
+    """A binder of the names ``names`` that returns one query of ``args``,
+    whose body is ``lines``, after the id check of each argument if
+    ``checked``."""
+    head = [f"if type({a}) is not int or not 1 <= {a} <= n:\n"
+            f"    {a} = check_element_id({a}, n)" for a in args] \
+        if checked else []
+    body = textwrap.indent("\n".join(head + list(lines)), " " * 8)
+    return (f"def bind({', '.join(names)}):\n"
+            f"    def query({', '.join(args)}):\n{body}\n"
+            "    return query\n")
+
+
 # each form of a query, by the array wrapper it is bound through
 _VIEWS = {"batch": np.asarray, "scalar": _view}
 
@@ -173,16 +217,15 @@ class _Cached:
     loading do, and no pickle or copy carries them.
 
     A structure writes its query once, as a template: ``_template()``
-    gives the key of what its source depends on (the kind and shape
-    parameters) and the lines that compute it from ``_args``, in which
-    each part's own template is inlined in place of a call.  The lines
-    read names that ``_bound_arrays(view)`` maps to ``view`` of each array
-    and to scalars, its parts' included; they run on Python ints or int64
-    arrays alike.  ``_reads`` maps each array family to the reads of one
-    query; the query itself counts nothing.  ``structure._rendered``
-    compiles each (key, form) once: ``_kernel`` is the batch form, bound
-    on the fitted ndarrays themselves (``np.asarray``), and ``multiply``
-    the scalar form, bound on read-only memoryviews (:func:`_view`).
+    gives the lines that compute it from ``_args``, in which each part's
+    own template is inlined in place of a call.  The lines read names
+    that ``_bound_arrays(view)`` maps to ``view`` of each array and to
+    scalars, its parts' included; they run on Python ints or int64 arrays
+    alike.  ``_reads`` maps each array family to the reads of one query;
+    the query itself counts nothing.  :func:`_rendered` compiles each
+    source once: ``_kernel`` is the batch form, bound on the fitted
+    ndarrays themselves (``np.asarray``), and ``multiply`` the scalar
+    form, bound on read-only memoryviews (:func:`_view`).
     """
 
     _reads: dict = {}
@@ -201,24 +244,20 @@ class _Cached:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
-    def _render(self, key, args, lines, form="scalar", n=None):
+    def _render(self, args, lines, form="scalar", n=None):
         """The query ``lines`` compute from ``args``, in ``form``, bound to
         this object's arrays through that form's view; ``n`` checks every
-        argument as an element id (``structure._rendered``)."""
-        from .structure import _rendered     # structure imports this module
-        return _rendered(key + (form,), args, lines,
-                         self._bound_arrays(_VIEWS[form]), n)
+        argument as an element id (:func:`_rendered`)."""
+        return _rendered(args, lines, self._bound_arrays(_VIEWS[form]), n)
 
     @cached_property
     def _kernel(self):
-        key, lines = self._template()
-        return self._render(key, self._args, lines, "batch")
+        return self._render(self._args, self._template(), "batch")
 
     @cached_property
     def multiply(self):
         """One query, answered in Python ints."""
-        key, lines = self._template()
-        return self._render(key, self._args, lines)
+        return self._render(self._args, self._template())
 
 
 class Representation(_Cached, Estimator):
@@ -249,8 +288,7 @@ class Representation(_Cached, Estimator):
         """One query on ids in one frame, answered in Python ints: a Python
         int id in range skips the general id check."""
         self._require_fitted("n_")
-        key, lines = self._template()
-        return self._render(key, self._args, lines, n=self.n_)
+        return self._render(self._args, self._template(), n=self.n_)
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")

@@ -159,7 +159,7 @@ class BlockRep(Representation):
                 "S": 0 * W[0] + (self.m_ << self.l_)}
 
     def _template(self):
-        return ("block", self.m_, self.l_), _kernel_source(self.m_, self.l_)
+        return _kernel_source(self.m_, self.l_)
 
     # -- ledgers -------------------------------------------------------------
 

@@ -75,13 +75,10 @@ class _Labeler(_Cached):
 
     n: int
 
-    def _key(self, name: str) -> tuple:
-        return (type(self).__name__, name, *self.scheme._shape)
-
     @cached_property
     def label(self):
         """The label of an element id."""
-        return self._render(self._key("label"), ("x",), [
+        return self._render(("x",), [
             *self._labels("x", 1), f"return {self.scheme._tuple(1)}"],
             n=self.n)
 
@@ -89,7 +86,7 @@ class _Labeler(_Cached):
     def element(self):
         """The element id of a label."""
         label, arity = self.label, len(self.scheme._label)
-        elements = self._render(self._key("elements"), ("lab",), [
+        elements = self._render(("lab",), [
             f"{self.scheme._tuple(1)} = lab", f"return {self._elements(1)}"])
 
         def element(lab: FMLabel) -> int:
@@ -109,22 +106,20 @@ class _Labeler(_Cached):
 class _Scheme(_Cached):
     """A QPU store whose ``multiply`` takes two labels and returns theirs.
 
-    ``_label`` names the label components; ``_shape`` is what the query's
-    source depends on beyond the kind, and ``_query()`` the lines that
-    compute the components with suffix 3 from those with suffixes 1 and
-    2.  Labels are not checked.
+    ``_label`` names the label components, and ``_query()`` gives the
+    lines that compute the components with suffix 3 from those with
+    suffixes 1 and 2.  Labels are not checked.
     """
 
     _args = ("l1", "l2")
     _label: tuple = ()
-    _shape: tuple = ()
 
     def _tuple(self, k) -> str:
         """The label with suffix ``k``, as a tuple display."""
         return "(" + "".join(f"{c}{k}, " for c in self._label) + ")"
 
     def _template(self):
-        return (type(self).__name__, *self._shape), [
+        return [
             f"{self._tuple(1)} = l1", f"{self._tuple(2)} = l2",
             *self._query(), f"return {self._tuple(3)}"]
 
@@ -148,10 +143,6 @@ class AbelianScheme(MixedRadix, _Scheme):
             if d < 2 or len(_prime_factors(d)) != 1:
                 raise ValidationError(f"factor order {d} is not a prime power")
         self.orders = self.sizes
-
-    @property
-    def _shape(self) -> tuple:
-        return self.sizes
 
     def _bound_arrays(self, view):
         return {}
@@ -204,10 +195,6 @@ class HamiltonianScheme(_Scheme):
     def __init__(self, abelian: AbelianScheme):
         self.abelian = abelian
         self.q8_table = Q8_TABLE
-
-    @property
-    def _shape(self) -> tuple:
-        return self.abelian.sizes
 
     def _bound_arrays(self, view):
         return {"q8": view(self.q8_table)}
@@ -313,11 +300,6 @@ class ZGroupScheme(_Scheme):
     @property
     def _reads(self) -> dict:
         return {} if self.sigma_table is None else {"table": 1}
-
-    @property
-    def _shape(self) -> tuple:
-        return ("table",) if self.sigma_table is not None else (
-            (self.d - 1).bit_length(),)
 
     def _bound_arrays(self, view):
         binds = {"m": self.m, "d": self.d, "sigma1": self.sigma1}
@@ -433,7 +415,7 @@ class CycleStructure(_Cached):
     def apply_power(self):
         """pi**d applied to g; exactly two array reads plus one modulo,
         in Python ints, so that any integer exponent is answered exactly."""
-        power = self._render(("CycleStructure",), ("g", "d"),
+        power = self._render(("g", "d"),
                              [*self._power("p", "g", "d"), "return p"])
         n = self.n_points
 
@@ -499,10 +481,6 @@ class SemidirectScheme(_Scheme):
     @property
     def a_order(self) -> int:
         return len(self.labels_of_a)
-
-    @property
-    def _shape(self) -> tuple:
-        return self.abelian.sizes
 
     def _bound_arrays(self, view):
         return {**self.cycle._bound_arrays(view), "m": self.m,
@@ -595,7 +573,7 @@ class _FMBase(Representation):
 
     def _template(self):
         lab, sch = self.labeler_, self.scheme_
-        return (self.rep_kind, *sch._shape), [
+        return [
             *lab._labels("x", 1), *lab._labels("y", 2), *sch._query(),
             f"return {lab._elements(3)}"]
 

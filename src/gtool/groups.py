@@ -368,6 +368,12 @@ def make_cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValidationError(f"cyclic order must be >= 1, got {n}")
     _check_order(n)
+    return _cyclic_table(n)
+
+
+def _cyclic_table(n: int) -> GroupTable:
+    """The table of make_cyclic(n) for an order n >= 1, at any order: a
+    fit that meets a cyclic factor of a loaded table builds it here."""
     i = np.arange(n, dtype=np.int64)
     table = (i[:, None] + i[None, :]) % n + 1
     return GroupTable(table)

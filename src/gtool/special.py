@@ -64,7 +64,7 @@ class CyclicRep(Representation):
         return {"F": view(self.F_), "B": view(self.B_), "n": self.n_}
 
     def _template(self):
-        return ("cyclic",), ["return B[(F[x - 1] + F[y - 1]) % n]"]
+        return ["return B[(F[x - 1] + F[y - 1]) % n]"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("F_")
@@ -150,7 +150,7 @@ class CompositeRep(Representation):
 
     def _template(self):
         A = self.codec_
-        return ("composite", A.sizes), [
+        return [
             "w1 = forward[x - 1]",
             "w2 = forward[y - 1]",
             f"j1 = w1 >> {A.bits}",
@@ -247,7 +247,7 @@ class SimpleRep(Representation):
         if self.cyclic_ is not None:
             return self.cyclic_._template()
         wl = self.label_bits_
-        return ("simple", wl), [
+        return [
             "packed = path[y - 1]",
             "for _ in range(path_len[y - 1]):",
             f"    x = M[x - 1, packed & {(1 << wl) - 1}]",

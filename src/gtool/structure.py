@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (PreconditionError, ValidationError, check_element_id,
+from .base import (PreconditionError, ValidationError, _generated,
                    check_integer)
-from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, make_cyclic,
+from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, _cyclic_table,
                      subgroup_closure)
 
 
@@ -275,21 +274,6 @@ _CODEC_TERMS = {
     "index": ("word", "{a}{times}", " + "),
     "add": ("w1, w2", "({a} + {b}) % {size}{shl}", " | "),
 }
-_COMPILED: dict = {}        # key -> generated function
-# the only globals of generated code: what the rendered id check and the
-# SimpleRep fold call, and no builtins
-_SCOPE = {"__builtins__": {}, "type": type, "int": int, "range": range,
-          "check_element_id": check_element_id}
-
-
-def _generated(key, source, *args):
-    """The one function defined by the code ``source(*args)`` returns,
-    compiled once per ``key`` in ``_SCOPE``; a hit builds no source."""
-    if key not in _COMPILED:
-        namespace = {}
-        exec(source(*args), dict(_SCOPE), namespace)
-        (_COMPILED[key],) = namespace.values()
-    return _COMPILED[key]
 
 
 def _atom(expr: str) -> str:
@@ -303,33 +287,6 @@ def _codec_source(box: MixedRadix, name: str) -> str:
     args = ([f"fields[{i}]" for i in range(len(box.sizes))],) \
         if params == "fields" else params.split(", ")
     return f"def {name}({params}):\n    return {box.expr(name, *args)}\n"
-
-
-def _rendered(key, args, lines, binds, n=None):
-    """The query that ``lines`` compute from the arguments ``args``, bound
-    to ``binds``, which map each other name ``lines`` read to a viewed
-    array or a scalar.  The code is compiled once per ``key``, the
-    (kind, shape parameters, form) it depends on; with the group order
-    ``n``, every argument is an element id, checked at the top as
-    :func:`check_element_id` checks it, after a Python int in range."""
-    if n is not None:
-        binds = dict(binds, n=n)
-    bind = _generated(key, _query_source, tuple(binds), args, n is not None,
-                      lines)
-    return bind(**binds)
-
-
-def _query_source(names, args, checked: bool, lines) -> str:
-    """A binder of the names ``names`` that returns one query of ``args``,
-    whose body is ``lines``, after the id check of each argument if
-    ``checked``."""
-    head = [f"if type({a}) is not int or not 1 <= {a} <= n:\n"
-            f"    {a} = check_element_id({a}, n)" for a in args] \
-        if checked else []
-    body = textwrap.indent("\n".join(head + list(lines)), " " * 8)
-    return (f"def bind({', '.join(names)}):\n"
-            f"    def query({', '.join(args)}):\n{body}\n"
-            "    return query\n")
 
 
 class AbelianCoordinates:
@@ -425,7 +382,7 @@ def _build_decomposition(G: GroupTable, a_elements, b: int,
     b_powers = G.powers(b)
     m, d = a_elements.size, b_powers.size
     if cyclic_a is not None:
-        A_t = make_cyclic(m)
+        A_t = _cyclic_table(m)
     elif np.array_equal(a_elements, G.elements):
         A_t = G                     # A = G, listed 1..n: no copy of the table
     else:
@@ -446,7 +403,7 @@ def _build_decomposition(G: GroupTable, a_elements, b: int,
         # image of the A generator (local id 2 = a**1) under conjugation by b
         multiplier = int(action[1 % d, 1]) - 1 if m > 1 else 0
     return SemidirectDecomposition(
-        spec=SemidirectSpec(A_t, make_cyclic(d), action),
+        spec=SemidirectSpec(A_t, _cyclic_table(d), action),
         a_elements=tuple(a_elements.tolist()), b_element=b,
         b_powers=tuple(b_powers.tolist()), pairing=pairing, a_of=a_of,
         j_of=j_of, cyclic_a_generator=cyclic_a, multiplier=multiplier)

@@ -317,6 +317,26 @@ def test_constructors_refuse_orders_past_capacity_before_allocating():
     assert issubclass(CapacityError, PreconditionError)
 
 
+def test_fits_of_a_loaded_table_past_capacity_are_not_capped(monkeypatch):
+    # the capacity bounds the constructors from parameters alone: a fit
+    # that meets a cyclic factor of a given table, here A = G = C12 with
+    # the capacity at 8, builds it past the capacity as before
+    import gtool.groups as groups
+    from gtool.structure import (find_semidirect_decomposition,
+                                 find_zgroup_decomposition)
+    G = gt.make_cyclic(12)
+    monkeypatch.setattr(groups, "MAX_ORDER", 8)
+    with pytest.raises(CapacityError):
+        gt.make_cyclic(12)
+    for find in (find_zgroup_decomposition, find_semidirect_decomposition):
+        assert find(G).spec.A.n * find(G).b_order == 12
+    pairs = np.array([(x, y) for x in G.elements for y in G.elements])
+    for rep in (gt.CompositeRep(mode="zgroup"), gt.ZGroupFM(),
+                gt.ZGroupFM(table_max=1), gt.SemidirectFM()):
+        assert np.array_equal(rep.fit(G).predict(pairs),
+                              G.table[pairs[:, 0] - 1, pairs[:, 1] - 1])
+
+
 def test_make_direct_klein():
     V = gt.make_direct(gt.make_cyclic(2), gt.make_cyclic(2))
     assert order_multiset(V.table, V.identity) == [1, 2, 2, 2]

@@ -88,7 +88,7 @@ def test_one_function_compiles_generated_code():
     # would be a second generator
     assert call_sites("exec('1')\ndef f():\n    def g():\n        exec(s)\n"
                       "    exec(t)\n", "exec") == ["<module>", "g", "f"]
-    assert package_call_sites("exec") == [("structure.py", "_generated")]
+    assert package_call_sites("exec") == [("base.py", "_generated")]
 
 
 def subclasses(root) -> list[type]:

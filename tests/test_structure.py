@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gtool as gt
-from gtool import cli
+from gtool import base, cli
 from gtool import serialize as ser
 from gtool import structure as st
 from gtool.base import (_VIEWS, GtoolError, NotFittedError,
@@ -479,54 +479,42 @@ def test_codec_pickles_and_copies():
                  scheme.multiply((words,), (words[::-1],)))
 
 
-def scalar_key(rep) -> tuple:
-    """The key of ``rep``'s scalar query: its kind and the shape
-    parameters its source depends on; a SimpleRep of prime order renders
-    its cyclic delegate's query."""
-    kind = rep.rep_kind
-    if kind == "simple":
-        return (("cyclic", "scalar") if rep.cyclic_ is not None
-                else ("simple", rep.label_bits_, "scalar"))
-    shape = {
-        "block": lambda: (rep.m_, rep.l_),
-        "cyclic": lambda: (),
-        "composite": lambda: (rep.codec_.sizes,),
-        "fm-abelian": lambda: rep.scheme_.sizes,
-        "fm-hamiltonian": lambda: rep.scheme_.abelian.sizes,
-        "fm-zgroup": lambda: (("table",) if rep.scheme_.sigma_table is not None
-                              else ((rep.scheme_.d - 1).bit_length(),)),
-        "fm-semidirect": lambda: rep.scheme_.abelian.sizes,
-    }[kind]()
-    return (kind, *shape, "scalar")
+def compiled_key(query) -> tuple:
+    """The key of the one compiled binder that returned ``query``: the
+    bound names, the arguments, whether ids are checked, and the lines."""
+    (key,) = [key for key, bind in base._COMPILED.items()
+              if query.__code__ in bind.__code__.co_consts]
+    return key
 
 
 def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
     # the codec terms are inlined in the queries: decoding compiles only
     # the composite index that its check reads, and a first query only
-    # its own scalar key, no codec method
+    # its own scalar source, no codec method
     artifacts = [(kind, ser.to_bytes(corpus.rep(name, kind, **params)))
                  for name, kind, params in ALL_KINDS]
-    st._COMPILED.clear()
+    base._COMPILED.clear()
     reps = []
     for kind, data in artifacts:
-        before = set(st._COMPILED)
+        before = set(base._COMPILED)
         rep = ser.from_bytes(data)
         # the one decode check that reads a method, not .bits, .size or
         # holds: the composite words' flat indices invert backward
         want = ({(rep.sizes_, "index")} if kind in ("composite", "zgroup")
                 else set())
-        assert set(st._COMPILED) - before <= want, kind
+        assert set(base._COMPILED) - before <= want, kind
         reps.append((kind, rep))
-    compiled = len(st._COMPILED)
+    compiled = len(base._COMPILED)
     for kind, data in artifacts:
         ser.from_bytes(data)
-    assert len(st._COMPILED) == compiled        # no miss: nothing compiled
+    assert len(base._COMPILED) == compiled      # no miss: nothing compiled
     for kind, rep in reps:
-        before = set(st._COMPILED)
+        before = set(base._COMPILED)
         rep.multiply(1, rep.n_)
-        assert set(st._COMPILED) - before <= {scalar_key(rep)} \
-            <= set(st._COMPILED), kind
-        assert all(type(key[0]) is str for key in set(st._COMPILED) - before)
+        # the scalar form: the kind's template under the id check
+        key = compiled_key(rep.multiply)
+        assert key[1:] == (("x", "y"), True, tuple(rep._template())), kind
+        assert set(base._COMPILED) - before <= {key}, kind
 
 
 def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
@@ -534,25 +522,24 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
               if kind == "block"]
     artifacts = [ser.to_bytes(corpus.rep(name, "block", **params))
                  for name, params in blocks]
-    st._COMPILED.clear()
+    base._COMPILED.clear()
     reps = [ser.from_bytes(data) for data in artifacts]
-    assert st._COMPILED == {}                   # decode compiles nothing
+    assert base._COMPILED == {}                 # decode compiles nothing
     for (name, _), rep in zip(blocks, reps):
         G = corpus.table(name)
-        before = set(st._COMPILED)
+        before = set(base._COMPILED)
         assert rep.multiply(2, 3) == G.multiply(2, 3)
-        assert set(st._COMPILED) - before \
-            <= {("block", rep.m_, rep.l_, "scalar")} <= set(st._COMPILED)
+        assert set(base._COMPILED) - before <= {compiled_key(rep.multiply)}
     # the first query compiled one kernel per (m, l); a second structure
     # with the same (m, l), from another group, adds no miss
-    assert len(st._COMPILED) == len({(r.m_, r.l_) for r in reps})
+    assert len(base._COMPILED) == len({(r.m_, r.l_) for r in reps})
     G = gt.make_dihedral(12)
     other = gt.BlockRep(l=2).fit(G)
     assert (other.m_, other.l_) == (reps[0].m_, reps[0].l_)
-    compiled = dict(st._COMPILED)
+    compiled = dict(base._COMPILED)
     assert [other.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)] \
         == [G.multiply(x, y) for x in (1, 5, 24) for y in (1, 7, 24)]
-    assert st._COMPILED == compiled
+    assert base._COMPILED == compiled
     # a queried rep holds its bound closures, which no copy carries
     rep, G = reps[0], corpus.table(blocks[0][0])
     pairs = np.array([(x, y) for x in range(1, G.n + 1)
@@ -569,8 +556,8 @@ def test_block_kernel_compiles_once_per_m_l_and_survives_copies(corpus):
 
 def test_predict_and_multiply_render_one_block_template_per_m_l(
         corpus, monkeypatch):
-    # one template per (m, l), rendered in two forms: the scalar form is
-    # the batch form's body under the id check, and each is compiled once
+    # one template per (m, l), rendered in two forms, each compiled once:
+    # the batch form, and the scalar form, its body under the id check
     S4, C1024 = corpus.table("S4"), corpus.table("C1024")
     C1 = gt.make_cyclic(1)
     fitted = [(gt.BlockRep(l=l).fit(S4), S4) for l in (1, 2, 5)]
@@ -578,15 +565,15 @@ def test_predict_and_multiply_render_one_block_template_per_m_l(
                (gt.BlockRep(l=1).fit(C1), C1)]                # m = 0
     reps = [rep for rep, _ in fitted]
     sources = {}
-    generated = st._generated
+    generated = base._generated
 
     def recorded(key, source, *args):
-        if key not in st._COMPILED:
+        if key not in base._COMPILED:
             assert key not in sources           # compiled once per key
             sources[key] = source(*args)
         return generated(key, source, *args)
-    monkeypatch.setattr(st, "_generated", recorded)
-    st._COMPILED.clear()
+    monkeypatch.setattr(base, "_generated", recorded)
+    base._COMPILED.clear()
     for rep, G in fitted:
         pairs = np.random.default_rng(rep.l_).integers(1, G.n, (500, 2),
                                                        endpoint=True)
@@ -601,13 +588,21 @@ def test_predict_and_multiply_render_one_block_template_per_m_l(
         twin.multiply(1, 1)
     keys = [(r.m_, r.l_) for r in reps]
     assert len(set(keys)) == len(reps)
-    assert sorted(key for key in st._COMPILED if key[0] == "block") \
-        == sorted(sources) == sorted(("block", m, l, form) for m, l in keys
-                                     for form in ("batch", "scalar"))
+    # exactly two keys per (m, l), whose lines are its template: one
+    # unchecked (batch), one checked (scalar), over the same names
+    assert sorted(base._COMPILED) == sorted(sources)
+    forms = {(lines, checked): sources[names, args, checked, lines]
+             for names, args, checked, lines in sources
+             if (names, args) == (("A", "W", "S", *(("n",) if checked
+                                                     else ())), ("x", "y"))}
+    assert sorted(forms) == sorted((tuple(_kernel_source(m, l)), checked)
+                                   for m, l in keys
+                                   for checked in (False, True))
+    assert len(forms) == len(sources)
     for m, l in keys:
         body = "".join(f"        {line}\n" for line in _kernel_source(m, l))
-        batch, scalar = (sources["block", m, l, form]
-                         for form in ("batch", "scalar"))
+        batch, scalar = (forms[tuple(_kernel_source(m, l)), checked]
+                         for checked in (False, True))
         assert batch.endswith(body + "    return query\n")
         assert scalar.endswith(body + "    return query\n")
         assert "check_element_id" in scalar and "check" not in batch
@@ -785,13 +780,13 @@ def test_no_ledger_enters_a_rendered_query(corpus, monkeypatch):
     # every query path renders through one source builder, and none of
     # its sources counts: the reads are counted beside the query
     sources = []
-    build = st._query_source
+    build = base._query_source
 
     def recorded(*args):
         sources.append(build(*args))
         return sources[-1]
-    monkeypatch.setattr(st, "_query_source", recorded)
-    st._COMPILED.clear()
+    monkeypatch.setattr(base, "_query_source", recorded)
+    base._COMPILED.clear()
     for name, kind, params in SCALAR_CASES:
         rep = copy.deepcopy(corpus.rep(name, kind, **params))
         rep.multiply(1, rep.n_)
@@ -803,8 +798,9 @@ def test_no_ledger_enters_a_rendered_query(corpus, monkeypatch):
             assert lab.element(label) == rep.n_
             if kind == "fm-semidirect":
                 sch.cycle.apply_power(1, 2)
-    # a codec method's key starts with its sizes, a query's with its kind
-    queries = [key for key in st._COMPILED if type(key[0]) is str]
+    # a codec method's key is (sizes, name), a query's the four parts of
+    # its source
+    queries = [key for key in base._COMPILED if len(key) == 4]
     assert len(sources) == len(queries) >= 2 * len(SCALAR_CASES)
     assert [src for src in sources if "ledger" in src] == []
 

@@ -106,7 +106,10 @@ def check_pairs(X, n: int) -> np.ndarray:
 
     Entries must already be integers: float and bool arrays are rejected.
     """
-    arr = np.asarray(X)
+    try:
+        arr = np.asarray(X)
+    except ValueError:                              # ragged pairs
+        raise ValidationError("pairs differ in length") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError(f"expected a (q, 2) array of pairs, got {arr.shape}")
     if arr.size and arr.dtype.kind not in "iu":
@@ -115,6 +118,14 @@ def check_pairs(X, n: int) -> np.ndarray:
     if arr.size and (arr.min() < 1 or arr.max() > n):
         raise ValidationError(f"pair entries must lie in [1, {n}]")
     return arr
+
+
+def _rows_by_pairs(predict, rows, n: int) -> np.ndarray:
+    """``predict`` on the pairs (x, y) for each id x in ``rows`` and every
+    id y in [1, n], as an (r, n) array."""
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    pairs = np.stack([np.repeat(rows, n), np.tile(ids, len(rows))], axis=1)
+    return predict(pairs).reshape(len(rows), n)
 
 
 class Estimator:
@@ -294,6 +305,17 @@ class Representation(_Cached, Estimator):
         self._require_fitted("n_")
         pairs = check_pairs(X, self.n_)
         return self._kernel(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+
+    def _predict_rows(self, rows, n: int) -> np.ndarray:
+        """The products x * y for each id x in the int64 array ``rows`` and
+        every id y in [1, n], as an (r, n) array: the batch kernel
+        broadcast over the block, which builds no pair array.  The caller
+        keeps ``rows`` in [1, n]; ``n`` is checked as ``predict`` checks
+        its pairs."""
+        self._require_fitted("n_")
+        if n > self.n_:
+            raise ValidationError(f"pair entries must lie in [1, {self.n_}]")
+        return self._kernel(rows[:, None], np.arange(1, n + 1, dtype=np.int64))
 
     def _count(self, ledger, y) -> None:
         """Count the reads of one query with right operand ``y``."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import serialize
 from .audit import SpaceReport, measure, probe_counted_multiply
@@ -18,7 +19,7 @@ from .fm import AbelianFM, HamiltonianFM, SemidirectFM, ZGroupFM, _FMBase
 from .groups import GroupTable, load_cayley_file
 from .special import CompositeRep, CyclicRep, SimpleRep
 from .structure import is_simple, is_z_group
-from .verify import MAX_SEED, verify_exhaustive, verify_random
+from .verify import MAX_COUNT, MAX_SEED, _sweep_exhaustive, _sweep_random
 
 class UsageError(Exception):
     pass
@@ -152,24 +153,31 @@ def _cmd_verify(args) -> int:
         raise PreconditionError(
             f"representation order {getattr(rep, 'n_', '?')} does not match "
             f"table order {G.n}")
+    start = time.perf_counter()
     if args.mode == "exhaustive":
-        bad = verify_exhaustive(rep, G)
+        bad, checked = _sweep_exhaustive(rep, G)
     elif args.mode.startswith("random:"):
         count = args.mode.split(":", 1)[1]
         if not (count.isascii() and count.isdigit()):
             raise UsageError(f"random:N needs a count N >= 0, got {args.mode}")
+        if int(count) > MAX_COUNT:
+            raise UsageError(f"random:N needs a count N <= {MAX_COUNT}, "
+                             f"got {args.mode}")
         if not 0 <= args.seed <= MAX_SEED:
             raise UsageError(f"--seed must be in [0, {MAX_SEED}], "
                              f"got {args.seed}")
-        bad = verify_random(rep, G, int(count), seed=args.seed)
+        bad, checked = _sweep_random(rep, G, int(count), args.seed)
     else:
         raise UsageError(f"unknown mode {args.mode}")
+    seconds = time.perf_counter() - start
     if bad is None:
         print(f"pass: {args.mode}")
-        return 0
-    x, y, got, want = bad
-    print(f"fail: ({x}, {y}) -> got {got}, want {want}")
-    return 3
+    else:
+        x, y, got, want = bad
+        print(f"fail: ({x}, {y}) -> got {got}, want {want}")
+    rate = checked / seconds if seconds > 0 else 0.0
+    print(f"checked {checked} pairs in {seconds:.6f} s: {rate:.0f} pairs/s")
+    return 0 if bad is None else 3
 
 
 def _cmd_bench(args) -> int:

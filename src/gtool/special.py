@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   check_element_id, check_pairs, id_dtype)
+                   _rows_by_pairs, check_element_id, check_pairs, id_dtype)
 from .groups import as_group
 from .structure import (AbelianCoordinates, MixedRadix, conjugacy_classes,
                         find_semidirect_decomposition,
@@ -284,6 +284,14 @@ class SimpleRep(Representation):
         out = np.empty_like(cur)
         out[order] = cur
         return out
+
+    def _predict_rows(self, rows, n: int) -> np.ndarray:
+        """A block of rows through ``predict``'s fold, which does not
+        broadcast."""
+        self._require_fitted("n_")
+        if self.cyclic_ is not None:
+            return super()._predict_rows(rows, n)
+        return _rows_by_pairs(self.predict, rows, n)
 
     def _count(self, ledger, y) -> None:
         """The path and its length, then one table step per label."""

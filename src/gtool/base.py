@@ -4,6 +4,7 @@ batch and scalar, bound to its arrays (``_Cached``)."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import textwrap
 from functools import cached_property
@@ -90,6 +91,16 @@ def check_integer(x, what: str = "element id") -> int:
             raise ValidationError(f"{what} must be an integer, got {x!r}")
         x = int(x)
     return x
+
+
+def check_integers(xs, what: str) -> tuple[int, ...]:
+    """The iterable ``xs`` as a tuple of Python ints, each checked by the
+    rule of :func:`check_integer`."""
+    try:
+        xs = tuple(xs)
+    except TypeError:           # None, an int, a 0-d array
+        raise ValidationError(f"{what}s must be iterable, got {xs!r}") from None
+    return tuple(check_integer(x, what) for x in xs)
 
 
 def check_element_id(x, n: int) -> int:
@@ -212,6 +223,130 @@ def _query_source(names, args, checked: bool, lines) -> str:
             "    return query\n")
 
 
+# A template writes the reduction of a sum of two residues, which is below
+# twice its modulus, as ``t % +m``: in Python the value of ``t % m``, which
+# the scalar form renders, and a mark that the batch form reads.
+_SUM_MOD = "% +"
+
+
+def _scalar_lines(lines) -> list[str]:
+    """The template ``lines`` in the scalar form: marks rendered as ``%``."""
+    return [line.replace(_SUM_MOD, "% ") for line in lines]
+
+
+def _const(v: int) -> np.ndarray:
+    """``v`` as a read-only 0-d int64 array: numpy takes it as an int64
+    operand without the value checks a Python int costs (NEP 50), and an
+    id array of any width meets it in int64."""
+    a = np.array(v, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+_BATCH: dict = {}           # template lines -> (batch lines, constant binds)
+
+
+def _batch_lines(lines) -> tuple[tuple[str, ...], dict]:
+    """The template ``lines`` in the batch form, cached by the lines, and
+    the 0-d int64 arrays that its constant names bind (:class:`_Batch`)."""
+    lines = tuple(lines)
+    if lines not in _BATCH:
+        body = "def query():\n" + textwrap.indent("\n".join(lines), " ")
+        batch = _Batch()
+        tree = batch.visit(ast.parse(body))
+        _BATCH[lines] = (
+            tuple("\n".join(map(ast.unparse, tree.body[0].body)).split("\n")),
+            {f"_{v}": _const(v) for v in sorted(batch.consts)})
+    return _BATCH[lines]
+
+
+class _Batch(ast.NodeTransformer):
+    """The batch rewrite of a template, which answers what ``%`` answers:
+
+    - a power-of-two literal modulus is a mask, ``s & m - 1``;
+    - a reduction marked ``t % +m`` (a sum of two residues, below 2m) is
+      the conditional subtract ``t - m * (t >= m)``;
+    - any other scalar modulus is ``s - s // m * m``, which numpy divides
+      by libdivide, or ``s - q * m`` after a line ``q = s // m``; an array
+      modulus keeps ``%``, numpy's hardware divide;
+    - every integer literal ``v`` is the name ``_v``, bound to ``_const(v)``.
+
+    An operand that is read twice is named once, by ``:=``, so no read is
+    added.
+    """
+
+    def __init__(self):
+        self.consts = set()
+        self.temps = 0
+        self.quotients = {}         # (s, m) -> the name q of a line q = s // m
+
+    def visit_Assign(self, node):
+        node = self.generic_visit(node)
+        (target,), v = node.targets, node.value
+        if (isinstance(target, ast.Name) and isinstance(v, ast.BinOp)
+                and isinstance(v.op, ast.FloorDiv)
+                and isinstance(v.left, ast.Name)
+                and isinstance(v.right, ast.Name)
+                and target.id not in (v.left.id, v.right.id)):
+            self.quotients[v.left.id, v.right.id] = target.id
+        return node
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Store):     # a quotient's names change
+            self.quotients = {k: q for k, q in self.quotients.items()
+                              if node.id not in (*k, q)}
+        return node
+
+    def visit_For(self, node):
+        self.quotients = {}         # a quotient is kept in straight lines
+        node = self.generic_visit(node)
+        self.quotients = {}
+        return node
+
+    def visit_Constant(self, node):
+        if type(node.value) is not int:
+            return node
+        self.consts.add(node.value)
+        return ast.Name(f"_{node.value}", ast.Load())
+
+    def visit_BinOp(self, node):
+        if not isinstance(node.op, ast.Mod):
+            return self.generic_visit(node)
+        m = node.right
+        summed = isinstance(m, ast.UnaryOp) and isinstance(m.op, ast.UAdd)
+        m = m.operand if summed else m
+        if isinstance(m, ast.Constant) and m.value > 0 \
+                and not m.value & (m.value - 1):
+            return self.visit(_op(node.left, ast.BitAnd,
+                                  ast.Constant(m.value - 1)))
+        if not isinstance(m, (ast.Name, ast.Constant)):     # an array
+            return self.generic_visit(node)
+        s, m = self.visit(node.left), self.visit(m)
+        q = isinstance(s, ast.Name) and self.quotients.get((s.id, m.id))
+        if q:
+            return _op(s, ast.Sub, _op(ast.Name(q, ast.Load()), ast.Mult, m))
+        first, s = self._once(s)
+        if summed:
+            return _op(first, ast.Sub, _op(m, ast.Mult, ast.Compare(
+                s, [ast.GtE()], [m])))
+        return _op(first, ast.Sub, _op(_op(s, ast.FloorDiv, m), ast.Mult, m))
+
+    def _once(self, s):
+        """(first, again): ``s`` is evaluated at ``first`` and read back
+        at ``again``; a name is its own read, any other expression is
+        named by ``:=``."""
+        if isinstance(s, ast.Name):
+            return s, s
+        name = f"_t{self.temps}"
+        self.temps += 1
+        return (ast.NamedExpr(ast.Name(name, ast.Store()), s),
+                ast.Name(name, ast.Load()))
+
+
+def _op(left, op, right) -> ast.BinOp:
+    return ast.BinOp(left, op(), right)
+
+
 # each form of a query, by the array wrapper it is bound through
 _VIEWS = {"batch": np.asarray, "scalar": _view}
 
@@ -236,7 +371,11 @@ class _Cached:
     the query itself counts nothing.  :func:`_rendered` compiles each
     source once: ``_kernel`` is the batch form, bound on the fitted
     ndarrays themselves (``np.asarray``), and ``multiply`` the scalar
-    form, bound on read-only memoryviews (:func:`_view`).
+    form, bound on read-only memoryviews (:func:`_view`).  The scalar form
+    is the template as written, with ``%`` for each reduction; a template
+    marks a reduction of a sum of two residues ``t % +m``.  The batch form
+    rewrites the reductions and binds every scalar as a 0-d int64 array
+    (:class:`_Batch`), which costs numpy less than Python ints and ``%``.
     """
 
     _reads: dict = {}
@@ -258,8 +397,16 @@ class _Cached:
     def _render(self, args, lines, form="scalar", n=None):
         """The query ``lines`` compute from ``args``, in ``form``, bound to
         this object's arrays through that form's view; ``n`` checks every
-        argument as an element id (:func:`_rendered`)."""
-        return _rendered(args, lines, self._bound_arrays(_VIEWS[form]), n)
+        argument as an element id (:func:`_rendered`).  The batch form
+        binds each scalar, and each literal of its lines, as a 0-d int64
+        array (:func:`_batch_lines`)."""
+        binds = self._bound_arrays(_VIEWS[form])
+        if form == "scalar":
+            return _rendered(args, _scalar_lines(lines), binds, n)
+        lines, consts = _batch_lines(lines)
+        binds = {k: _const(v) if isinstance(v, int) else v
+                 for k, v in binds.items()}
+        return _rendered(args, lines, {**binds, **consts}, n)
 
     @cached_property
     def _kernel(self):

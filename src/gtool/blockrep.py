@@ -21,9 +21,9 @@ from .base import (CapacityError, PreconditionError, Representation,
 from .cubegen import CubeSequence, greedy_cube_sequence
 from .groups import as_group
 
-# The generated query widens ids by multiplying them with an int64 scalar
-# stride; NumPy 1.x casts by value and would keep the product at the id
-# width, where it wraps (see ``_kernel_source``).
+# The batch query widens ids by multiplying them with the stride bound as a
+# 0-d int64 array (``base._const``); NumPy 1.x casts 0-d arrays by value and
+# would keep the product at the id width, where it wraps.
 if int(np.__version__.split(".")[0]) < 2:
     raise ImportError(f"gtool needs numpy>=2.0, found {np.__version__}")
 
@@ -53,6 +53,7 @@ def choose_block_length(n: int, k: int, delta) -> int:
     The floor is computed by integer comparisons 2**(l*q) <= n**p, so no
     floating point is involved.  Requires 1/log2(n) <= delta <= 1.
     """
+    n, k = check_integer(n, "group order"), check_integer(k, "cube length")
     if n < 2:
         raise PreconditionError("delta-based block choice needs n >= 2")
     frac = parse_delta(delta)
@@ -84,10 +85,10 @@ class BlockRep(Representation):
     the id width ``id_dtype(n)``.  The query is one template per (m, l),
     rendered in each form on first use and bound to the arrays through
     that form's view; it reads ``mult_arrays_`` flattened, block i of x at
-    the flat index ``(x - 1) * (m << l) + (i << l) + j``.  On ndarrays
-    that stride is an int64 scalar, so the ids each level returns at the
-    id width are widened before the product, which would wrap at uint16
-    on D500.
+    the flat index ``(x - 1) * (m << l) + (i << l) + j``.  The batch form
+    binds that stride as a 0-d int64 array, so the ids each level returns
+    at the id width are widened before the product, which would wrap at
+    uint16 on D500.
     """
 
     rep_kind = "block"
@@ -115,9 +116,10 @@ class BlockRep(Representation):
             raise ValidationError("one of l or delta is required")
         m = -(-k // l)
         need = G.n * (1 << l) * m + G.n
-        if need > self.max_slots:
+        max_slots = check_integer(self.max_slots, "max_slots")
+        if need > max_slots:
             raise CapacityError(
-                f"build needs {need} slots, ceiling is {self.max_slots}")
+                f"build needs {need} slots, ceiling is {max_slots}")
 
         self.n_ = G.n
         self.k_ = k
@@ -152,11 +154,8 @@ class BlockRep(Representation):
         return {"word_index": 1, "mult_array": self.m_}
 
     def _bound_arrays(self, view):
-        # S is the stride m << l, an int64 scalar when W is an ndarray
-        # (see _kernel_source)
-        W = view(self.word_index_)
-        return {"A": _flat(view(self.mult_arrays_)), "W": W,
-                "S": 0 * W[0] + (self.m_ << self.l_)}
+        return {"A": _flat(view(self.mult_arrays_)),
+                "W": view(self.word_index_), "S": self.m_ << self.l_}
 
     def _template(self):
         return _kernel_source(self.m_, self.l_)
@@ -188,14 +187,6 @@ def _kernel_source(m: int, l: int) -> list[str]:
     S = m << l, written ``x * S - (S - (i << l)) + ...``; for m = 2, l = 3
     the query is ``A[A[x * S - 16 + (w & 7)] * S - 8 + (w >> 3 & 7)]``
     with ``w = W[y - 1]``.
-
-    S is bound as ``0 * W[0] + (m << l)``: an int64 scalar when W is an
-    ndarray, so that the product with x, which each level returns at the
-    id width, is taken in int64 in the batch form, and a Python int in
-    the scalar form.  The widening rests on NumPy 2's promotion rules
-    (NEP 50): uint16 times a Python int stays uint16 and wraps, and so
-    does uint16 times an int64 scalar under NumPy 1.x, which casts
-    scalars by value.
     """
     stride = m << l
     expr = "x"

@@ -323,7 +323,7 @@ class ZGroupScheme(_Scheme):
         return lines
 
     def _query(self):
-        return ["j3 = (j1 + j2) % d", "i3 = (i1 + s1 * i2) % m",
+        return ["j3 = (j1 + j2) % +d", "i3 = (i1 + s1 * i2) % m",
                 *self._sigma("s3", "j3")]
 
     def space_slots(self) -> dict[str, int]:
@@ -377,9 +377,14 @@ class CycleStructure(_Cached):
     """
 
     def __init__(self, pi):
-        pi = np.asarray(pi)
+        try:
+            pi = np.asarray(pi)
+        except ValueError:                          # ragged
+            raise ValidationError("input is not a permutation of 1..n") from None
         if pi.size and pi.dtype.kind not in "iu":
             raise ValidationError(f"points must be integers, got {pi.dtype}")
+        if pi.ndim != 1:
+            raise ValidationError("input is not a permutation of 1..n")
         pi, n = pi.astype(np.int64), len(pi)
         if n == 0 or not np.array_equal(np.sort(pi), np.arange(1, n + 1)):
             raise ValidationError("input is not a permutation of 1..n")
@@ -493,7 +498,7 @@ class SemidirectScheme(_Scheme):
                 "b = labels_of_a[p - 1]",
                 f"la3 = {A.expr('add', 'la1', 'b')}",
                 f"ia3 = index_of_label[{A.expr('index', 'la3')}]",
-                "k3 = (k1 + k2) % m"]
+                "k3 = (k1 + k2) % +m"]
 
     def space_slots(self) -> dict[str, int]:
         slots = {"labels_of_a": self.a_order,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import (CapacityError, ParseError, ValidationError,
                    check_cayley_table, check_element_id, check_integer,
-                   check_pairs)
+                   check_integers, check_pairs)
 
 
 class GroupTable:
@@ -381,6 +381,7 @@ def _cyclic_table(n: int) -> GroupTable:
 
 def make_direct(A: GroupTable, B: GroupTable) -> GroupTable:
     """Direct product; the pair (a, b) is numbered (a-1)*|B| + b."""
+    A, B = as_group(A), as_group(B)
     nA, nB = A.n, B.n
     n = nA * nB
     if n > np.iinfo(np.int32).max:
@@ -405,8 +406,16 @@ class SemidirectSpec:
     B: GroupTable
     action: np.ndarray  # (|B|, |A|), values in 1..|A|
 
+    def __post_init__(self):
+        for name in ("A", "B"):
+            object.__setattr__(self, name, as_group(getattr(self, name)))
+
     def validate(self) -> None:
-        act = np.asarray(self.action, dtype=np.int64)
+        try:
+            act = np.asarray(self.action, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):  # 2**70, None, ragged
+            raise ValidationError("action must be an array of integers "
+                                  "in 1..|A|") from None
         nA, nB = self.A.n, self.B.n
         if act.shape != (nB, nA):
             raise ValidationError(
@@ -510,9 +519,7 @@ def make_dihedral(m: int) -> GroupTable:
 
 def make_abelian(orders) -> GroupTable:
     """Direct product of cyclic groups with the given orders."""
-    if not hasattr(orders, "__iter__"):
-        raise ValidationError(f"factor orders must be iterable, got {orders!r}")
-    orders = [check_integer(d, "factor order") for d in orders]
+    orders = check_integers(orders, "factor order")
     if not orders:
         raise ValidationError("need at least one cyclic factor")
     if min(orders) < 1:             # before any factor is built

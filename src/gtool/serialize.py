@@ -134,6 +134,14 @@ def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,
                           .reshape(count, width), ((0, 0), (0, size - width))
                           ).view(f"<u{size}")[:, 0]
         pos += count * width
+        if reading and shape:
+            dtype = item.dtype if isinstance(item.dtype, type) else \
+                item.dtype(h)
+            held = np.int64 if dtype is tuple else dtype
+            # a safe cast cannot wrap, so the range is checked on the
+            # aligned copy; a narrowing cast waits for the check
+            if np.can_cast(vals.dtype, held, "safe"):
+                vals = vals.astype(held)
         lo, hi = _ev(item.lo, h), min(_ev(item.hi, h), (1 << 8 * width) - 1,
                                       (1 << 63) - 1)
         seen = vals.tolist() if count < 64 else (vals.min(), vals.max())
@@ -148,10 +156,7 @@ def _walk(layout, h: _Names, data: bytes | None = None, pos: int = 0,
         elif not shape:
             h[item.name] = int(vals[0])
         else:
-            dtype = item.dtype if isinstance(item.dtype, type) else \
-                item.dtype(h)
-            arr = vals.astype(np.int64 if dtype is tuple else dtype
-                              ).reshape(shape)
+            arr = vals.astype(held, copy=False).reshape(shape)
             if item.lead:
                 arr = np.concatenate([[-1], arr])
             arr.setflags(write=False)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   _rows_by_pairs, check_element_id, check_pairs, id_dtype)
+                   _const, _rows_by_pairs, check_element_id, check_pairs,
+                   id_dtype)
 from .groups import as_group
 from .structure import (AbelianCoordinates, MixedRadix, conjugacy_classes,
                         find_semidirect_decomposition,
@@ -64,7 +65,7 @@ class CyclicRep(Representation):
         return {"F": view(self.F_), "B": view(self.B_), "n": self.n_}
 
     def _template(self):
-        return ["return B[(F[x - 1] + F[y - 1]) % n]"]
+        return ["return B[(F[x - 1] + F[y - 1]) % +n]"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("F_")
@@ -92,15 +93,13 @@ class CompositeRep(Representation):
 
     def fit(self, group):
         G = as_group(group)
-        if self.mode == "zgroup":
-            dec = find_zgroup_decomposition(G)
-        elif self.mode == "auto":
-            if is_z_group(G):
-                dec = find_zgroup_decomposition(G)
-            else:
-                dec = find_semidirect_decomposition(G)
-        else:
+        if not isinstance(self.mode, str) or self.mode not in ("zgroup",
+                                                               "auto"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.mode == "zgroup" or is_z_group(G):
+            dec = find_zgroup_decomposition(G)
+        else:
+            dec = find_semidirect_decomposition(G)
         m_a, d = dec.a_order, dec.b_order
 
         if dec.cyclic_a_generator is not None:
@@ -159,7 +158,7 @@ class CompositeRep(Representation):
             f"a3 = {A.expr('pack', A.terms('unflat', 'f3'))}",
             f"w3 = {A.expr('add', 'w1', 'a3')}",
             f"return backward[{A.expr('index', 'w3')} * d"
-            f" + (j1 + (w2 >> {A.bits})) % d]"]
+            f" + (j1 + (w2 >> {A.bits})) % +d]"]
 
     def space_slots(self) -> dict[str, int]:
         self._require_fitted("forward_")
@@ -263,7 +262,8 @@ class SimpleRep(Representation):
         folds only that suffix, through the flat step table at
         ``(cur - 1) * |S| + label``, and the results are scattered back.
         ``cur`` is an int64 copy of the left operands, so the flat index
-        cannot wrap at the id width.
+        cannot wrap at the id width.  The constants are 0-d int64 arrays,
+        as in the batch form of a template (``base._const``).
         """
         self._require_fitted("n_")
         if self.cyclic_ is not None:
@@ -275,12 +275,11 @@ class SimpleRep(Representation):
         cur = pairs[order, 0]
         starts = np.searchsorted(steps[order], np.arange(self.diameter_),
                                  side="right")
-        flat, g = self.M_.reshape(-1), len(self.generators_)
-        wl = self.label_bits_
-        mask = (1 << wl) - 1
+        flat, wl = self.M_.reshape(-1), self.label_bits_
+        one, g, mask = map(_const, (1, len(self.generators_), (1 << wl) - 1))
         for pos, lo in enumerate(starts.tolist()):
-            cur[lo:] = flat[(cur[lo:] - 1) * g
-                            + (packed[lo:] >> pos * wl & mask)]
+            cur[lo:] = flat[(cur[lo:] - one) * g
+                            + (packed[lo:] >> _const(pos * wl) & mask)]
         out = np.empty_like(cur)
         out[order] = cur
         return out

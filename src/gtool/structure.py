@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (PreconditionError, ValidationError, _generated,
-                   check_integer)
+                   _scalar_lines, check_integers)
 from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, _cyclic_table,
                      subgroup_closure)
 
@@ -185,7 +185,7 @@ class MixedRadix:
     """
 
     def __init__(self, sizes):
-        self.sizes = tuple(check_integer(s, "size") for s in sizes)
+        self.sizes = check_integers(sizes, "size")
         self.widths = tuple((s - 1).bit_length() for s in self.sizes)
         self.shifts = tuple(sum(self.widths[:i]) for i in range(len(self.sizes)))
         self.bits = sum(self.widths)
@@ -265,14 +265,15 @@ class MixedRadix:
 # per method: its parameters, the term of field i, and how terms join (a
 # tuple for ", "); {field} is field i of a field sequence, {arg} the first
 # argument, {a} and {b} the field's bits in the first and second word, and
-# {shl}, {times}, {div} its shift and stride, each omitted when a no-op
+# {shl}, {times}, {div} its shift and stride, each omitted when a no-op;
+# add marks its reduction as of a sum of two residues (``base._SUM_MOD``)
 _CODEC_TERMS = {
     "pack": ("fields", "{field}{shl}", " | "),
     "unpack": ("word", "{a}", ", "),
     "flat": ("fields", "{field}{times}", " + "),
     "unflat": ("index", "{arg}{div} % {size}", ", "),
     "index": ("word", "{a}{times}", " + "),
-    "add": ("w1, w2", "({a} + {b}) % {size}{shl}", " | "),
+    "add": ("w1, w2", "({a} + {b}) % +{size}{shl}", " | "),
 }
 
 
@@ -286,7 +287,8 @@ def _codec_source(box: MixedRadix, name: str) -> str:
     params = _CODEC_TERMS[name][0]
     args = ([f"fields[{i}]" for i in range(len(box.sizes))],) \
         if params == "fields" else params.split(", ")
-    return f"def {name}({params}):\n    return {box.expr(name, *args)}\n"
+    (body,) = _scalar_lines([f"return {box.expr(name, *args)}"])
+    return f"def {name}({params}):\n    {body}\n"
 
 
 class AbelianCoordinates:

@@ -331,7 +331,7 @@ def test_cycle_structure_rejects():
         fm.CycleStructure(np.array([1, 1, 3]))
     # points are integers, never truncated: [2.7, 1] was read as (2, 1)
     for bad in ([2.7, 1], [2.0, 1.0], [True, False], ["2", "1"], [],
-                [1 << 70, 1]):
+                [1 << 70, 1], [[1], [1, 2]], [[1, 2], [2, 1]]):
         with pytest.raises(ValidationError):
             fm.CycleStructure(bad)
     assert fm.CycleStructure(np.array([2, 1], dtype=np.uint8)).n_points == 2

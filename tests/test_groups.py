@@ -156,6 +156,37 @@ def test_hostile_inputs_raise_gtool_errors(call, error, match):
         call()
 
 
+C3 = gt.make_cyclic(3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gt.BlockRep(l=1, max_slots=None).fit(C3),
+     "max_slots must be an integer"),
+    (lambda: gt.BlockRep(l=1, max_slots=10**9 + 0.5).fit(C3),
+     "max_slots must be an integer"),
+    (lambda: gt.CompositeRep(mode=np.array(["auto", "zgroup"])).fit(
+        gt.make_symmetric(3)), "unknown mode"),
+    (lambda: gt.choose_block_length(None, 3, "1/2"),
+     "group order must be an integer"),
+    (lambda: gt.fm.CycleStructure(0), "not a permutation"),
+    (lambda: gt.fm.AbelianScheme(None), "sizes must be iterable"),
+    (lambda: gt.make_abelian(np.array(3)), "factor orders must be iterable"),
+    (lambda: gt.make_direct(C3, None), "must be square"),
+    (lambda: gt.groups.SemidirectSpec(None, C3, [[1, 2, 3]] * 3),
+     "must be square"),
+    (lambda: gt.groups.SemidirectSpec(C3, C3, [[2**70, 2, 3]] * 3).validate(),
+     "action must be an array of integers"),
+], ids=["max-slots-none", "max-slots-float", "composite-mode-array",
+        "block-length-none", "cycle-int", "abelian-scheme-none",
+        "abelian-0d-array", "direct-none", "semidirect-spec-none",
+        "semidirect-action-2**70"])
+def test_parameter_escapes_are_validation_errors(call, match):
+    # each raised a bare TypeError, ValueError, AttributeError or
+    # OverflowError, or (a float max_slots) was accepted
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
 _CHANGES = ("none", "row-entries", "rows", "columns", "intercalate",
             "overwrite")
 

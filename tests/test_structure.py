@@ -487,6 +487,12 @@ def compiled_key(query) -> tuple:
     return key
 
 
+def _bound(query) -> dict:
+    """The names a rendered query reads from its binder, and their values."""
+    return dict(zip(query.__code__.co_freevars,
+                    (cell.cell_contents for cell in query.__closure__)))
+
+
 def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
     # the codec terms are inlined in the queries: decoding compiles only
     # the composite index that its check reads, and a first query only
@@ -513,7 +519,8 @@ def test_decode_compiles_nothing_and_a_query_only_its_box(corpus):
         rep.multiply(1, rep.n_)
         # the scalar form: the kind's template under the id check
         key = compiled_key(rep.multiply)
-        assert key[1:] == (("x", "y"), True, tuple(rep._template())), kind
+        assert key[1:] == (("x", "y"), True,
+                           tuple(base._scalar_lines(rep._template()))), kind
         assert set(base._COMPILED) - before <= {key}, kind
 
 
@@ -588,30 +595,40 @@ def test_predict_and_multiply_render_one_block_template_per_m_l(
         twin.multiply(1, 1)
     keys = [(r.m_, r.l_) for r in reps]
     assert len(set(keys)) == len(reps)
-    # exactly two keys per (m, l), whose lines are its template: one
-    # unchecked (batch), one checked (scalar), over the same names
+    # exactly two keys per (m, l): one unchecked, whose lines are the
+    # template under the batch rendering, over A, W, S and the names of
+    # its literals; one checked, whose lines are the template, over
+    # A, W, S and n
     assert sorted(base._COMPILED) == sorted(sources)
-    forms = {(lines, checked): sources[names, args, checked, lines]
-             for names, args, checked, lines in sources
-             if (names, args) == (("A", "W", "S", *(("n",) if checked
-                                                     else ())), ("x", "y"))}
-    assert sorted(forms) == sorted((tuple(_kernel_source(m, l)), checked)
-                                   for m, l in keys
-                                   for checked in (False, True))
-    assert len(forms) == len(sources)
+    forms = {}
     for m, l in keys:
-        body = "".join(f"        {line}\n" for line in _kernel_source(m, l))
-        batch, scalar = (forms[tuple(_kernel_source(m, l)), checked]
-                         for checked in (False, True))
-        assert batch.endswith(body + "    return query\n")
-        assert scalar.endswith(body + "    return query\n")
-        assert "check_element_id" in scalar and "check" not in batch
-    # the batch form widens the ids through the int64 stride S; the
-    # scalar form's S is a Python int
+        lines = tuple(_kernel_source(m, l))
+        batch, consts = base._batch_lines(lines)
+        assert batch != lines or m == 0
+        for names, checked, body in (
+                (("A", "W", "S", *consts), False, batch),
+                (("A", "W", "S", "n"), True, lines)):
+            forms[body, checked] = sources[names, ("x", "y"), checked, body]
+    assert len(forms) == len(sources) == 2 * len(keys)
+    for m, l in keys:
+        lines = tuple(_kernel_source(m, l))
+        for checked, body in ((False, base._batch_lines(lines)[0]),
+                              (True, lines)):
+            source = forms[body, checked]
+            assert source.endswith("".join(f"        {line}\n"
+                                           for line in body)
+                                   + "    return query\n")
+            assert ("check_element_id" in source) == checked
+            assert ("check" in source) == checked
+    # the batch form widens the ids through the stride S, a 0-d int64
+    # array; the scalar form's S is a Python int
     rep = reps[3]
     assert rep.m_ << rep.l_ == 1024 and rep.mult_arrays_.dtype == np.uint16
-    assert type(rep._bound_arrays(np.asarray)["S"]) is np.int64
-    assert type(rep._bound_arrays(_view)["S"]) is int
+    batch, scalar = (_bound(query)["S"] for query in (rep._kernel,
+                                                      rep.multiply))
+    assert type(batch) is np.ndarray and batch.dtype == np.int64
+    assert batch.shape == () and batch == 1024
+    assert type(scalar) is int and scalar == 1024
     # no ledger enters a block template
     assert [(m, l) for m in range(13) for l in range(1, 11)
             if "ledger" in "".join(_kernel_source(m, l))] == []

@@ -131,14 +131,6 @@ def check_pairs(X, n: int) -> np.ndarray:
     return arr
 
 
-def _rows_by_pairs(predict, rows, n: int) -> np.ndarray:
-    """``predict`` on the pairs (x, y) for each id x in ``rows`` and every
-    id y in [1, n], as an (r, n) array."""
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    pairs = np.stack([np.repeat(rows, n), np.tile(ids, len(rows))], axis=1)
-    return predict(pairs).reshape(len(rows), n)
-
-
 class Estimator:
     """Minimal scikit-learn style parameter interface.
 
@@ -450,8 +442,8 @@ class Representation(_Cached, Estimator):
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted("n_")
-        pairs = check_pairs(X, self.n_)
-        return self._kernel(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+        xy = check_pairs(X, self.n_)
+        return self._kernel(xy[:, 0], xy[:, 1]).astype(np.int64, copy=False)
 
     def _predict_rows(self, rows, n: int) -> np.ndarray:
         """The products x * y for each id x in the int64 array ``rows`` and

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, as_group
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def greedy_cube_sequence(G: GroupTable) -> tuple[CubeSequence, GreedyTrace]:
     first discovery wins, and within a stage the products of distinct
     covered elements are distinct, so assignments are unambiguous.
     """
+    G = as_group(G)
     n = G.n
     t = G.table
     in_a = np.zeros(n + 1, dtype=bool)

@@ -194,6 +194,12 @@ class GroupTable:
         pairs = check_pairs(X, self.n)
         return self.table[pairs[:, 0] - 1, pairs[:, 1] - 1].astype(np.int64)
 
+    def _predict_rows(self, rows, n: int) -> np.ndarray:
+        """Columns 1..n of ``rows``, checked as a structure's row method."""
+        if n > self.n:
+            raise ValidationError(f"pair entries must lie in [1, {self.n}]")
+        return self.table[rows - 1, :n]
+
     def space_slots(self) -> dict[str, int]:
         return {"table": self.n * self.n, "inverse": self.n, "meta": 2}
 

@@ -8,11 +8,12 @@ short fixed path through a Cayley graph with a small generating set.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .base import (PreconditionError, Representation, ValidationError,
-                   _const, _rows_by_pairs, check_element_id, check_pairs,
-                   id_dtype)
+                   _const, check_element_id, id_dtype)
 from .groups import as_group
 from .structure import (AbelianCoordinates, MixedRadix, conjugacy_classes,
                         find_semidirect_decomposition,
@@ -241,8 +242,8 @@ class SimpleRep(Representation):
                 "M": view(self.M_)}
 
     def _template(self):
-        """The fold along y's path, for one pair of ids: ``predict``
-        folds arrays of pairs itself."""
+        """The fold along y's path, for one pair of ids: the batch kernel
+        folds arrays itself (``_fold``)."""
         if self.cyclic_ is not None:
             return self.cyclic_._template()
         wl = self.label_bits_
@@ -253,44 +254,38 @@ class SimpleRep(Representation):
             f"    packed >>= {wl}",
             "return x"]
 
-    def predict(self, X) -> np.ndarray:
-        """Batch queries by a fold over the pairs sorted by path length.
-
-        A stable (radix) argsort puts the pairs in order of their right
-        operand's path length, so at step ``pos`` the pairs whose path is longer
-        than ``pos`` are a suffix, found by ``searchsorted``.  Each step
-        folds only that suffix, through the flat step table at
-        ``(cur - 1) * |S| + label``, and the results are scattered back.
-        ``cur`` is an int64 copy of the left operands, so the flat index
-        cannot wrap at the id width.  The constants are 0-d int64 arrays,
-        as in the batch form of a template (``base._const``).
-        """
-        self._require_fitted("n_")
+    @cached_property
+    def _kernel(self):
+        """The batch query: the delegate's rendered one, or the fold."""
         if self.cyclic_ is not None:
-            return super().predict(X)
-        pairs = check_pairs(X, self.n_)
-        steps = self.path_len_[pairs[:, 1] - 1]
+            return self._render(self._args, self._template(), "batch")
+        return self._fold
+
+    def _fold(self, x, y) -> np.ndarray:
+        """Fold the left operands ``x`` along the paths of the 1-D int64 ``y``.
+
+        ``x`` has y's shape, or the shape (r, 1) of a row block, whose
+        columns need no sort.  A stable (radix) argsort orders y by path
+        length, so the entries whose path is longer than ``pos`` are a
+        suffix, found by ``searchsorted``.  Each step folds only that suffix,
+        through the flat step table at ``(cur - 1) * |S| + label``, in an
+        int64 copy of ``x`` that cannot wrap at the id width, with 0-d int64
+        constants (``base._const``); the results are scattered back.
+        """
+        steps = self.path_len_[y - 1]
         order = np.argsort(steps, kind="stable")
-        packed = self.path_[pairs[order, 1] - 1]
-        cur = pairs[order, 0]
+        packed = self.path_[y[order] - 1]
+        cur = x[order] if x.ndim == 1 else np.repeat(x, len(y), axis=1)
         starts = np.searchsorted(steps[order], np.arange(self.diameter_),
                                  side="right")
         flat, wl = self.M_.reshape(-1), self.label_bits_
         one, g, mask = map(_const, (1, len(self.generators_), (1 << wl) - 1))
         for pos, lo in enumerate(starts.tolist()):
-            cur[lo:] = flat[(cur[lo:] - one) * g
-                            + (packed[lo:] >> _const(pos * wl) & mask)]
+            cur[..., lo:] = flat[(cur[..., lo:] - one) * g
+                                 + (packed[lo:] >> _const(pos * wl) & mask)]
         out = np.empty_like(cur)
-        out[order] = cur
+        out[..., order] = cur
         return out
-
-    def _predict_rows(self, rows, n: int) -> np.ndarray:
-        """A block of rows through ``predict``'s fold, which does not
-        broadcast."""
-        self._require_fitted("n_")
-        if self.cyclic_ is not None:
-            return super()._predict_rows(rows, n)
-        return _rows_by_pairs(self.predict, rows, n)
 
     def _count(self, ledger, y) -> None:
         """The path and its length, then one table step per label."""

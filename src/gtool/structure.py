@@ -17,7 +17,7 @@ import numpy as np
 from .base import (PreconditionError, ValidationError, _generated,
                    _scalar_lines, check_integers)
 from .groups import (Q8_TABLE, GroupTable, SemidirectSpec, _cyclic_table,
-                     subgroup_closure)
+                     as_group, subgroup_closure)
 
 
 # -- subgroup machinery -----------------------------------------------------
@@ -141,6 +141,7 @@ def abelian_basis(G: GroupTable) -> AbelianBasis:
     modulo the span S of the picks so far, has the largest order q, and
     picks the least element of order q in xS; it is independent of S.
     """
+    G = as_group(G)
     if not G.is_abelian():
         raise PreconditionError("group is not abelian")
     orders_vec = G.element_orders()
@@ -328,7 +329,7 @@ class AbelianCoordinates:
 
 def is_z_group(G: GroupTable) -> bool:
     """True iff every Sylow subgroup is cyclic."""
-    return sylow_violation(G) is None
+    return sylow_violation(as_group(G)) is None
 
 
 def sylow_violation(G: GroupTable) -> tuple[int, int] | None:
@@ -418,6 +419,7 @@ def find_zgroup_decomposition(G: GroupTable) -> SemidirectDecomposition:
     generator id, keeps normal ones, and pairs them with the first
     complement generator of matching order.
     """
+    G = as_group(G)
     violation = sylow_violation(G)
     if violation is not None:
         p, pk = violation
@@ -446,6 +448,7 @@ def find_semidirect_decomposition(G: GroupTable) -> SemidirectDecomposition:
     by descending size then ascending closure generator.  Raises when no
     such split exists.
     """
+    G = as_group(G)
     candidates: list[tuple[int, int, tuple[int, ...]]] = []
     if G.is_abelian():
         candidates.append((-G.n, 0, tuple(G.elements)))
@@ -528,6 +531,7 @@ def _q8_embedding(G: GroupTable) -> list[int] | None:
 
 def find_hamiltonian_decomposition(G: GroupTable) -> HamiltonianDecomposition:
     """Split a nonabelian Dedekind group as quaternion times abelian."""
+    G = as_group(G)
     if G.is_abelian():
         raise PreconditionError("group is abelian, not Hamiltonian")
     witness = dedekind_violation(G)
@@ -585,6 +589,7 @@ def is_simple(G: GroupTable) -> bool:
     groups it suffices to check that the normal closure of each nontrivial
     conjugacy class is the whole group.
     """
+    G = as_group(G)
     if G.n == 1:
         return False
     if G.is_abelian():

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 
-from .base import ValidationError, _rows_by_pairs, check_integer
+from .base import ValidationError, check_integer
 from .groups import GroupTable
 
 Counterexample = tuple[int, int, int, int]       # (x, y, got, want)
@@ -47,12 +47,11 @@ def _sweep_exhaustive(rep, G: GroupTable) -> tuple[Counterexample | None, int]:
     """The first mismatch of :func:`verify_exhaustive`, and the number of
     pairs compared."""
     n = G.n
-    rows_of = getattr(rep, "_predict_rows", None) or (
-        lambda rows, n: _rows_by_pairs(rep.predict, rows, n))
     per_row = max(_CHUNK // n, 1)
     for start in range(0, n, per_row):
         stop = min(start + per_row, n)
-        got = rows_of(np.arange(start + 1, stop + 1, dtype=np.int64), n)
+        rows = np.arange(start + 1, stop + 1, dtype=np.int64)
+        got = rep._predict_rows(rows, n)
         want = G.table[start:stop]
         diff = got != want
         i = int(diff.argmax())          # the first True, in row-major order
@@ -92,7 +91,7 @@ def verify_exhaustive(rep, G: GroupTable) -> Counterexample | None:
 
     Returns the first mismatch in row-major order as (x, y, got, want), or
     None.  Rows are swept in blocks of about ``_CHUNK`` pairs, each answered
-    by the representation's batch kernel broadcast over the block
+    by the representation's batch kernel on the whole block
     (``Representation._predict_rows``) and compared with the table's rows.
     """
     return _sweep_exhaustive(rep, G)[0]

@@ -133,7 +133,7 @@ def test_batch_kernel_binds_only_arrays_and_no_literal(corpus, case):
     # every name they read is an ndarray: a held array or a 0-d int64
     for G, kind, rep in _structures(corpus, [case]):
         if kind == "simple" and rep.cyclic_ is None:
-            continue                # predict folds by hand
+            continue                # its kernel is the fold, not a template
         rep.predict(np.array([[1, G.n]]))
         batch, consts = base._batch_lines(rep._template())
         assert compiled_key(rep._kernel)[1:] == (("x", "y"), False, batch)

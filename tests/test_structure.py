@@ -219,6 +219,23 @@ def test_is_simple_nonabelian(corpus):
     assert not st.is_simple(corpus.table("Q8"))
 
 
+@pytest.mark.parametrize("find, G", [
+    (gt.greedy_cube_sequence, gt.make_dihedral(5)),
+    (gt.is_simple, gt.make_dihedral(5)),
+    (gt.is_z_group, gt.make_dihedral(5)),
+    (gt.abelian_basis, gt.make_cyclic(6)),
+    (gt.find_zgroup_decomposition, gt.make_dihedral(5)),
+    (gt.find_semidirect_decomposition, gt.make_dihedral(5)),
+    (gt.find_hamiltonian_decomposition, gt.make_quaternion()),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_structure_functions_take_any_table(find, G):
+    # a nested-list table is coerced as every ``fit`` coerces it, and None
+    # is refused as a table, not met by an AttributeError
+    assert repr(find(G.table.tolist())) == repr(find(G))
+    with pytest.raises(ValidationError, match="must be square"):
+        find(None)
+
+
 def test_semidirect_decomposition_a4(corpus):
     d = st.find_semidirect_decomposition(corpus.table("A4"))
     assert (d.a_order, d.b_order) == (4, 3)
@@ -642,6 +659,29 @@ def _id_error(x, n) -> str:
 
 
 @pytest.mark.parametrize("name, kind, params", ALL_KINDS)
+def test_predict_returns_a_fresh_int64_array(corpus, name, kind, params):
+    # predict casts without a copy where its kernel's answer is already
+    # int64 (SimpleRep's fold), so no kind may answer in its input's or its
+    # arrays' memory: a write to the answer must change no later answer
+    G = corpus.table(name)
+    n = G.n
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    pairs = np.stack([np.repeat(ids, n), np.tile(ids, n)], axis=1)
+    fitted = corpus.rep(name, kind, **params)
+    for tag, rep in (("fitted", fitted),
+                     ("loaded", ser.from_bytes(ser.to_bytes(fitted)))):
+        got = rep.predict(pairs)
+        assert got.dtype == np.int64 and got.flags.writeable, (kind, tag)
+        held = [a for a in rep._bound_arrays(np.asarray).values()
+                if isinstance(a, np.ndarray)]
+        assert held, (kind, tag)
+        for arr in (pairs, *held):
+            assert not np.shares_memory(got, arr), (kind, tag)
+        got[:] = 0
+        assert np.array_equal(rep.predict(pairs), G.table.reshape(-1))
+
+
+@pytest.mark.parametrize("name, kind, params", ALL_KINDS)
 def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
                                                        params):
     G = corpus.table(name)
@@ -678,12 +718,12 @@ def test_multiply_is_a_checked_closure_bound_on_a_twin(corpus, name, kind,
             z, ledger = gt.probe_counted_multiply(rep, x, y)
             assert z == G.mult(x, y) and lo <= ledger.total() <= hi
         assert vars(rep)["multiply"] is bound
-        # predict binds its closure in ``_kernel``'s place once (SimpleRep
-        # folds its own arrays unless it delegates)
+        # predict binds its kernel in ``_kernel``'s place once (SimpleRep's
+        # is its fold unless it delegates)
         arr = np.array(pairs)
         assert rep.predict(arr).tolist() == want
         kernel = vars(rep).get("_kernel")
-        assert (kernel is None) == (kind == "simple" and rep.cyclic_ is None)
+        assert kernel is not None
         assert rep.predict(arr).tolist() == want
         assert vars(rep).get("_kernel") is kernel
         # no pickle or copy carries the caches

@@ -2,6 +2,7 @@
 verify_exhaustive's row blocks, and the row method they sweep with."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,18 +24,26 @@ class WrongOn:
 
     def __init__(self, G, bad=None):
         self.G = G
-        self.keys = None if bad is None else self._key(np.asarray(bad))
+        bad = None if bad is None else np.asarray(bad)
+        self.keys = None if bad is None else self._key(bad[:, 0], bad[:, 1])
 
-    def _key(self, pairs):
-        return pairs[:, 0] * (self.G.n + 1) + pairs[:, 1]
+    def _key(self, x, y):
+        return x * (self.G.n + 1) + y
+
+    def _bumped(self, out, keys):
+        hit = slice(None) if self.keys is None else np.isin(keys, self.keys)
+        out[hit] = out[hit] % self.G.n + 1
+        return out
 
     def predict(self, X):
         pairs = np.asarray(X)
-        out = self.G.predict(pairs)
-        hit = (slice(None) if self.keys is None
-               else np.isin(self._key(pairs), self.keys))
-        out[hit] = out[hit] % self.G.n + 1
-        return out
+        return self._bumped(self.G.predict(pairs),
+                            self._key(pairs[:, 0], pairs[:, 1]))
+
+    def _predict_rows(self, rows, n):
+        """The table's rows, bumped on the bad pairs as ``predict`` is."""
+        return self._bumped(self.G._predict_rows(rows, n).astype(np.int64),
+                            self._key(rows[:, None], np.arange(1, n + 1)))
 
 
 def one_shot(G, count, seed):
@@ -130,11 +139,40 @@ def test_row_method_equals_predict(corpus, name, kind, params):
 
 
 def test_row_method_checks_the_order(corpus):
-    rep = corpus.rep("C12", "cyclic")
-    with pytest.raises(ValidationError, match="pair entries"):
-        rep._predict_rows(np.arange(1, 3), 13)
+    # every row method refuses columns past its order as predict refuses
+    # such pairs: a table, a rendered kernel, SimpleRep's fold and its
+    # cyclic delegate
+    for rep, n in ((corpus.table("C12"), 12),
+                   (corpus.rep("C12", "cyclic"), 12),
+                   (corpus.rep("A5", "simple"), 60),
+                   (corpus.rep("C5", "simple"), 5)):
+        with pytest.raises(ValidationError, match="pair entries"):
+            rep._predict_rows(np.arange(1, 3), n + 1)
+    with pytest.raises(ValidationError, match=r"pair entries .*\[1, 12\]"):
+        verify_exhaustive(gt.make_cyclic(12), gt.make_cyclic(13))
     with pytest.raises(gt.NotFittedError):
         gt.SimpleRep()._predict_rows(np.arange(1, 3), 2)
+
+
+def test_simple_row_block_builds_no_pair_array(corpus):
+    # a row block folds an int64 copy of its rows along its columns' paths,
+    # sorted once: neither an (r * n, 2) pair array nor its sort is built,
+    # so the traced peak of a warm block stays within 4 blocks of int64
+    G = corpus.table("PSL(2,11)")
+    rep = corpus.rep("PSL(2,11)", "simple")
+    assert rep.cyclic_ is None
+    n = G.n
+    r = _CHUNK // n
+    rows = np.arange(1, r + 1, dtype=np.int64)
+    assert np.array_equal(rep._predict_rows(rows, n), G.table[:r])
+    tracemalloc.start()
+    try:
+        got = rep._predict_rows(rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, G.table[:r])
+    assert peak <= 4 * r * n * 8, peak / (r * n * 8)
 
 
 def pairwise_first_mismatch(rep, G):

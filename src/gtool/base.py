@@ -44,7 +44,8 @@ class NotFittedError(GtoolError, RuntimeError):
 
 
 def check_cayley_table(X) -> np.ndarray:
-    """Copy ``X`` to a new (n, n) int32 array with entries in [1, n].
+    """Copy ``X`` to a new (n, n) array of ``id_dtype(n)`` with entries in
+    [1, n].
 
     Only shape and value range are checked here; the group axioms are the
     responsibility of :class:`gtool.groups.GroupTable`.
@@ -67,7 +68,7 @@ def check_cayley_table(X) -> np.ndarray:
         raise ValidationError(
             f"entry at row {bad[0] + 1}, column {bad[1] + 1} is outside [1, {n}]",
             axiom="range", witness=(int(bad[0]) + 1, int(bad[1]) + 1))
-    return arr.astype(np.int32)
+    return arr.astype(id_dtype(n))
 
 
 def id_dtype(n: int) -> np.dtype:

@@ -139,7 +139,7 @@ class BlockRep(Representation):
         prods = np.full((m, 1), G.identity, dtype=np.int64)
         for j in range(l):
             prods = np.hstack([prods, G.table[prods - 1, gens[:, j, None] - 1]])
-        # 64 rows at a time bounds the int32 gather below the held array
+        # 64 rows at a time bounds the gather below the held array
         mult = np.empty((G.n, m, 1 << l), dtype=id_dtype(G.n))
         for r in range(0, G.n, 64):
             mult[r:r + 64] = G.table[r:r + 64, prods - 1]

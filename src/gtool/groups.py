@@ -22,13 +22,18 @@ from .base import (CapacityError, ParseError, ValidationError,
 class GroupTable:
     """A finite group given by its full n x n multiplication table.
 
-    ``table[x-1, y-1]`` holds the product x*y.  Validation proves it a
-    group: Latin rows, a two-sided identity, two-sided inverses, then
-    Light's associativity test, one n x n pass per kept generator (at most
-    log2 n).  A failure is named after the columns are checked, and a failed
-    Light's test by :meth:`check_associativity`.  ``validate=False`` skips
-    every check, for tables that are groups by construction.  Loaded tables
-    may place the identity anywhere; the constructors here put it at 1.
+    ``table[x-1, y-1]`` holds the product x*y.  The table is read-only
+    and held at the id width ``id_dtype(n)`` (uint8 up to n = 255, uint16
+    up to 65,535): cast it to int64 before arithmetic on its entries,
+    which wraps silently at an unsigned width.  ``inverse`` is int32.
+
+    Validation proves the table a group: Latin rows, a two-sided
+    identity, two-sided inverses, then Light's associativity test, one
+    n x n pass per kept generator (at most log2 n).  A failure is named
+    after the columns are checked, and a failed Light's test by
+    :meth:`check_associativity`.  ``validate=False`` skips every check,
+    for tables that are groups by construction.  Loaded tables may place
+    the identity anywhere; the constructors here put it at 1.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -43,11 +48,13 @@ class GroupTable:
         self._orders = None
         self._abelian = None
         t = self.table
-        ids = np.arange(1, self.n + 1, dtype=np.int32)
+        ids = np.arange(1, self.n + 1, dtype=t.dtype)
         if validate:
             _check_latin(t, ids, "row")
-        # in a Latin square at most one row equals the ids: the left identity
-        id_rows = np.nonzero((t == ids).all(axis=1))[0]
+        # in a Latin square at most one row equals the ids: the left
+        # identity, found among the rows that start with 1
+        id_rows = np.flatnonzero(t[:, 0] == 1)
+        id_rows = id_rows[(t[id_rows] == ids).all(axis=1)]
         self.identity = int(id_rows[0]) + 1 if id_rows.size else 1
         self.inverse = (1 + np.argmax(t == self.identity, axis=1)).astype(np.int32)
         self.inverse.setflags(write=False)
@@ -288,12 +295,71 @@ def load_cayley_table(text) -> GroupTable:
 
     Line 1 holds n; lines 2..n+1 hold n whitespace-separated ids in
     [1, n], where row i column j is the product i*j.  A trailing newline
-    is optional; blank interior lines are rejected.  The body is parsed
-    by numpy as int64, so a token must be an optional sign and ASCII
-    digits: a token that Python's ``int()`` accepts but numpy does not
-    (``0_1``, non-ASCII digits) is a :class:`ParseError`, as is one
-    outside the int64 range, as is input that is not ``str`` or ``bytes``.
+    is optional; blank interior lines are rejected.  A token must be an
+    optional sign and ASCII digits, parsed as int64: a token that Python's
+    ``int()`` accepts but numpy does not (``0_1``, non-ASCII digits) is a
+    :class:`ParseError`, as is one outside the int64 range, as is input
+    that is not ``str`` or ``bytes``.
+
+    A file in the canonical layout that ``dumps`` and ``gtool gen`` write
+    (ASCII digits, one space between ids, one newline after each row) is
+    read in one numpy pass; any other spelling goes to the general parser.
+    Both give the same table, and the same error for the same text.
     """
+    table = _canonical_table(text)
+    if table is None:
+        table = _general_table(text)
+    return GroupTable(table)
+
+
+_DIGITS = b"0123456789"
+_ADJACENT_CHUNK = 1 << 16     # bytes per pass of the empty-token check
+
+
+def _canonical_table(text) -> np.ndarray | None:
+    """The (n, n) int64 body of a canonical text, or None for any other.
+
+    Canonical: an ASCII-digit header n, then n rows of n ASCII-digit
+    tokens, one space between tokens and a newline after each row (the
+    last one optional).  The guards prove what ``np.fromstring`` cannot
+    report: the text has the shape for exactly n*n + 1 tokens, no token
+    is empty (with ``count`` numpy fills missing tokens with uninitialised
+    memory), and no token saturates int64.  The shape is checked before
+    anything of size n*n is built, so a huge header allocates nothing.
+    """
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    if not isinstance(text, bytes):
+        return None
+    end = text.find(b"\n", 0, 19)             # a header of 1 to 18 digits
+    if end < 1 or not text[:end].isdigit():
+        return None
+    n = int(text[:end])
+    seps = text.translate(None, _DIGITS)
+    if n < 1 or len(seps) not in (n * n, n * n + 1):
+        return None
+    if not (b"\n" + (b" " * (n - 1) + b"\n") * n).startswith(seps):
+        return None
+    closed = len(seps) == n * n + 1            # the last row ends in a newline
+    if not (text.endswith(b"\n") if closed else text[-1:].isdigit()):
+        return None
+    codes = np.frombuffer(text, dtype=np.uint8)
+    for i in range(0, codes.size - 1, _ADJACENT_CHUNK):
+        sep = codes[i:i + _ADJACENT_CHUNK + 1] < 48     # " " or "\n"
+        if (sep[1:] & sep[:-1]).any():
+            return None
+    values = np.fromstring(text, dtype=np.int64, count=n * n + 1, sep=" ")
+    if values.max() == np.iinfo(np.int64).max:
+        return None                            # a token past int64 saturates
+    return values[1:].reshape(n, n)
+
+
+def _general_table(text) -> np.ndarray:
+    """The (n, n) int64 body of any text, or the :class:`ParseError` that
+    names its first fault."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -322,7 +388,7 @@ def load_cayley_table(text) -> GroupTable:
     if table is None or table.shape != (n, n):
         # numpy skips blank lines and names no row; find the first bad one
         raise ParseError(_row_fault(rows, n))
-    return GroupTable(table)
+    return table
 
 
 _INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -356,7 +422,7 @@ def as_group(X) -> GroupTable:
 # -- constructions ---------------------------------------------------------
 
 # The largest order that make_cyclic, make_dihedral, make_abelian and
-# make_psl2 build.  Its table of int32 ids is 256 MiB, and a construction
+# make_psl2 build.  Its table of uint16 ids is 128 MiB, and a construction
 # holds int64 temporaries of the table's shape, so a larger order raises
 # CapacityError before anything is allocated.
 MAX_ORDER = 1 << 13

@@ -7,8 +7,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import gtool as gt
+from gtool import groups
 from gtool.base import (CapacityError, GtoolError, ParseError,
-                        PreconditionError, ValidationError)
+                        PreconditionError, ValidationError, id_dtype)
+from gtool.fm import AbelianFM
 from gtool.groups import MAX_ORDER
 
 from conftest import _CACHE, LARGE_SIMPLE, small_entries
@@ -59,11 +61,19 @@ _SEP = st.text(alphabet=" \t", min_size=1, max_size=3)
 _PAD = st.text(alphabet=" \t", max_size=2)
 _ODD_TOKENS = ("1.0", "x", "1e3", "-1", "+2", "0x1", "--1", "#1", "2,",
                "4294967298", "99999999999999999999", "-0")
+# tokens that keep the canonical layout's shape but must not read as ids
+# there: an empty token, uint16 and uint32 wraps, and int64's edge
+_CANONICAL_ODD = ("", "65537", "4294967297", str((1 << 63) - 1),
+                  str(1 << 63), str((1 << 64) + 1))
 
 
 @st.composite
 def _table_texts(draw):
+    """Table texts, half of them in the canonical layout that ``dumps``
+    writes: digit tokens, one space between them, one newline after each
+    row, the last one optional."""
     n = draw(st.integers(1, 5))
+    canonical = draw(st.booleans())
     if draw(st.booleans()):
         # a relabelled cyclic group, so some drawn texts are valid tables
         perm = np.array(draw(st.permutations(range(1, n + 1))))
@@ -78,11 +88,16 @@ def _table_texts(draw):
         row = tokens[draw(st.integers(0, n - 1))]
         action = draw(st.sampled_from(["bad", "drop", "add"])) if row else "add"
         if action == "bad":
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+                _CANONICAL_ODD if canonical else _ODD_TOKENS))
         elif action == "drop":
             row.pop()
         else:
             row.append(str(draw(st.integers(1, n))))
+    if canonical:
+        header = "0" * draw(st.integers(0, 1)) + str(n + draw(st.sampled_from([0, 0, 0, 1])))
+        return "\n".join([header] + [" ".join(row) for row in tokens]) + \
+            draw(st.sampled_from(["", "\n"]))
     lines = [draw(_PAD) + draw(_SEP).join(row) + draw(_PAD) for row in tokens]
     for _ in range(draw(st.integers(0, 1))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_PAD))
@@ -104,6 +119,125 @@ def test_parser_matches_per_token_reference(text):
         assert got.table.dtype == want.table.dtype
         assert np.array_equal(got.table, want.table)
         assert got.identity == want.identity
+
+
+def _outcome(load, text):
+    """The table a load gives, or its error's type, message, axiom and
+    witness."""
+    try:
+        G = load(text)
+    except GtoolError as exc:
+        return (type(exc), str(exc), getattr(exc, "axiom", None),
+                getattr(exc, "witness", None))
+    return (G.table.dtype, G.table.tolist(), G.identity)
+
+
+def _general_load(text):
+    return gt.GroupTable(groups._general_table(text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_table_texts())
+@example(text="2\n1 \n2 1\n")            # an empty token: numpy would read
+@example(text="2\n1 2\n2 \n")            # uninitialised memory for it
+@example(text="2\n1 2\n2 1")
+@example(text="2\n001 02\n2 1\n")
+@example(text="2\n1 99999999999999999999\n2 1\n")      # saturates int64
+@example(text="2\n1 9223372036854775807\n2 1\n")
+@example(text="2\n1 9223372036854775808\n2 1\n")
+@example(text="2\n1 18446744073709551617\n2 1\n")
+@example(text="2\n1 65537\n2 1\n")                     # wraps at uint16
+@example(text="2\n1 4294967297\n2 1\n")                # wraps at int32
+@example(text="2\n1 2\n2 1\n1")                        # a row past n
+@example(text="1\n")
+def test_both_parse_paths_agree(text):
+    # the canonical fast path gives the general parser's table, or its
+    # exact error, on str and on bytes
+    fast = groups._canonical_table(text)
+    event("canonical path" if fast is not None else "general path")
+    if fast is not None:
+        assert np.array_equal(fast, groups._general_table(text))
+    want = _outcome(_general_load, text)
+    assert _outcome(gt.load_cayley_table, text) == want
+    assert _outcome(gt.load_cayley_table, text.encode("ascii")) == want
+
+
+def test_canonical_tables_never_call_loadtxt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    for G in (gt.make_dihedral(6), gt.make_cyclic(300)):
+        text = G.dumps()
+        for spelling in (text, text.encode(), text.rstrip("\n")):
+            assert np.array_equal(gt.load_cayley_table(spelling).table, G.table)
+
+
+def test_other_spellings_take_the_general_parser(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    G = gt.make_dihedral(6)
+    text = G.dumps()
+    monkeypatch.setattr(np, "loadtxt", counted)
+    for other in (text.replace(" ", "\t"), text.replace("\n", "\r\n"),
+                  text.replace("\n", "\x0c")):
+        calls.clear()
+        assert np.array_equal(gt.load_cayley_table(other).table, G.table)
+        assert np.array_equal(gt.load_cayley_table(other.encode()).table, G.table)
+        assert len(calls) == 2, repr(other[:12])
+
+
+@pytest.mark.parametrize("text", [b"60000\n1\n", b"60000\n" + b"1 " * 10],
+                         ids=["one-row", "one-line"])
+def test_huge_header_allocates_nothing(text):
+    # the body's length is checked before anything of n*n size is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            gt.load_cayley_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "expected 60000 rows after the header, got 1"
+    assert peak < 1 << 16
+
+
+def test_load_peak_stays_near_the_table():
+    # the int64 parse, and the table at its id width (uint16 here)
+    text = gt.make_cyclic(1024).dumps().encode()
+    tracemalloc.start()
+    try:
+        G = gt.load_cayley_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.table.dtype == np.uint16
+    assert peak <= 6 * G.n * G.n * G.table.itemsize
+
+
+def test_table_is_held_at_the_id_width():
+    Q8 = gt.make_quaternion()
+    groups_made = [
+        gt.make_cyclic(1), gt.make_cyclic(255), gt.make_cyclic(256),
+        gt.make_dihedral(127), gt.make_dihedral(128), gt.make_abelian([2, 2, 64]),
+        gt.make_direct(Q8, gt.make_cyclic(31)), gt.make_direct(Q8, gt.make_cyclic(32)),
+        gt.make_semidirect(groups.SemidirectSpec(
+            gt.make_cyclic(3), gt.make_cyclic(2), [[1, 2, 3], [1, 3, 2]])),
+        Q8, gt.make_symmetric(5), gt.make_symmetric(6), gt.make_alternating(6),
+        gt.make_psl2(5), gt.make_psl2(11),
+        gt.GroupTable(gt.make_cyclic(256).table.astype(np.int64)),
+        gt.GroupTable(gt.make_cyclic(255).table.astype(np.uint64))]
+    for G in groups_made:
+        assert G.table.dtype == id_dtype(G.n), G
+    for n in (255, 256):
+        text = gt.make_cyclic(n).dumps()
+        for spelling in (text, text.replace("\n", "\r\n")):   # both paths
+            assert gt.load_cayley_table(spelling).table.dtype == id_dtype(n)
 
 
 def test_load_rejects_nonassociative_perturbation():
@@ -590,6 +724,9 @@ def test_table_does_not_alias_the_callers_array():
         B[0, 0] = 1
 
 
+# Bounds in n*n*4 bytes keep the absolute sizes they had when the table
+# held int32 ids; bounds in n*n*itemsize bytes are at the id width.
+
 def test_validation_peak_stays_near_the_table():
     t = gt.make_cyclic(1024).table.astype(np.int64)
     tracemalloc.start()
@@ -598,16 +735,38 @@ def test_validation_peak_stays_near_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * G.table.nbytes
+    assert peak <= 1.5 * G.n * G.n * 4
 
 
 def test_permutation_table_peak_stays_near_the_table():
     # the table and GroupTable's copy of it, plus 64-row temporaries; all
-    # n^2 products at once peak at 3.4 tables
+    # n^2 products at once peak at 3.4 int32 tables
     tracemalloc.start()
     try:
         G = gt.make_symmetric(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * G.table.nbytes
+    assert peak <= 2.75 * G.n * G.n * 4
+
+
+def test_alternating_table_peak_stays_near_the_table():
+    tracemalloc.start()
+    try:
+        G = gt.make_alternating(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.table.dtype == np.uint16
+    assert peak <= 6 * G.n * G.n * G.table.itemsize
+
+
+def test_abelian_fm_fit_peak_stays_below_the_table():
+    G = gt.make_cyclic(1024)
+    tracemalloc.start()
+    try:
+        AbelianFM().fit(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * G.n * G.n * G.table.itemsize

@@ -294,6 +294,32 @@ def test_every_kind_exact_at_the_top_of_the_byte_id_width(kind, params):
     assert ser.to_bytes(loaded) == data, kind
 
 
+FIRST_WIDE = [     # n = 256, the first order whose ids take uint16
+    ("C256", lambda: gt.make_cyclic(256),
+     ("block", "cyclic", "fm-abelian") + _SPLITS),
+    ("Q8xC2^5", lambda: gt.make_direct(gt.make_quaternion(),
+                                       gt.make_abelian([2] * 5)),
+     ("block", "fm-hamiltonian")),
+]
+
+
+@pytest.mark.parametrize("name, make, kinds", FIRST_WIDE,
+                         ids=[case[0] for case in FIRST_WIDE])
+def test_every_kind_exact_at_the_first_two_byte_id_width(name, make, kinds):
+    # beside the C255 sweep (no simple group has order 256); a fit of the
+    # table loaded from its text gives the constructed table's artifact
+    G = make()
+    H = gt.load_cayley_table(G.dumps())
+    assert G.table.dtype == H.table.dtype == np.uint16
+    for kind in kinds:
+        params = {"delta": "1/2"} if kind == "block" else {}
+        data = ser.to_bytes(build_rep(G, kind, **params))
+        for rep in (build_rep(H, kind, **params), ser.from_bytes(data)):
+            assert verify_exhaustive(rep, G) is None, kind
+            assert rep.multiply(256, 256) == G.mult(256, 256), kind
+            assert ser.to_bytes(rep) == data, kind
+
+
 def test_id_dtype_follows_artifact_id_width():
     # the numpy word of ceil(bits(n)/8)-byte ids: 3-byte ids take 4 bytes
     for n, want in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
